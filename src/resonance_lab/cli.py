@@ -214,6 +214,8 @@ def _cmd_modes(args) -> int:
     ell, t = _select_end(spec, args.end, args.index)
     s = parse_complex(args.s)
     n = args.n
+    if n < 2:
+        raise DomainError(f"--n must be at least 2, got {n}")
     rs = [args.r_min + (args.r_max - args.r_min) * i / (n - 1) for i in range(n)]
     lines = ["r,re,im"]
     for r in rs:
@@ -229,7 +231,7 @@ def _cmd_modes(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = vf.run_all(parallel=not args.serial)
+    results = vf.run_all()
     all_ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -292,8 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_modes)
 
     sp = sub.add_parser("verify", help="run the cross-oracle verification suite")
-    sp.add_argument("--serial", action="store_true", help="disable thread pool")
+    sp.add_argument(
+        "--serial", action="store_true",
+        help="accepted for compatibility; the checks always run serially",
+    )
     sp.set_defaults(func=_cmd_verify)
+
+    # argparse reads only plain decimals such as "-1.5" as negative values;
+    # "-1.5-2i" and "-6.8e-05" are values too, not option names
+    for sp in sub.choices.values():
+        sp._negative_number_matcher = _COMPLEX_RE
 
     return p
 

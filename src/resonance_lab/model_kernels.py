@@ -44,9 +44,6 @@ R_PROFILE_MIN = 0.5 * math.log((2.0 - specfun.GUARD_DELTA) / specfun.GUARD_DELTA
 #: Largest |r| for the funnel boundary profile (guard on tanh^2 r).
 R0_PROFILE_MAX = math.atanh(math.sqrt(1.0 - specfun.GUARD_DELTA))
 
-#: Empirically confirmed Fourier prefactors (cross-checked against images).
-FOURIER_PREFACTOR = {"cylinder": "1/ell", "funnel": "1/ell", "cusp": "1"}
-
 _MAX_FOURIER_MODES = 3000
 
 

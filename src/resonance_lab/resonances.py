@@ -6,8 +6,11 @@ Cylinder resonances form the lattice
         -N0 + p (log lambda + 2 pi i Z) / ell ;
 funnel resonances shift the real parts to the negative odd integers; a
 cusp contributes the single point 1/2 with the multiplicity of the
-eigenvalue 1.  Coinciding lattice points are merged with their
-multiplicities; for rational angles the merge keys are exact integers.
+eigenvalue 1.  Listings enumerate the lattice points and merge coinciding
+ones with their multiplicities; for rational angles the merge keys are
+exact integers.  `census` does not enumerate: N(r) is additive in
+multiplicities, so it counts the integers of one open interval per real
+part, in O(r) work per radius, and merges nothing.
 """
 
 from __future__ import annotations
@@ -243,15 +246,67 @@ def surface_resonances(spec: SurfaceSpec, radius: float) -> ResonanceSet:
     return _merge_lattice(points, radius)
 
 
+def _interval_count(
+    ell: float, t: TwistSpec, r: float, real_base: int, real_step: int
+) -> int:
+    """Total multiplicity of the `_lattice_points` lattice inside |s| < r.
+
+    For each class, sign p and real part re, the admissible m are the
+    integers of the open interval |re + i p omega (theta + m)| < r.  Its
+    ends are estimated in floating point and then moved with the
+    enumeration's own predicate (np.hypot is the libm hypot behind
+    abs(complex)), so points on the circle count exactly as enumerated.
+    """
+    omega = 2.0 * math.pi / ell
+    total = 0
+    for cls in t.angles:
+        shift = cls.log_abs / ell
+        theta = cls.theta
+        n_max = int(math.ceil(r + abs(shift))) + real_base
+        n_real = np.arange(real_base, n_max + 1, real_step, dtype=float)
+        for p in (1, -1):
+            re = -n_real + p * shift
+            re = re[np.abs(re) < r]
+            half = np.sqrt(r * r - re * re) / omega
+
+            def inside(m):
+                return np.hypot(re, p * omega * (theta + m)) < r
+
+            lo = np.ceil(-half - theta)
+            hi = np.floor(half - theta)
+            while (step := inside(lo - 1.0)).any():
+                lo -= step
+            while (step := (lo <= hi) & ~inside(lo)).any():
+                lo += step
+            while (step := inside(hi + 1.0)).any():
+                hi += step
+            while (step := (lo <= hi) & ~inside(hi)).any():
+                hi -= step
+            total += cls.mult * int(np.maximum(hi - lo + 1.0, 0.0).sum())
+    return total
+
+
 def census(spec: SurfaceSpec, r_max: float, n_samples: int) -> list[tuple[float, int]]:
-    """Table of (r, N(r)) at n_samples radii evenly spaced in (0, r_max]."""
+    """Table of (r, N(r)) at n_samples radii evenly spaced in (0, r_max].
+
+    N(r) is counted by integer intervals (see `_interval_count`), not by
+    enumerating `surface_resonances`; the two agree exactly.
+    """
     if n_samples < 1:
         raise InsufficientDataError("census needs at least one sample radius")
-    allres = surface_resonances(spec, r_max * (1.0 + 1e-12))
-    radii = [r_max * (i + 1) / n_samples for i in range(n_samples)]
-    mags = np.array([abs(p.location) for p in allres])
-    mults = np.array([p.mult for p in allres])
-    return [(r, int(mults[mags < r].sum())) for r in radii]
+    if (spec.funnels or spec.cylinders) and not r_max > 0.0:
+        raise DomainError(f"radius must be positive, got {r_max}")
+    cusp_mult = sum(c.mult for t in spec.cusps for c in t.angles if c.theta == 0.0)
+    table = []
+    for i in range(n_samples):
+        r = r_max * (i + 1) / n_samples
+        n = (
+            sum(_interval_count(ell, t, r, 1, 2) for ell, t in spec.funnels)
+            + sum(_interval_count(ell, t, r, 0, 1) for ell, t in spec.cylinders)
+            + (cusp_mult if r > 0.5 else 0)
+        )
+        table.append((r, n))
+    return table
 
 
 def growth_fit(table: list[tuple[float, int]]) -> tuple[float, float]:

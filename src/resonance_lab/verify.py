@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,16 +30,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def max_workers() -> int:
-    """Thread cap from RESONANCE_LAB_THREADS (default: os.cpu_count())."""
-    raw = os.environ.get("RESONANCE_LAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n if n > 0 else (os.cpu_count() or 1))
 
 
 def _sample_cylinder_pairs(rng, n, r_range=(-2.0, 2.0), min_dr=0.15):
@@ -312,9 +300,6 @@ ALL_CHECKS = (
 )
 
 
-def run_all(parallel: bool = True) -> list[CheckResult]:
-    """Run every check; order of results is fixed regardless of scheduling."""
-    if parallel and max_workers() > 1:
-        with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-            return list(pool.map(lambda c: c(), ALL_CHECKS))
+def run_all() -> list[CheckResult]:
+    """Run every check, one after another, in ALL_CHECKS order."""
     return [c() for c in ALL_CHECKS]

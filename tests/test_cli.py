@@ -176,13 +176,9 @@ class TestVerifyCommand:
         assert "verification passed" in out
         assert out.count("PASS") >= 10 and "FAIL" not in out
 
-    def test_thread_cap_env(self, monkeypatch):
-        from resonance_lab import verify as vf
-
-        monkeypatch.setenv("RESONANCE_LAB_THREADS", "2")
-        assert vf.max_workers() == 2
-        monkeypatch.setenv("RESONANCE_LAB_THREADS", "not-a-number")
-        assert vf.max_workers() >= 1
+    def test_serial_flag_still_accepted(self):
+        args = cli.build_parser().parse_args(["verify", "--serial"])
+        assert args.func is cli._cmd_verify
 
 
 class TestModesCommand:
@@ -212,3 +208,42 @@ class TestModesCommand:
         )
         assert rc == 0
         assert target.read_text().startswith("r,re,im")
+
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_too_few_points_exit_2(self, spec_file, capsys, n):
+        rc = cli.main(
+            [
+                "modes", "--spec", spec_file, "--end", "cylinder", "--s", "2",
+                "--kappa", "0.5", "--r2", "1.5", "--r-min", "-1", "--r-max", "1",
+                "--n", n,
+            ]
+        )
+        assert rc == 2
+        assert "--n" in capsys.readouterr().err
+
+
+class TestNegativeValues:
+    """Values that start with '-' parse as values, not as option names."""
+
+    def _out(self, argv, capsys):
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_negative_complex_s(self, spec_file, capsys):
+        base = [
+            "modes", "--spec", spec_file, "--end", "cylinder", "--kappa", "0.5",
+            "--r2", "1.5", "--r-min", "-1", "--r-max", "1", "--n", "5",
+        ]
+        spaced = self._out(base + ["--s", "-1.5-2i"], capsys)
+        joined = self._out(base + ["--s=-1.5-2i"], capsys)
+        assert spaced == joined
+        assert spaced.startswith("r,re,im")
+
+    def test_exponent_coordinate(self, spec_file, capsys):
+        base = [
+            "kernel", "--spec", spec_file, "--end", "cylinder", "--method",
+            "fourier", "--s", "2+0.3i", "--output", "csv", "--coords",
+        ]
+        exponent = self._out(base + ["0.2", "1.0", "-6.8e-05", "2.5"], capsys)
+        fixed = self._out(base + ["0.2", "1.0", "-0.000068", "2.5"], capsys)
+        assert exponent == fixed

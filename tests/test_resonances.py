@@ -1,6 +1,7 @@
 """Resonance lattices, counting functions and growth fits."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -185,6 +186,81 @@ class TestCounting:
             rz.counting_function(rs, 3.5)
 
 
+TWO_PI = 2.0 * math.pi
+
+
+def enumerated_table(spec, table):
+    """Oracle: N(r) from the enumerated, merged multiset at each radius."""
+    return [
+        (r, rz.counting_function(rz.surface_resonances(spec, r), r)) for r, _ in table
+    ]
+
+
+class TestIntervalCensus:
+    """`census` counts by integer intervals; enumeration is its oracle."""
+
+    @pytest.mark.parametrize(
+        "spec,r_max,n_samples",
+        [
+            # integer radii: 3+4i and 5+12i lie exactly on |s| = 5 and 13
+            (rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),)), 5.0, 5),
+            (rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),)), 13.0, 13),
+            (rz.SurfaceSpec(cylinders=((1.0, EXAMPLE),)), 8.0, 16),
+            (rz.SurfaceSpec(funnels=((1.0, EXAMPLE),)), 8.0, 16),
+            (rz.SurfaceSpec(funnels=((TWO_PI, TRIVIAL),)), 13.0, 13),
+            (
+                rz.SurfaceSpec(
+                    cylinders=((1.3, TwistSpec.from_angles([(math.sqrt(2.0) - 1.0, 2)])),)
+                ),
+                9.0, 7,
+            ),
+            (
+                rz.SurfaceSpec(
+                    cylinders=(
+                        (0.9, TwistSpec.from_angles([(0.1, 1), (0.61803, 2)], [0.37, -0.2])),
+                    )
+                ),
+                9.0, 7,
+            ),
+            # lattices that coincide across ends: multiplicities add
+            (
+                rz.SurfaceSpec(
+                    funnels=((TWO_PI, TRIVIAL),),
+                    cusps=(TwistSpec.trivial(2),),
+                    cylinders=((TWO_PI, TRIVIAL), (TWO_PI, TwistSpec.trivial(2))),
+                ),
+                13.0, 26,
+            ),
+        ],
+    )
+    def test_matches_enumeration(self, spec, r_max, n_samples):
+        table = rz.census(spec, r_max, n_samples)
+        assert table == enumerated_table(spec, table)
+
+    def test_cusp_threshold(self):
+        # the cusp point 1/2 counts only for r > 1/2
+        spec = rz.SurfaceSpec(cusps=(TwistSpec.from_angles([(0.0, 2), (0.5, 1)]),))
+        table = rz.census(spec, 1.0, 4)
+        assert [n for _, n in table] == [0, 0, 2, 2]
+        assert table == enumerated_table(spec, table)
+
+    def test_known_values(self):
+        spec = rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),))
+        assert rz.census(spec, 5.0, 1) == [(5.0, 78)]
+        assert rz.census(spec, 400.0, 1) == [(400.0, 503_404)]
+
+    def test_errors(self):
+        spec = rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),))
+        with pytest.raises(InsufficientDataError):
+            rz.census(spec, 5.0, 0)
+        with pytest.raises(DomainError):
+            rz.census(spec, 0.0, 3)
+        with pytest.raises(DomainError):
+            rz.census(rz.SurfaceSpec(funnels=((1.0, EXAMPLE),)), -2.0, 3)
+        # a cusp alone has no lattice, so any radius is admissible
+        assert rz.census(rz.SurfaceSpec(cusps=(TRIVIAL,)), -1.0, 2) == [(-0.5, 0), (-1.0, 0)]
+
+
 class TestGrowthFit:
     def test_cylinder_coefficient(self):
         ell = 2.0 * math.pi
@@ -193,6 +269,15 @@ class TestGrowthFit:
         coeff, spread = rz.growth_fit(table)
         assert abs(coeff - ell / 2.0) / (ell / 2.0) < 0.10
         assert spread < 0.05
+
+    def test_cylinder_coefficient_far_out(self):
+        # N(r) ~ (ell/2) r^2 on radii up to 1e4, well past enumeration's reach
+        ell = TWO_PI
+        spec = rz.SurfaceSpec(cylinders=((ell, TRIVIAL),))
+        t0 = time.perf_counter()
+        coeff, _ = rz.growth_fit(rz.census(spec, 1e4, 8))
+        assert time.perf_counter() - t0 < 1.0
+        assert abs(coeff - ell / 2.0) < 1e-3
 
     def test_funnel_half_density(self):
         ell = 2.0 * math.pi
