@@ -1,12 +1,25 @@
 """Twisted resolvent kernels on the three model ends, by two representations.
 
 Each kernel is computed per eigenvalue class of the monodromy (the twist is
-diagonalized once and for all; kernels are diagonal in that basis), either as
+diagonalized once and for all; kernels are diagonal in that basis, and
+`_classwise` applies each class's twist phase), either as
 
   * a truncated method-of-images sum of the free kernel with twist weights,
     valid in the convergence half-plane Re s > C + MARGIN, or
   * a Fourier-mode synthesis from closed-form mode functions, valid for all
     s off the mode pole lattices.
+
+Every sum over k in Z runs through one truncation loop, `_sum_over_z`: it
+adds k = 1, 2, ... and then k = -1, -2, ..., and stops each side on one of
+three tail rules:
+
+  * images (`_images_sum`, also `h_series_direct`): the geometric tail of
+    the last magnitude ratio, times 4, below the absolute
+    ImagesConfig.tail_tol, from |k| = 3 on;
+  * Fourier modes (`_mode_sum`): the same tail, times 10, below
+    FOURIER_TAIL_TOL times the largest term so far;
+  * cusp images (`cusp_class_images`): comparison with the integral of the
+    k^(-2 Re s) decay.
 
 Mode profiles for the hyperbolic cylinder / funnel are built from the
 regularized hypergeometric function; cusp modes from modified Bessel
@@ -44,6 +57,9 @@ R_PROFILE_MIN = 0.5 * math.log((2.0 - specfun.GUARD_DELTA) / specfun.GUARD_DELTA
 #: Largest |r| for the funnel boundary profile (guard on tanh^2 r).
 R0_PROFILE_MAX = math.atanh(math.sqrt(1.0 - specfun.GUARD_DELTA))
 
+#: Relative tail tolerance of the adaptive Fourier-mode synthesis.
+FOURIER_TAIL_TOL = 1e-12
+
 _MAX_FOURIER_MODES = 3000
 
 
@@ -76,12 +92,11 @@ def _require_convergence(s: complex, ell: float, t: TwistSpec) -> None:
         )
 
 
-def _two_sided_sum(term, cfg: ImagesConfig, center) -> complex:
-    """Sum term(k) over k in Z with adaptive symmetric truncation.
+def _sum_over_z(term, center, done, limit: int, failure: str) -> complex:
+    """center plus term(k) summed over k = 1, 2, ... and then k = -1, -2, ....
 
-    term(k) must decay eventually geometrically in |k| on each side; the
-    side tail is estimated from the last ratio and must drop below
-    cfg.tail_tol.
+    A side stops as soon as done(|k|, |term(k)|, previous |term| or None)
+    holds; a side that passes |k| = limit raises TruncationError(failure).
     """
     total = center
     for side in (1, -1):
@@ -90,22 +105,42 @@ def _two_sided_sum(term, cfg: ImagesConfig, center) -> complex:
         while True:
             cur = term(k)
             total += cur
-            if prev is not None and abs(cur) > 0 and abs(k) >= 3:
-                ratio = abs(cur) / prev if prev > 0 else 1.0
-                if ratio < 0.95:
-                    tail = abs(cur) * ratio / (1.0 - ratio)
-                    if 4.0 * tail < cfg.tail_tol:
-                        break
-            if abs(cur) == 0.0 and abs(k) > 2:
+            mag = abs(cur)
+            if done(abs(k), mag, prev):
                 break
-            prev = abs(cur)
+            prev = mag
             k += side
-            if abs(k) > cfg.max_images:
-                raise TruncationError(
-                    f"images sum not below tail_tol={cfg.tail_tol} "
-                    f"within {cfg.max_images} images"
-                )
+            if abs(k) > limit:
+                raise TruncationError(failure)
     return total
+
+
+def _images_sum(term, center, cfg: ImagesConfig) -> complex:
+    """Image sum whose terms decay eventually geometrically in |k|.
+
+    A side's tail is estimated from the last magnitude ratio and must drop
+    below cfg.tail_tol (with a safety factor of 4); an exact zero past
+    |k| = 2 also ends it.
+    """
+
+    def done(n: int, mag: float, prev) -> bool:
+        if prev is not None and mag > 0 and n >= 3:
+            ratio = mag / prev if prev > 0 else 1.0
+            if ratio < 0.95 and 4.0 * (mag * ratio / (1.0 - ratio)) < cfg.tail_tol:
+                return True
+        return mag == 0.0 and n > 2
+
+    return _sum_over_z(
+        term, center, done, cfg.max_images,
+        f"images sum not below tail_tol={cfg.tail_tol} within {cfg.max_images} images",
+    )
+
+
+def _classwise(t: TwistSpec, word: int, class_value) -> np.ndarray:
+    """lambda_j^word * class_value(class_j), one complex value per class."""
+    return np.array(
+        [cls.eigenvalue**word * class_value(cls) for cls in t.angles], dtype=complex
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +179,7 @@ def cyl_class_images(
             return 0.0 + 0.0j
         return cmath.exp(k * log_lam + cmath.log(base))
 
-    return _two_sided_sum(term, cfg, g_s(s, sigma(z, z2)))
+    return _images_sum(term, g_s(s, sigma(z, z2)), cfg)
 
 
 def _reduce_cylinder(z: HPoint, ell: float) -> tuple[HPoint, int]:
@@ -175,11 +210,9 @@ def cyl_kernel_images(
     _require_convergence(s, ell, t)
     zf, m1 = _reduce_cylinder(z, ell)
     wf, m2 = _reduce_cylinder(z2, ell)
-    out = np.empty(len(t.angles), dtype=complex)
-    for j, cls in enumerate(t.angles):
-        lam = cls.eigenvalue
-        out[j] = lam ** (m1 - m2) * cyl_class_images(s, ell, lam, zf, wf, cfg)
-    return out
+    return _classwise(
+        t, m1 - m2, lambda cls: cyl_class_images(s, ell, cls.eigenvalue, zf, wf, cfg)
+    )
 
 
 def _log_cosh(r: float) -> float:
@@ -202,11 +235,6 @@ def log_a_kappa(s: complex, q: float) -> complex:
         + log_gamma(complex(s.real, s.imag + q))
         + log_gamma(complex(s.real, s.imag - q))
     )
-
-
-def a_kappa(s: complex, q: float) -> complex:
-    """2^{-2s} Gamma(s + iq) Gamma(s - iq), q = omega * kappa."""
-    return cmath.exp(log_a_kappa(s, q))
 
 
 def _v_profile_scaled(s: complex, q: float, r: float) -> tuple[complex, float]:
@@ -269,42 +297,56 @@ def cyl_mode(s: complex, kappa: float, r: float, r2: float, ell: float) -> compl
     )
 
 
-def _fourier_synthesis(mode_term, k_max: int | None, tail_tol: float) -> complex:
+def _mode_sum(mode_term, k_max: int | None) -> complex:
     """Sum mode_term(k) over k in Z, adaptively unless k_max is given.
 
     The side tails are estimated geometrically from the last magnitude
     ratio with a safety factor of 10 (the ratio still creeps toward its
-    asymptote when r and r' are close).
+    asymptote when r and r' are close), relative to the largest term so far.
     """
+    center = mode_term(0)
     if k_max is not None:
-        total = mode_term(0)
+        total = center
         for k in range(1, k_max + 1):
             total += mode_term(k) + mode_term(-k)
         return total
-    total = mode_term(0)
-    scale = max(abs(total), 1e-30)
-    for side in (1, -1):
-        prev = None
-        k = side
-        while True:
-            cur = mode_term(k)
-            total += cur
-            mag = abs(cur)
-            scale = max(scale, mag)
-            if mag == 0.0 and prev == 0.0:
-                break  # two consecutive true underflows: the tail is gone
-            if prev is not None and 0.0 < mag < prev:
-                ratio = mag / prev
-                tail = mag * ratio / (1.0 - ratio) if ratio < 0.995 else math.inf
-                if 10.0 * tail < tail_tol * scale:
-                    break
-            prev = mag
-            k += side
-            if abs(k) > _MAX_FOURIER_MODES:
-                raise TruncationError(
-                    f"Fourier synthesis needs more than {_MAX_FOURIER_MODES} modes"
-                )
-    return total
+    scale = max(abs(center), 1e-30)
+
+    def done(n: int, mag: float, prev) -> bool:
+        nonlocal scale
+        scale = max(scale, mag)
+        if mag == 0.0 and prev == 0.0:
+            return True  # two consecutive true underflows: the tail is gone
+        if prev is not None and 0.0 < mag < prev:
+            ratio = mag / prev
+            tail = mag * ratio / (1.0 - ratio) if ratio < 0.995 else math.inf
+            return 10.0 * tail < FOURIER_TAIL_TOL * scale
+        return False
+
+    return _sum_over_z(
+        mode_term, center, done, _MAX_FOURIER_MODES,
+        f"Fourier synthesis needs more than {_MAX_FOURIER_MODES} modes",
+    )
+
+
+def _fourier_kernel(
+    t: TwistSpec, c1: CylCoord, c2: CylCoord, k_max: int | None, mode_term, ell=None
+) -> np.ndarray:
+    """Per class j: lambda_j^(w - w') sum_k mode_term(k + theta_j), over ell if given.
+
+    mode_term takes the frequency k + theta_j; 2pi windings of the angles
+    enter through the twist phase.
+    """
+    if not t.is_unitary:
+        raise DomainError("Fourier synthesis requires a unitary twist")
+    if c1.r == c2.r and c1.phi == c2.phi:
+        raise DomainError("Fourier synthesis requires distinct points")
+
+    def class_value(cls) -> complex:
+        total = _mode_sum(lambda k: mode_term(k + cls.theta), k_max)
+        return total if ell is None else total / ell
+
+    return _classwise(t, c1.winding - c2.winding, class_value)
 
 
 def cyl_kernel_fourier(
@@ -314,7 +356,6 @@ def cyl_kernel_fourier(
     c1: CylCoord,
     c2: CylCoord,
     k_max: int | None = None,
-    tail_tol: float = 1e-12,
 ) -> np.ndarray:
     """Twisted cylinder resolvent kernel via Fourier-mode synthesis.
 
@@ -323,23 +364,12 @@ def cyl_kernel_fourier(
     twist phase lambda_j^(w - w').
     """
     s = complex(s)
-    if not t.is_unitary:
-        raise DomainError("Fourier synthesis requires a unitary twist")
-    if c1.r == c2.r and c1.phi == c2.phi:
-        raise DomainError("Fourier synthesis requires distinct points")
     dphi = c1.phi - c2.phi
-    dw = c1.winding - c2.winding
-    out = np.empty(len(t.angles), dtype=complex)
-    for j, cls in enumerate(t.angles):
-        theta = cls.theta
-
-        def mode_term(k: int) -> complex:
-            kap = k + theta
-            return cmath.exp(1j * kap * dphi) * cyl_mode(s, kap, c1.r, c2.r, ell)
-
-        val = _fourier_synthesis(mode_term, k_max, tail_tol) / ell
-        out[j] = cls.eigenvalue**dw * val
-    return out
+    return _fourier_kernel(
+        t, c1, c2, k_max,
+        lambda kap: cmath.exp(1j * kap * dphi) * cyl_mode(s, kap, c1.r, c2.r, ell),
+        ell,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -435,25 +465,15 @@ def funnel_kernel_fourier(
     c1: CylCoord,
     c2: CylCoord,
     k_max: int | None = None,
-    tail_tol: float = 1e-12,
 ) -> np.ndarray:
     """Funnel resolvent kernel via the mode functions (same 1/ell prefactor)."""
     s = complex(s)
-    if not t.is_unitary:
-        raise DomainError("Fourier synthesis requires a unitary twist")
     dphi = c1.phi - c2.phi
-    dw = c1.winding - c2.winding
-    out = np.empty(len(t.angles), dtype=complex)
-    for j, cls in enumerate(t.angles):
-        theta = cls.theta
-
-        def mode_term(k: int) -> complex:
-            kap = k + theta
-            return cmath.exp(1j * kap * dphi) * funnel_mode(s, kap, c1.r, c2.r, ell)
-
-        val = _fourier_synthesis(mode_term, k_max, tail_tol) / ell
-        out[j] = cls.eigenvalue**dw * val
-    return out
+    return _fourier_kernel(
+        t, c1, c2, k_max,
+        lambda kap: cmath.exp(1j * kap * dphi) * funnel_mode(s, kap, c1.r, c2.r, ell),
+        ell,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +507,6 @@ def cusp_kernel(
     c1: CylCoord,
     c2: CylCoord,
     k_max: int | None = None,
-    tail_tol: float = 1e-12,
 ) -> np.ndarray:
     """Cusp resolvent kernel via Fourier modes (prefactor 1).
 
@@ -495,28 +514,16 @@ def cusp_kernel(
     with x = phi/(2 pi), y = e^r.
     """
     s = complex(s)
-    if not t.is_unitary:
-        raise DomainError("cusp twists must be unitary")
     p1, p2 = cusp_to_plane(c1), cusp_to_plane(c2)
     dx = p1.x - p2.x
-    dw = c1.winding - c2.winding
-    if p1.y == p2.y and dx == 0.0:
-        raise DomainError("cusp synthesis requires distinct points")
-    out = np.empty(len(t.angles), dtype=complex)
-    for j, cls in enumerate(t.angles):
-        theta = cls.theta
-        if theta == 0.0 and abs(s - 0.5) < 1e-12:
+
+    def mode_term(freq: float) -> complex:
+        # freq == 0 is the first term of the theta = 0 class, the first class
+        if freq == 0.0 and abs(s - 0.5) < 1e-12:
             raise PoleError("resolvent pole at s = 1/2 for the theta = 0 class")
+        return cmath.exp(2j * math.pi * freq * dx) * cusp_mode(s, TWO_PI * freq, p1.y, p2.y)
 
-        def mode_term(k: int) -> complex:
-            freq = k + theta
-            return cmath.exp(2j * math.pi * freq * dx) * cusp_mode(
-                s, TWO_PI * freq, p1.y, p2.y
-            )
-
-        val = _fourier_synthesis(mode_term, k_max, tail_tol)
-        out[j] = cls.eigenvalue**dw * val
-    return out
+    return _fourier_kernel(t, c1, c2, k_max, mode_term)
 
 
 def cusp_class_images(
@@ -533,24 +540,17 @@ def cusp_class_images(
     """
     if s.real <= 0.5 + MARGIN:
         raise DomainError(f"cusp image sum needs Re s > {0.5 + MARGIN}, got {s.real}")
-    total = g_s(s, sigma(z, z2))
     two_sig = 2.0 * s.real - 1.0
-    for side in (1, -1):
-        k = side
-        while True:
-            img = HPoint(z2.x + k, z2.y)
-            cur = lam**k * g_s(s, sigma(z, img))
-            total += cur
-            # integral comparison: sum_{j>k} j^{-2 Re s} < k^{1-2 Re s}/(2 Re s - 1)
-            if abs(k) > 2 and abs(cur) * abs(k) / two_sig < cfg.tail_tol:
-                break
-            k += side
-            if abs(k) > cfg.max_images:
-                raise TruncationError(
-                    f"cusp images not below tail_tol={cfg.tail_tol} "
-                    f"within {cfg.max_images} images"
-                )
-    return total
+
+    def done(n: int, mag: float, prev) -> bool:
+        # integral comparison: sum_{j>k} j^{-2 Re s} < k^{1-2 Re s}/(2 Re s - 1)
+        return n > 2 and mag * n / two_sig < cfg.tail_tol
+
+    return _sum_over_z(
+        lambda k: lam**k * g_s(s, sigma(z, HPoint(z2.x + k, z2.y))),
+        g_s(s, sigma(z, z2)), done, cfg.max_images,
+        f"cusp images not below tail_tol={cfg.tail_tol} within {cfg.max_images} images",
+    )
 
 
 def cusp_kernel_images(
@@ -567,12 +567,10 @@ def cusp_kernel_images(
     m2, x2 = divmod(p2.x, 1.0)
     z = HPoint(x1, p1.y)
     w = HPoint(x2, p2.y)
-    out = np.empty(len(t.angles), dtype=complex)
-    for j, cls in enumerate(t.angles):
-        lam = cls.eigenvalue
-        phase = lam ** (int(m1) - int(m2) + c1.winding - c2.winding)
-        out[j] = phase * cusp_class_images(s, lam, z, w, cfg)
-    return out
+    return _classwise(
+        t, int(m1) - int(m2) + c1.winding - c2.winding,
+        lambda cls: cusp_class_images(s, cls.eigenvalue, z, w, cfg),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +734,8 @@ def h_series_direct(
     s = complex(s)
     _require_convergence(s, ell, t)
     wc = z2.z
-    out = np.empty(len(t.angles), dtype=complex)
-    for j, cls in enumerate(t.angles):
+
+    def class_value(cls) -> complex:
         log_lam = cmath.log(cls.eigenvalue)
 
         def term(k: int) -> complex:
@@ -747,5 +745,6 @@ def h_series_direct(
             x = k * log_lam - s * math.log(sigma(z, img))
             return cmath.exp(x) if x.real > -745.0 else 0.0 + 0.0j
 
-        out[j] = _two_sided_sum(term, cfg, 0.0 + 0.0j)
-    return out
+        return _images_sum(term, 0.0 + 0.0j, cfg)
+
+    return _classwise(t, 0, class_value)

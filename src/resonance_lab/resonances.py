@@ -31,6 +31,10 @@ COLLISION_TOL = 1e-9
 #: Fractions with denominator up to this are treated as exact angles.
 _MAX_DENOM = 1_000_000
 
+#: Real parts per block in `_interval_count`; a block holds about 80 bytes
+#: per real part.
+_CENSUS_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class Resonance:
@@ -156,6 +160,13 @@ def _merge_lattice(points: list[tuple[complex, int, object]], radius: float) -> 
     return ResonanceSet(tuple(merged), radius)
 
 
+def _require_radius(radius: float) -> None:
+    if not radius > 0.0:
+        raise DomainError(f"radius must be positive, got {radius}")
+    if not math.isfinite(radius):
+        raise DomainError(f"radius must be finite, got {radius}")
+
+
 def _lattice_points(
     ell: float, t: TwistSpec, radius: float, real_base: int, real_step: int
 ) -> ResonanceSet:
@@ -163,8 +174,7 @@ def _lattice_points(
     (-real_base - real_step*N0) + p (log_abs + 2 pi i (theta + m)) / ell,
     keeping |s| < radius (strict), multiplicities aggregated.
     """
-    if not radius > 0.0:
-        raise DomainError(f"radius must be positive, got {radius}")
+    _require_radius(radius)
     omega = 2.0 * math.pi / ell
     points: list[tuple[complex, int, object]] = []
     # exact merge keys are possible when every angle is rational and all
@@ -256,33 +266,36 @@ def _interval_count(
     ends are estimated in floating point and then moved with the
     enumeration's own predicate (np.hypot is the libm hypot behind
     abs(complex)), so points on the circle count exactly as enumerated.
+    The real parts go in blocks of _CENSUS_BLOCK, which bounds the memory.
     """
     omega = 2.0 * math.pi / ell
+    stride = real_step * _CENSUS_BLOCK
     total = 0
     for cls in t.angles:
         shift = cls.log_abs / ell
         theta = cls.theta
         n_max = int(math.ceil(r + abs(shift))) + real_base
-        n_real = np.arange(real_base, n_max + 1, real_step, dtype=float)
-        for p in (1, -1):
-            re = -n_real + p * shift
-            re = re[np.abs(re) < r]
-            half = np.sqrt(r * r - re * re) / omega
+        for start in range(real_base, n_max + 1, stride):
+            n_real = np.arange(start, min(start + stride, n_max + 1), real_step, dtype=float)
+            for p in (1, -1):
+                re = -n_real + p * shift
+                re = re[np.abs(re) < r]
+                half = np.sqrt(r * r - re * re) / omega
 
-            def inside(m):
-                return np.hypot(re, p * omega * (theta + m)) < r
+                def inside(m):
+                    return np.hypot(re, p * omega * (theta + m)) < r
 
-            lo = np.ceil(-half - theta)
-            hi = np.floor(half - theta)
-            while (step := inside(lo - 1.0)).any():
-                lo -= step
-            while (step := (lo <= hi) & ~inside(lo)).any():
-                lo += step
-            while (step := inside(hi + 1.0)).any():
-                hi += step
-            while (step := (lo <= hi) & ~inside(hi)).any():
-                hi -= step
-            total += cls.mult * int(np.maximum(hi - lo + 1.0, 0.0).sum())
+                lo = np.ceil(-half - theta)
+                hi = np.floor(half - theta)
+                while (step := inside(lo - 1.0)).any():
+                    lo -= step
+                while (step := (lo <= hi) & ~inside(lo)).any():
+                    lo += step
+                while (step := inside(hi + 1.0)).any():
+                    hi += step
+                while (step := (lo <= hi) & ~inside(hi)).any():
+                    hi -= step
+                total += cls.mult * int(np.maximum(hi - lo + 1.0, 0.0).sum())
     return total
 
 
@@ -294,8 +307,10 @@ def census(spec: SurfaceSpec, r_max: float, n_samples: int) -> list[tuple[float,
     """
     if n_samples < 1:
         raise InsufficientDataError("census needs at least one sample radius")
-    if (spec.funnels or spec.cylinders) and not r_max > 0.0:
-        raise DomainError(f"radius must be positive, got {r_max}")
+    if spec.funnels or spec.cylinders:
+        _require_radius(r_max)
+    elif not math.isfinite(r_max):
+        raise DomainError(f"radius must be finite, got {r_max}")
     cusp_mult = sum(c.mult for t in spec.cusps for c in t.angles if c.theta == 0.0)
     table = []
     for i in range(n_samples):

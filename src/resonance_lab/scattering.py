@@ -16,14 +16,6 @@ from .geometry import TWO_PI
 from .model_kernels import beta_kappa, funnel_mode, v0_profile
 from .specfun import _is_nonpositive_integer, log_gamma, rgamma
 
-#: Normalization of the per-mode functional equation: the residual uses
-#: c_norm = C_NORM_BASE * ell.  Calibrated once from a single reference
-#: point (s = 0.7 + 0.4i, kappa = 1, r = 1, r' = 2, ell = 1) and frozen;
-#: the measured base is 1 to machine precision, i.e. per mode
-#:   v~(s) - v~(1-s) = (2s-1) ell^2 E(1-s; r) S(s) E(1-s; r').
-C_NORM_BASE = 1.0
-
-
 def poisson_mode(s: complex, kappa: float, r: float, ell: float) -> complex:
     """Poisson mode (1/ell) beta_kappa(s) v0_kappa(s; r) / Gamma(s + 1/2).
 
@@ -75,16 +67,16 @@ def scattering_coeff(s: complex, kappa: float, ell: float) -> complex:
     return cmath.exp(log_ratio)
 
 
-def functional_equation_residual(
+def functional_equation_sides(
     s: complex, kappa: float, r: float, r2: float, ell: float
-) -> float:
-    """Absolute residual of the per-mode functional equation.
+) -> tuple[complex, complex]:
+    """Both sides of the per-mode functional equation on the funnel,
 
-    | v~_kappa(s; r, r') - v~_kappa(1-s; r, r')
-      - (2s-1) ell E(1-s; r) S(s) E(1-s; r') c_norm |
+      v~_kappa(s; r, r') - v~_kappa(1-s; r, r')
+        = (2s-1) ell^2 E(1-s; r) S(s) E(1-s; r'),
 
-    with c_norm = C_NORM_BASE * ell.  Requires s and 1-s off the relevant
-    pole sets.
+    where E is `poisson_mode` and S is `scattering_coeff`.  Requires s and
+    1-s off the relevant pole sets.
     """
     s = complex(s)
     lhs = funnel_mode(s, kappa, r, r2, ell) - funnel_mode(1.0 - s, kappa, r, r2, ell)
@@ -94,30 +86,14 @@ def functional_equation_residual(
         * poisson_mode(1.0 - s, kappa, r, ell)
         * scattering_coeff(s, kappa, ell)
         * poisson_mode(1.0 - s, kappa, r2, ell)
-        * (C_NORM_BASE * ell)
-    )
-    return abs(lhs - rhs)
-
-
-def calibrate_c_norm_base(
-    s: complex = 0.7 + 0.4j,
-    kappa: float = 1.0,
-    r: float = 1.0,
-    r2: float = 2.0,
-    ell: float = 1.0,
-) -> complex:
-    """Solve the functional equation for c_norm/ell at one reference point.
-
-    Diagnostic only: C_NORM_BASE is frozen; this recomputes what it would
-    be, so tests can assert the frozen value still matches.
-    """
-    s = complex(s)
-    lhs = funnel_mode(s, kappa, r, r2, ell) - funnel_mode(1.0 - s, kappa, r, r2, ell)
-    block = (
-        (2.0 * s - 1.0)
         * ell
-        * poisson_mode(1.0 - s, kappa, r, ell)
-        * scattering_coeff(s, kappa, ell)
-        * poisson_mode(1.0 - s, kappa, r2, ell)
     )
-    return lhs / (block * ell)
+    return lhs, rhs
+
+
+def functional_equation_residual(
+    s: complex, kappa: float, r: float, r2: float, ell: float
+) -> float:
+    """Absolute residual |lhs - rhs| of `functional_equation_sides`."""
+    lhs, rhs = functional_equation_sides(s, kappa, r, r2, ell)
+    return abs(lhs - rhs)

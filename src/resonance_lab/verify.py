@@ -66,15 +66,7 @@ def check_two_representation_funnel(n_pairs: int = 20, tol: float = 1e-6) -> Che
     rng = np.random.default_rng(102)
     ell, t = 1.0, _TWIST_EXAMPLE
     worst = 0.0
-    got = 0
-    while got < n_pairs:
-        c1 = CylCoord(rng.uniform(0.05, 2.2), rng.uniform(0.0, TWO_PI))
-        c2 = CylCoord(rng.uniform(0.05, 2.2), rng.uniform(0.0, TWO_PI))
-        if abs(c1.r - c2.r) < 0.15:
-            continue
-        if sigma(cyl_to_plane(c1, ell), cyl_to_plane(c2, ell)) < 1.05:
-            continue
-        got += 1
+    for c1, c2 in _sample_cylinder_pairs(rng, n_pairs, (0.05, 2.2)):
         ki = mk.funnel_kernel(_S_REF, ell, t, c1, c2, mk.ImagesConfig(tail_tol=1e-13))
         kf = mk.funnel_kernel_fourier(_S_REF, ell, t, c1, c2)
         worst = max(worst, float(np.max(np.abs(ki - kf) / np.abs(ki))))
@@ -106,21 +98,10 @@ def check_two_representation_cusp(n_pairs: int = 20, tol: float = 1e-6) -> Check
     )
 
 
-def _ode_residual_cylinder(s, kap, r, r2, ell, h=1e-3):
+def _ode_residual(mode, s, kap, r, r2, ell, h=1e-3):
+    """Central-difference residual of the radial mode ODE of mode(s, kap, ., r2, ell) at r."""
     om = TWO_PI / ell
-    f = lambda rr: mk.cyl_mode(s, kap, rr, r2, ell)
-    fp, f0, fm = f(r + h), f(r), f(r - h)
-    d2 = (fp - 2.0 * f0 + fm) / (h * h)
-    d1 = (fp - fm) / (2.0 * h)
-    return abs(
-        -d2 - math.tanh(r) * d1 - s * (1.0 - s) * f0
-        + om * om * kap * kap / math.cosh(r) ** 2 * f0
-    )
-
-
-def _ode_residual_funnel(s, kap, r, r2, ell, h=1e-3):
-    om = TWO_PI / ell
-    f = lambda rr: mk.funnel_mode(s, kap, rr, r2, ell)
+    f = lambda rr: mode(s, kap, rr, r2, ell)
     fp, f0, fm = f(r + h), f(r), f(r - h)
     d2 = (fp - 2.0 * f0 + fm) / (h * h)
     d1 = (fp - fm) / (2.0 * h)
@@ -138,12 +119,12 @@ def check_mode_ode(n_samples: int = 50, tol: float = 1e-4) -> CheckResult:
         kap = rng.uniform(-2.0, 2.0)
         r2 = rng.uniform(-1.5, 2.5)
         r = r2 + rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.2)
-        worst = max(worst, _ode_residual_cylinder(_S_REF, kap, r, r2, ell))
+        worst = max(worst, _ode_residual(mk.cyl_mode, _S_REF, kap, r, r2, ell))
         rf2 = rng.uniform(0.5, 2.8)
         rf = rf2 + rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.0)
         if rf < 0.02:
             rf = rf2 + 0.4
-        worst = max(worst, _ode_residual_funnel(_S_REF, kap, rf, rf2, ell))
+        worst = max(worst, _ode_residual(mk.funnel_mode, _S_REF, kap, rf, rf2, ell))
     return CheckResult("mode_ode_residual", worst <= tol, f"max residual {worst:.3e}")
 
 

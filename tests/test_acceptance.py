@@ -1,7 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.
+Criteria 1, 2 and 4-8 run the `resonance_lab.verify` checks (the same ones
+`resonance-lab verify` runs) at their thresholds, plus oracles and witnesses
+of their own; criteria 3 and 9 exist only here.  Run with
+`pytest tests/test_acceptance.py -v -s` to see the per-criterion lines and
+timings.
 """
 
 import math
@@ -12,12 +15,11 @@ import numpy as np
 from resonance_lab import model_kernels as mk
 from resonance_lab import resonances as rz
 from resonance_lab import scattering as sc
-from resonance_lab.free_resolvent import free_kernel
-from resonance_lab.geometry import TWO_PI, CylCoord, HPoint, cyl_to_plane, sigma
+from resonance_lab import verify as vf
+from resonance_lab.geometry import TWO_PI
 from resonance_lab.twist import TwistSpec, eigen_angles
 
 TWIST = TwistSpec.from_angles([(0.25, 1), (0.5, 1)])  # diag(i, -1)
-S_REF = 2.0 + 0.3j
 
 
 def report(num, label, ok, detail, t0, budget):
@@ -28,47 +30,30 @@ def report(num, label, ok, detail, t0, budget):
     assert elapsed < budget, f"criterion {num} exceeded {budget}s ({elapsed:.2f}s)"
 
 
+def report_checks(num, label, results, t0, budget, extra_ok=True, extra=""):
+    """report() for verify.check_* results, plus the test's own extra oracle."""
+    detail = "; ".join(f"{r.name}: {r.detail}" for r in results)
+    if extra:
+        detail += "; " + extra
+    report(num, label, all(r.passed for r in results) and extra_ok, detail, t0, budget)
+
+
 def test_criterion_1_example_twist_lattice():
     t0 = time.time()
-    ell = 1.0
-    rs = rz.cylinder_resonances(ell, TWIST, 8.0)
-    step = math.pi / (2.0 * ell)
-    expected = {}
-    for n in range(0, 9):
-        for q in range(-17, 18):
-            if q % 4 == 0:
-                continue
-            loc = complex(-n, step * q)
-            if abs(loc) < 8.0:
-                expected[(n, q)] = 1 if q % 2 else 2
-    got = {}
-    off_lattice = False
-    for p in rs:
-        key = (round(-p.location.real), round(p.location.imag / step))
-        off_lattice |= abs(p.location - complex(-key[0], key[1] * step)) > 1e-12
-        got[key] = p.mult
-    ok = (not off_lattice) and got == expected
-    report(
-        1, "diag(i,-1) cylinder multiset |s| < 8", ok,
-        f"{len(got)} points, total mult {sum(got.values())}, exact match {got == expected}",
-        t0, 1.0,
+    report_checks(
+        1, "diag(i,-1) cylinder multiset |s| < 8",
+        [vf.check_resonance_example(tol=1e-12)], t0, 1.0,
     )
 
 
 def test_criterion_2_untwisted_count_and_growth():
     t0 = time.time()
-    ell = 2.0 * math.pi
-    trivial = TwistSpec.trivial()
-    n5 = rz.counting_function(rz.cylinder_resonances(ell, trivial, 5.0), 5.0)
+    # the check asserts N(5) = 78; the lattice count by brute force must agree
     brute = 2 * sum(1 for n in range(6) for m in range(-5, 6) if n * n + m * m < 25)
-    spec = rz.SurfaceSpec(cylinders=((ell, trivial),))
-    table = [row for row in rz.census(spec, 400.0, 8) if row[0] >= 100.0]
-    coeff, _ = rz.growth_fit(table)
-    ok = n5 == 78 == brute and abs(coeff - ell / 2.0) / (ell / 2.0) <= 0.10
-    report(
-        2, "N(5) = 78 and growth ~ ell/2 on [100, 400]", ok,
-        f"N(5) = {n5} (oracle {brute}), coeff {coeff:.4f} vs {ell / 2.0:.4f}",
-        t0, 10.0,
+    report_checks(
+        2, "N(5) = 78 and growth ~ ell/2 on [100, 400]",
+        [vf.check_counting(tol_coeff=0.10)], t0, 10.0,
+        extra_ok=brute == 78, extra=f"brute-force oracle N(5) = {brute}",
     )
 
 
@@ -94,176 +79,53 @@ def test_criterion_3_cusp_resonance():
 
 def test_criterion_4_two_representation_agreement():
     t0 = time.time()
-    rng = np.random.default_rng(82)
-    ell = 1.0
-    cfg = mk.ImagesConfig(tail_tol=1e-12)
-    worst = {"cylinder": 0.0, "funnel": 0.0, "cusp": 0.0}
-
-    def pair(r_lo, r_hi):
-        while True:
-            c1 = CylCoord(rng.uniform(r_lo, r_hi), rng.uniform(0.0, TWO_PI))
-            c2 = CylCoord(rng.uniform(r_lo, r_hi), rng.uniform(0.0, TWO_PI))
-            if abs(c1.r - c2.r) < 0.15:
-                continue
-            if sigma(cyl_to_plane(c1, ell), cyl_to_plane(c2, ell)) > 1.05:
-                return c1, c2
-
-    for _ in range(20):
-        c1, c2 = pair(-2.0, 2.0)
-        ki = mk.cyl_kernel_images(
-            S_REF, ell, TWIST, cyl_to_plane(c1, ell), cyl_to_plane(c2, ell), cfg
-        )
-        kf = mk.cyl_kernel_fourier(S_REF, ell, TWIST, c1, c2)
-        worst["cylinder"] = max(worst["cylinder"], float(np.max(np.abs(ki - kf) / np.abs(ki))))
-    for _ in range(20):
-        c1, c2 = pair(0.05, 2.2)
-        ki = mk.funnel_kernel(S_REF, ell, TWIST, c1, c2, mk.ImagesConfig(tail_tol=1e-13))
-        kf = mk.funnel_kernel_fourier(S_REF, ell, TWIST, c1, c2)
-        worst["funnel"] = max(worst["funnel"], float(np.max(np.abs(ki - kf) / np.abs(ki))))
-    done = 0
-    cusp_cfg = mk.ImagesConfig(max_images=40_000, tail_tol=1e-10)
-    while done < 20:
-        c1 = CylCoord(rng.uniform(-0.5, 1.2), rng.uniform(0.0, TWO_PI))
-        c2 = CylCoord(rng.uniform(-0.5, 1.2), rng.uniform(0.0, TWO_PI))
-        if abs(math.exp(c1.r) - math.exp(c2.r)) < 0.15:
-            continue
-        done += 1
-        ki = mk.cusp_kernel_images(S_REF, TWIST, c1, c2, cusp_cfg)
-        kf = mk.cusp_kernel(S_REF, TWIST, c1, c2)
-        worst["cusp"] = max(worst["cusp"], float(np.max(np.abs(ki - kf) / np.abs(ki))))
-    ok = all(v <= 1e-6 for v in worst.values())
-    report(
-        4, "images vs Fourier on 3 ends, 20 pairs each", ok,
-        ", ".join(f"{k} {v:.2e}" for k, v in worst.items()), t0, 30.0,
-    )
+    results = [
+        vf.check_two_representation_cylinder(n_pairs=20, tol=1e-6),
+        vf.check_two_representation_funnel(n_pairs=20, tol=1e-6),
+        vf.check_two_representation_cusp(n_pairs=20, tol=1e-6),
+    ]
+    report_checks(4, "images vs Fourier on 3 ends, 20 pairs each", results, t0, 30.0)
 
 
 def test_criterion_5_mode_ode_residuals():
     t0 = time.time()
-    rng = np.random.default_rng(83)
-    ell, om, h = 1.0, TWO_PI, 1e-3
-    worst = 0.0
-    for _ in range(50):
-        kap = rng.uniform(-2.0, 2.0)
-        r2 = rng.uniform(-1.5, 2.5)
-        r = r2 + rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.2)
-        f = lambda rr: mk.cyl_mode(S_REF, kap, rr, r2, ell)
-        d2 = (f(r + h) - 2 * f(r) + f(r - h)) / h**2
-        d1 = (f(r + h) - f(r - h)) / (2 * h)
-        worst = max(
-            worst,
-            abs(-d2 - math.tanh(r) * d1 - S_REF * (1 - S_REF) * f(r)
-                + om**2 * kap**2 / math.cosh(r) ** 2 * f(r)),
-        )
-        rf2 = rng.uniform(0.5, 2.8)
-        rf = rf2 + rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.0)
-        if rf < 0.02:
-            rf = rf2 + 0.4
-        g = lambda rr: mk.funnel_mode(S_REF, kap, rr, rf2, ell)
-        d2 = (g(rf + h) - 2 * g(rf) + g(rf - h)) / h**2
-        d1 = (g(rf + h) - g(rf - h)) / (2 * h)
-        worst = max(
-            worst,
-            abs(-d2 - math.tanh(rf) * d1 - S_REF * (1 - S_REF) * g(rf)
-                + om**2 * kap**2 / math.cosh(rf) ** 2 * g(rf)),
-        )
-    ok = worst <= 1e-4
-    report(5, "mode ODE residuals (h = 1e-3)", ok, f"max residual {worst:.3e}", t0, 5.0)
+    report_checks(
+        5, "mode ODE residuals (h = 1e-3)", [vf.check_mode_ode(n_samples=50, tol=1e-4)], t0, 5.0
+    )
 
 
 def test_criterion_6_sxi_dual_and_pole():
     t0 = time.time()
-    worst = 0.0
-    for s in (0.75, 1.5, 2.0 + 2.0j):
-        for xia in (0.0, 1.0 / 3.0, 0.5):
-            for a, b in ((0.0, 1.0), (0.3, 0.5), (-1.7, 2.5)):
-                d = mk.s_xi_direct(xia, s, a, b)
-                c = mk.s_xi_continued(xia, s, a, b)
-                worst = max(worst, abs(d - c) / abs(d))
     pole_mag = abs(mk.s_xi_continued(0.0, 0.5 + 1e-4, 0.2, 1.0))
-    ok = worst <= 1e-8 and pole_mag >= 1e3
-    report(
-        6, "S_xi dual representation (27 points) + pole witness", ok,
-        f"max rel err {worst:.2e}, |S| at 1e-4 from pole = {pole_mag:.1f}", t0, 10.0,
+    report_checks(
+        6, "S_xi dual representation (27 points) + pole witness",
+        [vf.check_sxi_dual(tol=1e-8)], t0, 10.0,
+        extra_ok=pole_mag >= 1e3, extra=f"|S| at 1e-4 from pole = {pole_mag:.1f}",
     )
 
 
 def test_criterion_7_scattering_identities():
     t0 = time.time()
-    rng = np.random.default_rng(84)
-    ell = 1.0
-    worst_inv = 0.0
-    done = 0
-    while done < 200:
-        s = complex(rng.uniform(-2.0, 3.0), rng.uniform(-3.0, 3.0))
-        kap = rng.uniform(-3.0, 3.0)
-        try:
-            prod = sc.scattering_coeff(s, kap, ell) * sc.scattering_coeff(1 - s, kap, ell)
-        except Exception:
-            continue
-        if prod == 0.0:
-            continue
-        done += 1
-        worst_inv = max(worst_inv, abs(prod - 1.0))
     svals = (0.7 + 0.4j, 0.3 - 0.6j, 0.55 + 1.2j, 0.8 + 0.15j, 0.42 - 1.1j)
     kappas = (0.25, 0.5, 1.0, 1.75, 2.5)
     pairs = ((0.5, 1.5), (1.0, 2.0), (2.0, 0.7), (1.3, 1.3), (0.4, 2.6))
-    worst_feq = 0.0
-    worst_cnorm = 0.0
+    worst_rel = 0.0
     for s in svals:
         for kap in kappas:
             for r, r2 in pairs:
-                worst_feq = max(worst_feq, sc.functional_equation_residual(s, kap, r, r2, ell))
-                worst_cnorm = max(
-                    worst_cnorm,
-                    abs(sc.calibrate_c_norm_base(s, kap, r, r2, ell) - sc.C_NORM_BASE),
-                )
-    ok = worst_inv <= 1e-10 and worst_feq <= 1e-6 and worst_cnorm <= 1e-6
-    report(
-        7, "scattering inversion + functional equation", ok,
-        f"inversion {worst_inv:.2e}, residual {worst_feq:.2e}, c_norm dev {worst_cnorm:.2e}",
-        t0, 10.0,
+                lhs, rhs = sc.functional_equation_sides(s, kap, r, r2, 1.0)
+                worst_rel = max(worst_rel, abs(lhs - rhs) / abs(rhs))
+    report_checks(
+        7, "scattering inversion + functional equation",
+        [vf.check_scattering(tol_inv=1e-10, tol_feq=1e-6)], t0, 10.0,
+        extra_ok=worst_rel <= 1e-6, extra=f"relative residual {worst_rel:.2e}",
     )
 
 
 def test_criterion_8_pde_and_symmetries():
     t0 = time.time()
-    rng = np.random.default_rng(85)
-    z2 = HPoint(0.3, 1.2)
-    h = 1e-3
-    worst_pde = 0.0
-    done = 0
-    while done < 30:
-        z = HPoint(rng.uniform(-2.0, 2.0), rng.uniform(0.4, 3.0))
-        if sigma(z, z2) < math.cosh(0.25) ** 2:
-            continue
-        done += 1
-        u = lambda x, y: free_kernel(S_REF, HPoint(x, y), z2)
-        uxx = (u(z.x + h, z.y) - 2 * u(z.x, z.y) + u(z.x - h, z.y)) / h**2
-        uyy = (u(z.x, z.y + h) - 2 * u(z.x, z.y) + u(z.x, z.y - h)) / h**2
-        worst_pde = max(
-            worst_pde, abs(-z.y**2 * (uxx + uyy) - S_REF * (1 - S_REF) * u(z.x, z.y))
-        )
-    ell = 1.0
-    cfg = mk.ImagesConfig(tail_tol=1e-12)
-    worst_sym = 0.0
-    for _ in range(10):
-        z = HPoint(rng.uniform(-1.0, 1.0), rng.uniform(0.8, 2.0))
-        w = HPoint(rng.uniform(-1.0, 1.0), rng.uniform(2.5, 4.0))
-        shifted = HPoint.from_complex(math.exp(ell) * z.z)
-        for cls in TWIST.angles:
-            lam = cls.eigenvalue
-            a = mk.cyl_class_images(S_REF, ell, lam, shifted, w, cfg)
-            b = lam * mk.cyl_class_images(S_REF, ell, lam, z, w, cfg)
-            worst_sym = max(worst_sym, abs(a - b))
-            c = mk.cyl_class_images(S_REF, ell, lam, z, w, cfg).conjugate()
-            d = mk.cyl_class_images(S_REF.conjugate(), ell, lam, w, z, cfg)
-            worst_sym = max(worst_sym, abs(c - d))
-    ok = worst_pde <= 1e-4 and worst_sym <= 1e-8
-    report(
-        8, "free-kernel PDE + cylinder kernel symmetries", ok,
-        f"PDE residual {worst_pde:.2e}, symmetry defect {worst_sym:.2e}", t0, 10.0,
-    )
+    results = [vf.check_free_kernel_pde(n_points=30, tol=1e-4), vf.check_kernel_symmetries(tol=1e-8)]
+    report_checks(8, "free-kernel PDE + cylinder kernel symmetries", results, t0, 10.0)
 
 
 def test_criterion_9_pole_witness():

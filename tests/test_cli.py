@@ -80,6 +80,10 @@ class TestResonancesCommand:
         original = SurfaceSpec.from_json_dict(json.loads(open(spec_file).read()))
         assert echoed == original
 
+    def test_infinite_radius_exit_2(self, spec_file, capsys):
+        assert cli.main(["resonances", "--spec", spec_file, "--radius", "inf"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_malformed_spec_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -131,6 +135,12 @@ class TestCountCommand:
         assert doc["growth_fit"]["coefficient"] > 0
 
 
+    def test_infinite_radius_exit_2(self, spec_file, capsys):
+        rc = cli.main(["count", "--spec", spec_file, "--r-max", "inf", "--samples", "4"])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
+
 class TestKernelCommand:
     def test_both_methods_agree(self, spec_file, capsys):
         rc = cli.main(
@@ -153,6 +163,17 @@ class TestKernelCommand:
             ]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("end", ["cylinder", "funnel", "cusp"])
+    def test_coinciding_points_exit_2(self, spec_file, capsys, end):
+        rc = cli.main(
+            [
+                "kernel", "--spec", spec_file, "--end", end, "--method", "fourier",
+                "--s", "1.5+0.5i", "--coords", "0.7", "1.0", "0.7", "1.0",
+            ]
+        )
+        assert rc == 2
+        assert "distinct points" in capsys.readouterr().err
 
     def test_csv_output(self, spec_file, capsys):
         rc = cli.main(

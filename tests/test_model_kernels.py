@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -139,6 +141,44 @@ class TestCylinderKernel:
         ia = mk.cyl_kernel_images(S_REF, ELL, TWIST, z, w, mk.ImagesConfig(200, tol))
         ib = mk.cyl_kernel_images(S_REF, ELL, TWIST, z, w, mk.ImagesConfig(300, tol / 1000))
         assert np.max(np.abs(ia - ib)) < tol
+
+
+class TestTruncation:
+    """Each tail rule of the shared truncation loop, up to its failure."""
+
+    def test_cusp_images_budget_error(self):
+        cfg = mk.ImagesConfig(max_images=10, tail_tol=1e-14)
+        msg = "cusp images not below tail_tol=1e-14 within 10 images"
+        with pytest.raises(TruncationError, match=re.escape(msg)):
+            mk.cusp_kernel_images(S_REF, TWIST, CylCoord(0.2, 1.0), CylCoord(0.9, 2.5), cfg)
+
+    @pytest.mark.parametrize("route", ["cylinder", "funnel", "cusp"])
+    def test_fourier_mode_budget_error(self, monkeypatch, route):
+        monkeypatch.setattr(mk, "_MAX_FOURIER_MODES", 5)
+        c1, c2 = CylCoord(0.6, 1.0), CylCoord(0.9, 2.5)
+        with pytest.raises(TruncationError, match="needs more than 5 modes"):
+            if route == "cusp":
+                mk.cusp_kernel(S_REF, TWIST, c1, c2)
+            elif route == "funnel":
+                mk.funnel_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
+            else:
+                mk.cyl_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
+
+    @pytest.mark.parametrize("route", ["cylinder", "funnel", "cusp"])
+    @pytest.mark.parametrize("phi2", [1.0, 1.0 + TWO_PI])
+    def test_fourier_coinciding_points_fail_fast(self, route, phi2):
+        # the same point, also one full turn later, has no convergent mode sum
+        s, t = 1.5 + 0.5j, TwistSpec.trivial()
+        c1, c2 = CylCoord(0.7, 1.0), CylCoord(0.7, phi2)
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="distinct points"):
+            if route == "cusp":
+                mk.cusp_kernel(s, t, c1, c2)
+            elif route == "funnel":
+                mk.funnel_kernel_fourier(s, ELL, t, c1, c2)
+            else:
+                mk.cyl_kernel_fourier(s, ELL, t, c1, c2)
+        assert time.perf_counter() - t0 < 0.1
 
 
 class TestCylinderModes:

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,46 @@ class TestIntervalCensus:
             rz.census(rz.SurfaceSpec(funnels=((1.0, EXAMPLE),)), -2.0, 3)
         # a cusp alone has no lattice, so any radius is admissible
         assert rz.census(rz.SurfaceSpec(cusps=(TRIVIAL,)), -1.0, 2) == [(-0.5, 0), (-1.0, 0)]
+
+    def test_infinite_radius_rejected(self):
+        for spec in (
+            rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),)),
+            rz.SurfaceSpec(funnels=((1.0, EXAMPLE),)),
+            rz.SurfaceSpec(cusps=(TRIVIAL,)),
+        ):
+            with pytest.raises(DomainError, match="finite"):
+                rz.census(spec, math.inf, 3)
+        with pytest.raises(DomainError, match="finite"):
+            rz.cylinder_resonances(TWO_PI, TRIVIAL, math.inf)
+        with pytest.raises(DomainError, match="finite"):
+            rz.funnel_resonances(1.0, EXAMPLE, math.inf)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),)),
+            rz.SurfaceSpec(funnels=((1.0, EXAMPLE),)),
+            rz.SurfaceSpec(
+                cylinders=((0.9, TwistSpec.from_angles([(0.1, 1), (0.61803, 2)], [0.37, -0.2])),)
+            ),
+        ],
+    )
+    def test_small_blocks_match_enumeration(self, monkeypatch, spec):
+        # real parts split into blocks of 3 still count every point once
+        monkeypatch.setattr(rz, "_CENSUS_BLOCK", 3)
+        table = rz.census(spec, 13.0, 13)
+        assert table == enumerated_table(spec, table)
+
+    def test_memory_bounded_at_large_radius(self):
+        spec = rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),))
+        tracemalloc.start()
+        try:
+            table = rz.census(spec, 1e6, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table == [(1e6, 3_141_594_649_572)]
+        assert peak < 16e6
 
 
 class TestGrowthFit:

@@ -91,8 +91,9 @@ class TestFunctionalEquation:
         b = sc.functional_equation_residual(s, kap, 1.9, 0.7, ELL)
         assert abs(a - b) < 1e-12
 
-    def test_c_norm_constancy_on_grid(self):
-        # the calibration constant recomputed anywhere on a 5x5x5 grid stays 1
+    def test_relative_residual_on_grid(self):
+        # |lhs - rhs| / |rhs| on a 5x5x5 grid: the ell^2 normalization holds
+        # everywhere, not only at one reference point
         svals = (0.7 + 0.4j, 0.3 - 0.6j, 0.55 + 1.2j, 0.8 + 0.15j, 0.42 - 1.1j)
         kappas = (0.25, 0.5, 1.0, 1.75, 2.5)
         pairs = ((0.5, 1.5), (1.0, 2.0), (2.0, 0.7), (1.3, 1.3), (0.4, 2.6))
@@ -100,16 +101,15 @@ class TestFunctionalEquation:
         for s in svals:
             for kap in kappas:
                 for r, r2 in pairs:
-                    c = sc.calibrate_c_norm_base(s, kap, r, r2, ELL)
-                    worst = max(worst, abs(c - sc.C_NORM_BASE))
+                    lhs, rhs = sc.functional_equation_sides(s, kap, r, r2, ELL)
+                    worst = max(worst, abs(lhs - rhs) / abs(rhs))
         assert worst < 1e-6
 
-    def test_c_norm_ell_scaling(self):
-        # the per-mode constant is C_NORM_BASE * ell: recalibrating at other
-        # ell still returns the same base
+    def test_relative_residual_ell_scaling(self):
+        # the normalization scales as ell^2: other lengths need no new constant
         for ell in (0.6, 2.3):
-            c = sc.calibrate_c_norm_base(0.7 + 0.4j, 1.0, 1.0, 2.0, ell)
-            assert abs(c - sc.C_NORM_BASE) < 1e-9
+            lhs, rhs = sc.functional_equation_sides(0.7 + 0.4j, 1.0, 1.0, 2.0, ell)
+            assert abs(lhs - rhs) / abs(rhs) < 1e-9
 
     def test_residual_grid(self):
         for s in (0.7 + 0.4j, 0.45 + 0.9j):
