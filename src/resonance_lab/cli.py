@@ -102,21 +102,28 @@ def _select_end(spec: rz.SurfaceSpec, end: str, index: int):
 def _cmd_resonances(args) -> int:
     spec = _load_spec(args.spec)
     rs = rz.surface_resonances(spec, args.radius)
-    rows = [(p.location.real, p.location.imag, p.mult) for p in rs]
+    rows = list(zip(rs.re.tolist(), rs.im.tolist(), rs.mult.tolist()))
     if args.output == "csv":
         lines = ["re,im,mult"]
-        lines += [f"{_fmt(re_)},{_fmt(im_)},{m}" for re_, im_, m in rows]
+        lines += [f"{re_:.17g},{im_:.17g},{m}" for re_, im_, m in rows]
         _emit("\n".join(lines) + "\n", args.out)
     else:
         doc = {
             "spec": spec.to_json_dict(),
             "radius": args.radius,
             "total_multiplicity": rs.total_multiplicity(),
-            "resonances": [
-                {"re": re_, "im": im_, "mult": m} for re_, im_, m in rows
-            ],
+            "resonances": [],
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        if rows:
+            # the rows as json.dumps(indent=2, sort_keys=True) lays them out,
+            # written directly: its encoder is pure Python once indent is set
+            items = ",\n".join(
+                f'    {{\n      "im": {im_!r},\n      "mult": {m},\n      "re": {re_!r}\n    }}'
+                for re_, im_, m in rows
+            )
+            text = text.replace('"resonances": []', f'"resonances": [\n{items}\n  ]', 1)
+        _emit(text + "\n", args.out)
     return 0
 
 

@@ -48,21 +48,35 @@ class Resonance:
             raise DomainError(f"multiplicity must be >= 1, got {self.mult}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResonanceSet:
-    """Resonances enumerated inside |s| < radius, sorted by (Re, Im)."""
+    """Resonances enumerated inside |s| < radius, sorted by (Re, Im, mult).
 
-    resonances: tuple[Resonance, ...]
+    The points are held as arrays re, im and mult; iterating yields
+    `Resonance` objects.
+    """
+
+    re: np.ndarray
+    im: np.ndarray
+    mult: np.ndarray
     radius: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "re", np.asarray(self.re, dtype=float))
+        object.__setattr__(self, "im", np.asarray(self.im, dtype=float))
+        object.__setattr__(self, "mult", np.asarray(self.mult, dtype=np.int64))
+        if self.mult.size and self.mult.min() < 1:
+            raise DomainError(f"multiplicity must be >= 1, got {self.mult.min()}")
+
     def __iter__(self):
-        return iter(self.resonances)
+        for re, im, mult in zip(self.re.tolist(), self.im.tolist(), self.mult.tolist()):
+            yield Resonance(complex(re, im), mult)
 
     def __len__(self) -> int:
-        return len(self.resonances)
+        return len(self.mult)
 
     def total_multiplicity(self) -> int:
-        return sum(r.mult for r in self.resonances)
+        return int(self.mult.sum())
 
 
 @dataclass(frozen=True)
@@ -131,33 +145,54 @@ def _as_fraction(x: float) -> Fraction | None:
     return fr if abs(float(fr) - x) < 1e-12 else None
 
 
-def _merge_lattice(points: list[tuple[complex, int, object]], radius: float) -> ResonanceSet:
+def _merge_lattice(
+    re: np.ndarray, im: np.ndarray, mult: np.ndarray, radius: float, keys=None
+) -> ResonanceSet:
     """Aggregate multiplicities of coinciding points.
 
-    Each entry carries an optional exact key; points with exact keys merge
-    exactly, the rest by rounding to COLLISION_TOL with a warning when two
-    distinct groups come closer than 1000 * COLLISION_TOL.
+    Points merge when their key arrays agree; without keys they merge by
+    rounding to COLLISION_TOL.  Two distinct groups closer than
+    1000 * COLLISION_TOL raise a warning.  A group sits at the
+    multiplicity-weighted mean of its points: loc * mult summed from +0.0
+    in generation order, then divided by the total mult, as Python's
+    complex arithmetic does it.  The zero cross terms of its complex
+    product and quotient (re*m - im*0.0, (sr + si*0.0)/m) only change the
+    sign of a zero, which the sum from +0.0 absorbs, so they are left out.
     """
-    groups: dict[object, list] = {}
-    for loc, mult, key in points:
-        if key is None:
-            key = (round(loc.real / COLLISION_TOL), round(loc.imag / COLLISION_TOL))
-        entry = groups.setdefault(key, [0 + 0j, 0])
-        entry[0] += loc * mult
-        entry[1] += mult
-    merged = [
-        Resonance(loc_sum / m, m) for loc_sum, m in groups.values()
-    ]
-    merged.sort(key=lambda r: (r.location.real, r.location.imag, r.mult))
-    for a, b in zip(merged[:-1], merged[1:]):
-        d = abs(a.location - b.location)
-        if COLLISION_TOL < d < 1000.0 * COLLISION_TOL:
-            warnings.warn(
-                f"near-collision of lattice points at {a.location} and "
-                f"{b.location} (distance {d:.2e})",
-                stacklevel=3,
-            )
-    return ResonanceSet(tuple(merged), radius)
+    if keys is None:
+        keys = (np.rint(re / COLLISION_TOL), np.rint(im / COLLISION_TOL))
+    # stable, so the points of a group keep their generation order
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        k = key[order]
+        new[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=len(order))
+    mult = mult[order]
+    term_re = re[order] * mult
+    term_im = im[order] * mult
+    re = np.zeros(len(starts))
+    im = np.zeros(len(starts))
+    for k in range(int(sizes.max(initial=0))):
+        g = sizes > k
+        re[g] += term_re[starts[g] + k]
+        im[g] += term_im[starts[g] + k]
+    mult = np.add.reduceat(mult, starts) if len(starts) else mult
+    # numpy's complex division would multiply by 1/mult: not the same bits
+    re /= mult
+    im /= mult
+    final = np.lexsort((mult, im, re))
+    re, im, mult = re[final], im[final], mult[final]
+    d = np.hypot(re[:-1] - re[1:], im[:-1] - im[1:])
+    for i in np.flatnonzero((COLLISION_TOL < d) & (d < 1000.0 * COLLISION_TOL)).tolist():
+        warnings.warn(
+            f"near-collision of lattice points at {complex(re[i], im[i])} and "
+            f"{complex(re[i + 1], im[i + 1])} (distance {d[i]:.2e})",
+            stacklevel=3,
+        )
+    return ResonanceSet(re, im, mult, radius)
 
 
 def _require_radius(radius: float) -> None:
@@ -175,36 +210,41 @@ def _lattice_points(
     keeping |s| < radius (strict), multiplicities aggregated.
     """
     _require_radius(radius)
+    if not t.angles:
+        return ResonanceSet((), (), (), radius)
     omega = 2.0 * math.pi / ell
-    points: list[tuple[complex, int, object]] = []
     # exact merge keys are possible when every angle is rational and all
-    # moduli vanish; keys are then (n, numerator of p*(theta+m)*q) over a
-    # common denominator q
+    # moduli vanish; p*(theta + m) is then an integer plus one of finitely
+    # many fractions in [0, 1), and the key is (n, integer, fraction id)
     fracs = [_as_fraction(c.theta) for c in t.angles]
     exact = t.is_unitary and all(f is not None for f in fracs)
-    q_common = math.lcm(*(f.denominator for f in fracs)) if exact else 1
+    fraction_ids: dict[Fraction, int] = {}
+    blocks = []
     for cls, fr in zip(t.angles, fracs):
         shift = cls.log_abs / ell
         for p in (1, -1):
             n_max = int(math.ceil(radius + abs(shift))) + real_base
-            for n_real in range(real_base, n_max + 1, real_step):
-                re = -n_real + p * shift
-                if abs(re) >= radius:
-                    continue
-                im_bound = math.sqrt(radius * radius - re * re)
-                m_lo = int(math.floor(-im_bound / omega - cls.theta)) - 1
-                m_hi = int(math.ceil(im_bound / omega - cls.theta)) + 1
-                for m in range(m_lo, m_hi + 1):
-                    im = p * omega * (cls.theta + m)
-                    loc = complex(re, im)
-                    if abs(loc) >= radius:
-                        continue
-                    key = None
-                    if exact:
-                        num = p * (fr.numerator * (q_common // fr.denominator) + q_common * m)
-                        key = (n_real, num) if shift == 0.0 else None
-                    points.append((loc, cls.mult, key))
-    return _merge_lattice(points, radius)
+            n_real = np.arange(real_base, n_max + 1, real_step)
+            re = -n_real + p * shift
+            keep = np.abs(re) < radius
+            n_real, re = n_real[keep], re[keep]
+            im_bound = np.sqrt(radius * radius - re * re)
+            m_lo = np.floor(-im_bound / omega - cls.theta).astype(np.int64) - 1
+            m_hi = np.ceil(im_bound / omega - cls.theta).astype(np.int64) + 1
+            count = m_hi - m_lo + 1
+            row = np.repeat(np.arange(len(re)), count)
+            m = np.arange(len(row)) + np.repeat(m_lo - (np.cumsum(count) - count), count)
+            re_pts, im_pts = re[row], p * omega * (cls.theta + m)
+            inside = np.hypot(re_pts, im_pts) < radius
+            row, m = row[inside], m[inside]
+            block = [re_pts[inside], im_pts[inside], np.full(len(row), cls.mult)]
+            if exact:
+                whole = math.floor(p * fr)
+                frac_id = fraction_ids.setdefault(p * fr - whole, len(fraction_ids))
+                block += [n_real[row], whole + p * m, np.full(len(row), frac_id)]
+            blocks.append(block)
+    re, im, mult, *keys = (np.concatenate(col) for col in zip(*blocks))
+    return _merge_lattice(re, im, mult, radius, tuple(keys) if exact else None)
 
 
 def cylinder_resonances(ell: float, t: TwistSpec, radius: float) -> ResonanceSet:
@@ -224,8 +264,8 @@ def cusp_resonances(t: TwistSpec) -> ResonanceSet:
     if not t.is_unitary:
         raise DomainError("cusp twists must be unitary")
     mult = sum(c.mult for c in t.angles if c.theta == 0.0)
-    res = (Resonance(0.5 + 0.0j, mult),) if mult else ()
-    return ResonanceSet(res, math.inf)
+    n = 1 if mult else 0
+    return ResonanceSet([0.5] * n, [0.0] * n, [mult] * n, math.inf)
 
 
 def counting_function(res: ResonanceSet, r: float) -> int:
@@ -234,26 +274,29 @@ def counting_function(res: ResonanceSet, r: float) -> int:
         raise RadiusExceededError(
             f"counting radius {r} exceeds enumeration radius {res.radius}"
         )
-    return sum(p.mult for p in res if abs(p.location) < r)
+    return int(res.mult[np.hypot(res.re, res.im) < r].sum())
 
 
 def surface_resonances(spec: SurfaceSpec, radius: float) -> ResonanceSet:
     """Model-end census: all ends of the spec merged into one multiset.
 
     This is the union of the closed-form end lattices (plus cusp points),
-    not the resonance set of a glued surface.
+    not the resonance set of a glued surface.  Each end is merged first,
+    then the ends together.
     """
-    points: list[tuple[complex, int, object]] = []
+    _require_radius(radius)
     collections = (
         [funnel_resonances(ell, t, radius) for ell, t in spec.funnels]
         + [cylinder_resonances(ell, t, radius) for ell, t in spec.cylinders]
         + [cusp_resonances(t) for t in spec.cusps]
     )
-    for rs in collections:
-        for p in rs:
-            if abs(p.location) < radius:
-                points.append((p.location, p.mult, None))
-    return _merge_lattice(points, radius)
+    empty = ResonanceSet((), (), (), radius)
+    re, im, mult = (
+        np.concatenate([getattr(rs, col) for rs in collections + [empty]])
+        for col in ("re", "im", "mult")
+    )
+    inside = np.hypot(re, im) < radius
+    return _merge_lattice(re[inside], im[inside], mult[inside], radius)
 
 
 def _interval_count(
@@ -307,10 +350,7 @@ def census(spec: SurfaceSpec, r_max: float, n_samples: int) -> list[tuple[float,
     """
     if n_samples < 1:
         raise InsufficientDataError("census needs at least one sample radius")
-    if spec.funnels or spec.cylinders:
-        _require_radius(r_max)
-    elif not math.isfinite(r_max):
-        raise DomainError(f"radius must be finite, got {r_max}")
+    _require_radius(r_max)
     cusp_mult = sum(c.mult for t in spec.cusps for c in t.angles if c.theta == 0.0)
     table = []
     for i in range(n_samples):

@@ -84,6 +84,18 @@ class TestResonancesCommand:
         assert cli.main(["resonances", "--spec", spec_file, "--radius", "inf"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["resonances", "count"])
+    @pytest.mark.parametrize("radius,reason", [("inf", "finite"), ("0", "positive"), ("-1", "positive")])
+    def test_cusp_only_bad_radius_exit_2(self, tmp_path, capsys, command, radius, reason):
+        # a cusp-only spec has no lattice to check the radius on the way
+        path = tmp_path / "cusp.json"
+        path.write_text(json.dumps({"cusps": [{"twist": {"angles": [{"theta": 0.0, "mult": 2}]}}]}))
+        flag = "--radius" if command == "resonances" else "--r-max"
+        out = tmp_path / "out.json"
+        assert cli.main([command, "--spec", str(path), flag, radius, "--out", str(out)]) == 2
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_spec_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -160,9 +161,43 @@ class TestCuspResonances:
         assert [(p.location, p.mult) for p in rs] == [(0.5 + 0j, 1)]
 
 
+class TestNearCollisionWarning:
+    """README: lattices that nearly coincide merge nothing and warn."""
+
+    def test_two_nearly_equal_lengths(self):
+        spec = rz.SurfaceSpec(cylinders=((1.0, TRIVIAL), (1.0 + 1e-8, TRIVIAL)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rz.surface_resonances(spec, 8.0)
+        # m = +-1 at each real part -4..0: 2 pi / ell for the two lengths
+        a, b = 2.0 * math.pi, 2.0 * math.pi / (1.0 + 1e-8)
+        expected = []
+        for n in range(4, -1, -1):
+            re = float(-n)
+            for lo, hi in ((-a, -b), (b, a)):
+                expected.append(
+                    f"near-collision of lattice points at {complex(re, lo)} and "
+                    f"{complex(re, hi)} (distance {a - b:.2e})"
+                )
+        assert [str(w.message) for w in caught] == expected
+        assert all(w.category is UserWarning for w in caught)
+        assert expected[0] == (
+            "near-collision of lattice points at (-4-6.283185307179586j) and "
+            "(-4-6.2831852443477345j) (distance 6.28e-08)"
+        )
+
+    def test_exact_lattices_never_warn(self):
+        spec = rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),), funnels=((TWO_PI, TRIVIAL),))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rs = rz.surface_resonances(spec, 30.0)
+        assert caught == []
+        assert (len(rs), rs.total_multiplicity()) == (1434, 4282)
+
+
 class TestCounting:
     def test_empty(self):
-        empty = rz.ResonanceSet((), 10.0)
+        empty = rz.ResonanceSet((), (), (), 10.0)
         assert rz.counting_function(empty, 5.0) == 0
 
     def test_untwisted_count_78(self):
@@ -258,8 +293,13 @@ class TestIntervalCensus:
             rz.census(spec, 0.0, 3)
         with pytest.raises(DomainError):
             rz.census(rz.SurfaceSpec(funnels=((1.0, EXAMPLE),)), -2.0, 3)
-        # a cusp alone has no lattice, so any radius is admissible
-        assert rz.census(rz.SurfaceSpec(cusps=(TRIVIAL,)), -1.0, 2) == [(-0.5, 0), (-1.0, 0)]
+        # a cusp alone has no lattice, but its radius is checked all the same
+        cusp_only = rz.SurfaceSpec(cusps=(TRIVIAL,))
+        for radius in (0.0, -1.0):
+            with pytest.raises(DomainError, match="positive"):
+                rz.census(cusp_only, radius, 2)
+            with pytest.raises(DomainError, match="positive"):
+                rz.surface_resonances(cusp_only, radius)
 
     def test_infinite_radius_rejected(self):
         for spec in (
@@ -273,6 +313,8 @@ class TestIntervalCensus:
             rz.cylinder_resonances(TWO_PI, TRIVIAL, math.inf)
         with pytest.raises(DomainError, match="finite"):
             rz.funnel_resonances(1.0, EXAMPLE, math.inf)
+        with pytest.raises(DomainError, match="finite"):
+            rz.surface_resonances(rz.SurfaceSpec(cusps=(TRIVIAL,)), math.inf)
 
     @pytest.mark.parametrize(
         "spec",
