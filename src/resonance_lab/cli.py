@@ -162,6 +162,10 @@ def _kernel_values(args, spec):
     c1, c2 = CylCoord(r1, phi1), CylCoord(r2, phi2)
     cfg = mk.ImagesConfig(max_images=args.max_images, tail_tol=args.tail_tol)
     ell, t = _select_end(spec, end, args.index)
+    if not t.angles:
+        raise DomainError(f"the twist of {end} {args.index} has no eigenvalue classes")
+    if args.k_max is not None and args.k_max < 0:
+        raise DomainError(f"--k-max must be at least 0, got {args.k_max}")
     results = {}
     if end == "cylinder":
         if args.method in ("images", "both"):
@@ -177,7 +181,7 @@ def _kernel_values(args, spec):
             results["fourier"] = mk.funnel_kernel_fourier(s, ell, t, c1, c2, args.k_max)
     else:
         if args.method in ("images", "both"):
-            results["images"] = mk.cusp_kernel_images(s, t, c1, c2, cfg)
+            results["images"] = mk.cusp_kernel_images(s, t, c1, c2)
         if args.method in ("fourier", "both"):
             results["fourier"] = mk.cusp_kernel(s, t, c1, c2, args.k_max)
     return t, results

@@ -9,17 +9,20 @@ diagonalized once and for all; kernels are diagonal in that basis, and
   * a Fourier-mode synthesis from closed-form mode functions, valid for all
     s off the mode pole lattices.
 
-Every sum over k in Z runs through one truncation loop, `_sum_over_z`: it
-adds k = 1, 2, ... and then k = -1, -2, ..., and stops each side on one of
-three tail rules:
+Every sum over k in Z on the cylinder and the funnel runs through one
+truncation loop, `_sum_over_z`: it adds k = 1, 2, ... and then
+k = -1, -2, ..., and stops each side on one of two tail rules:
 
   * images (`_images_sum`, also `h_series_direct`): the geometric tail of
     the last magnitude ratio, times 4, below the absolute
     ImagesConfig.tail_tol, from |k| = 3 on;
-  * Fourier modes (`_mode_sum`): the same tail, times 10, below
-    FOURIER_TAIL_TOL times the largest term so far;
-  * cusp images (`cusp_class_images`): comparison with the integral of the
-    k^(-2 Re s) decay.
+  * Fourier modes (`_mode_sum`, also on the cusp): the same tail, times 10,
+    below FOURIER_TAIL_TOL times the largest term so far.
+
+Cusp images decay only like |k|^(-2 Re s), so `cusp_class_images` sums
+the near ones with g_s and the far ones through the twisted lattice sums
+S_xi, whose tails past a direct window `_sxi_tails` evaluates for every
+angle.
 
 Mode profiles for the hyperbolic cylinder / funnel are built from the
 regularized hypergeometric function; cusp modes from modified Bessel
@@ -61,6 +64,11 @@ R0_PROFILE_MAX = math.atanh(math.sqrt(1.0 - specfun.GUARD_DELTA))
 FOURIER_TAIL_TOL = 1e-12
 
 _MAX_FOURIER_MODES = 3000
+
+#: Relative bound on the remainder of the cusp images' n-series.
+CUSP_SERIES_TOL = 1e-15
+
+_MAX_CUSP_SERIES = 512
 
 
 @dataclass(frozen=True)
@@ -526,50 +534,92 @@ def cusp_kernel(
     return _fourier_kernel(t, c1, c2, k_max, mode_term)
 
 
-def cusp_class_images(
-    s: complex,
-    lam: complex,
-    z: HPoint,
-    z2: HPoint,
-    cfg: ImagesConfig = ImagesConfig(),
-) -> complex:
-    """Raw cusp image sum sum_k lam^k g_s(sigma(z, z'+k)) for one class.
+def _lattice_window(s: complex, a: float, b: float) -> int:
+    """Last |k| summed term by term before the S_xi tails take over."""
+    return int(max(64.0, 8.0 + abs(a), 8.0 + 3.0 * b, 8.0 + 2.0 * abs(s)))
 
-    The terms decay only polynomially (sigma ~ k^2), so Re s must exceed
-    1/2 + MARGIN; the tail is bounded by comparison with the integral.
+
+def cusp_class_images(s: complex, thetas, z: HPoint, z2: HPoint) -> np.ndarray:
+    """Cusp image sums sum_k lam^k g_s(sigma(z, z'+k)), lam = e^{2 pi i theta}, per class angle.
+
+    With a = x' - x, b = y + y' and L = 4yy', sigma_k = ((k+a)^2 + b^2)/L.
+    The near images |k| <= K, K >= 3 the least with sigma_k >= 4 beyond it,
+    are summed with g_s, once for all classes.  The far ones go through
+    the n-series of g_s,
+
+        (1/4pi) sum_n c_n sum_{|k|>K} lam^k sigma_k^-(s+n),
+        c_n = Gamma(s+n)^2 / (n! Gamma(2s+n)),
+
+    whose inner sums are the S_xi lattice sums without their near terms:
+    a numpy window up to `_lattice_window`, then `_sxi_tails`.  Every n
+    loses a factor 1/sigma_k <= 1/4, so the series stops on a bound of its
+    remainder relative to the smallest class sum.  The tails carry the
+    continuation of the sum below Re s = 1/2, so Re s > MARGIN suffices;
+    theta = 0 has its pole at s = 1/2.
     """
-    if s.real <= 0.5 + MARGIN:
-        raise DomainError(f"cusp image sum needs Re s > {0.5 + MARGIN}, got {s.real}")
-    two_sig = 2.0 * s.real - 1.0
+    s = complex(s)
+    thetas = np.asarray(thetas, dtype=float)
+    if s.real <= MARGIN:
+        raise DomainError(f"cusp image sum needs Re s > {MARGIN}, got {s.real}")
+    if np.any(thetas == 0.0) and abs(s - 0.5) < 1e-12:
+        raise PoleError("resolvent pole at s = 1/2 for the theta = 0 class")
+    a, b, big_l = z2.x - z.x, z.y + z2.y, 4.0 * z.y * z2.y
+    k_near = 3
+    while big_l > 0.25 * ((k_near + 1 - abs(a)) ** 2 + b * b):
+        k_near += 1
+    k = np.arange(-k_near, k_near + 1)
+    near = np.array([g_s(s, sigma(z, HPoint(z2.x + j, z2.y))) for j in k.tolist()])
+    near = np.exp(2j * math.pi * (np.multiply.outer(thetas, k) % 1.0)) @ near
 
-    def done(n: int, mag: float, prev) -> bool:
-        # integral comparison: sum_{j>k} j^{-2 Re s} < k^{1-2 Re s}/(2 Re s - 1)
-        return n > 2 and mag * n / two_sig < cfg.tail_tol
-
-    return _sum_over_z(
-        lambda k: lam**k * g_s(s, sigma(z, HPoint(z2.x + k, z2.y))),
-        g_s(s, sigma(z, z2)), done, cfg.max_images,
-        f"cusp images not below tail_tol={cfg.tail_tol} within {cfg.max_images} images",
+    window = _lattice_window(s, a, b)
+    k = np.concatenate([np.arange(k_near + 1, window + 1), np.arange(-window, -k_near)])
+    log_sig = np.log(((k + a) ** 2 + b * b) / big_l)
+    phases = np.exp(2j * math.pi * (np.multiply.outer(k, thetas) % 1.0))
+    q = math.exp(-float(log_sig.min()))  # largest 1/sigma_k of a far image, <= 1/4
+    c0 = cmath.exp(2.0 * log_gamma(s) - log_gamma(2.0 * s))
+    big_n = max(8, math.ceil(37.0 / -math.log(q)))
+    while big_n <= _MAX_CUSP_SERIES:
+        n = np.arange(big_n + 1)
+        p = s + n
+        # c_{n+1} = c_n (s+n)^2 / ((n+1)(2s+n)); ratio[N] leads on to c_{N+1}
+        ratio = p**2 / ((n + 1.0) * (p + s))
+        c = c0 * np.cumprod(np.concatenate([[1.0], ratio[:-1]]))
+        lattice = np.exp(-np.multiply.outer(p, log_sig)) @ phases
+        for j, theta in enumerate(thetas):
+            lattice[:, j] += _sxi_tails(theta, p, a, b, window + 1, math.log(big_l))
+        total = near + c @ lattice / (4.0 * math.pi)
+        # the terms n > N add at most |c_{N+1}| q E_N / (4pi (1 - rho q)),
+        # E_N = sum_far sigma_k^-(Re s + N) with the part past the window
+        # bounded by the integral, and rho >= |c_{m+1}/c_m| for all m > N
+        pw = s.real + big_n
+        e_n = float(np.exp(-pw * log_sig).sum()) + 2.0 * math.exp(
+            pw * math.log(big_l) + (1.0 - 2.0 * pw) * math.log(window - abs(a))
+        ) / (2.0 * pw - 1.0)
+        rho = max(1.0, (abs(s) + big_n + 1) ** 2 / ((big_n + 1) * (big_n + 2)))
+        if rho * q < 1.0:
+            bound = abs(c[-1] * ratio[-1]) * q * e_n / (4.0 * math.pi * (1.0 - rho * q))
+            if bound <= CUSP_SERIES_TOL * float(np.min(np.abs(total))):
+                return total
+        big_n *= 2
+    raise TruncationError(
+        f"cusp image n-series not below {CUSP_SERIES_TOL} relative within {_MAX_CUSP_SERIES} terms"
     )
 
 
-def cusp_kernel_images(
-    s: complex,
-    t: TwistSpec,
-    c1: CylCoord,
-    c2: CylCoord,
-    cfg: ImagesConfig = ImagesConfig(),
-) -> np.ndarray:
+def cusp_kernel_images(s: complex, t: TwistSpec, c1: CylCoord, c2: CylCoord) -> np.ndarray:
     """Cusp resolvent kernel by images, reduced to Re z in [0, 1)."""
     s = complex(s)
+    if not t.is_unitary:
+        raise DomainError("cusp image sums require a unitary twist")
     p1, p2 = cusp_to_plane(c1), cusp_to_plane(c2)
     m1, x1 = divmod(p1.x, 1.0)
     m2, x2 = divmod(p2.x, 1.0)
     z = HPoint(x1, p1.y)
     w = HPoint(x2, p2.y)
+    thetas = [cls.theta for cls in t.angles]
+    sums = dict(zip(thetas, cusp_class_images(s, thetas, z, w))) if thetas else {}
     return _classwise(
-        t, int(m1) - int(m2) + c1.winding - c2.winding,
-        lambda cls: cusp_class_images(s, cls.eigenvalue, z, w, cfg),
+        t, int(m1) - int(m2) + c1.winding - c2.winding, lambda cls: sums[cls.theta]
     )
 
 
@@ -578,61 +628,94 @@ def cusp_kernel_images(
 # ---------------------------------------------------------------------------
 
 
-def _sxi_f(x: float, a: float, b2: float, s: complex) -> complex:
-    w = (x + a) * (x + a) + b2
-    return cmath.exp(-s * math.log(w))
+#: B_2, B_4, ..., B_16: the Euler-Maclaurin corrections of the theta = 0 tail.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+
+#: Trapezoid step in x and weight cutoff (e^-_TAIL_CUT) of the contour tail.
+_TAIL_STEP = 0.15
+_TAIL_CUT = 42.0
 
 
-def _sxi_tail_euler(xi: complex, s: complex, a: float, b2: float, start: int) -> complex:
-    """sum_{k >= start} xi^k f(k) by the Euler transform (|xi| = 1, xi != 1)."""
-    J = 40
-    vals = [_sxi_f(start + j, a, b2, s) for j in range(J + 1)]
-    # forward differences in place: after pass j, vals[0] = Delta^j f(start)
-    total = 0.0 + 0.0j
-    factor = xi**start / (1.0 - xi)
-    total += factor * vals[0]
-    for j in range(1, J + 1):
-        for i in range(J + 1 - j):
-            vals[i] = vals[i + 1] - vals[i]
-        factor *= xi / (1.0 - xi)
-        term = factor * vals[0]
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
+def _sum_tail(p: np.ndarray, a: float, b: float, start: int, log_scale: float) -> np.ndarray:
+    """sum_{k >= start} f_p(k), f_p(k) = (((k+a)^2 + b^2) e^-log_scale)^-p, per p.
+
+    Euler-Maclaurin: the integral from `start` (a binomial series in
+    (b/(start+a))^2, which is also its continuation below Re p = 1/2),
+    f(start)/2, and eight Bernoulli corrections from the Taylor
+    coefficients e_j of (1 + alpha x + beta x^2)^-p = f(start + x)/f(start).
+    """
+    v0 = start + a
+    q0 = v0 * v0 + b * b
+    r = (b / v0) ** 2
+    integral = np.zeros_like(p)
+    binom = np.ones_like(p)
+    for m in range(200):
+        term = binom * r**m / (2.0 * p + 2.0 * m - 1.0)
+        integral += term
+        if np.all(np.abs(term) <= 1e-17 * np.abs(integral)):
             break
-    return total
+        binom = binom * (-p - m) / (m + 1.0)
+    integral *= v0 * np.exp(-p * (2.0 * math.log(v0) - log_scale))
+    alpha, beta = 2.0 * v0 / q0, 1.0 / q0
+    e_prev, e = np.ones_like(p), -p * alpha
+    corr = np.zeros_like(p)
+    for j in range(1, 2 * len(_BERNOULLI)):
+        if j % 2:
+            corr += _BERNOULLI[j // 2] / (j + 1) * e
+        e_prev, e = e, -(alpha * (p + j) * e + beta * (2.0 * p + j - 1.0) * e_prev) / (j + 1)
+    return integral + np.exp(-p * (math.log(q0) - log_scale)) * (0.5 - corr)
 
 
-def _sxi_tail_integral(s: complex, a: float, b: float, start: int) -> complex:
-    """sum_{k >= start} f(k) for xi = 1 by Euler-Maclaurin with exact integral."""
-    u0 = start + a
-    b2 = b * b
-    # integral: sum_m binom(-s, m) b^{2m} u0^{1-2s-2m}/(2s+2m-1)
-    integral = 0.0 + 0.0j
-    binom = 1.0 + 0.0j
-    m = 0
-    ratio = b2 / (u0 * u0)
-    while True:
-        integral += binom * b2**m * u0 ** (1.0 - 2.0 * s - 2.0 * m) / (
-            2.0 * s + 2.0 * m - 1.0
-        )
-        binom *= (-s - m) / (m + 1.0)
-        m += 1
-        if abs(binom) * ratio**m * abs(u0 ** (1.0 - 2.0 * s)) < 1e-20 or m > 300:
-            break
-    f0 = _sxi_f(start, a, b2, s)
-    w = u0 * u0 + b2
-    wp = 2.0 * u0
-    f1 = -s * cmath.exp(-(s + 1.0) * cmath.log(w)) * wp
-    f3 = -8.0 * s * (s + 1.0) * (s + 2.0) * u0**3 * cmath.exp(
-        -(s + 3.0) * cmath.log(w)
-    ) + 12.0 * s * (s + 1.0) * u0 * cmath.exp(-(s + 2.0) * cmath.log(w))
-    return integral + 0.5 * f0 - f1 / 12.0 + f3 / 720.0
+def _sxi_tails(
+    theta: float, p: np.ndarray, a: float, b: float, start: int, log_scale: float = 0.0
+) -> np.ndarray:
+    """sum_{|k| >= start} xi^k (((k+a)^2 + b^2) e^-log_scale)^-p, xi = e^{2 pi i theta}, per p.
+
+    Valid for every theta in [0, 1), start + a > 0 well above b, and every
+    p with Re p > 0 (theta = 0: p != 1/2 - N0), where the sums are taken
+    as continued.  theta = 0 is `_sum_tail` on both sides.  Otherwise each
+    side is the integral of f(u) xi^u / (e^{2 pi i u} - 1) along
+    Re u = c = start - 1/2, whose poles are the lattice points:
+
+        sum_{k >= start} xi^k f(k) = i xi^c int f(c + iy) w(y) dy,
+        w(y) = e^{-2 pi theta y} / (1 + e^{-2 pi y}).
+
+    w decays like e^{-2 pi theta y} up and e^{-2 pi (1-theta) |y|} down,
+    and the k <= -start side has the same w at -y.  The trapezoid rule in
+    y = sinh(x)/2 takes both slow decays, and converges geometrically in
+    the strip that the poles of w at y = i/2, ... leave.
+    """
+    p = np.asarray(p, dtype=complex)
+    if theta == 0.0:
+        return _sum_tail(p, a, b, start, log_scale) + _sum_tail(p, -a, b, start, log_scale)
+    c = start - 0.5
+    cut = _TAIL_CUT + math.pi * float(np.max(np.abs(p.imag)))
+    x = np.arange(
+        -math.asinh(cut / (math.pi * (1.0 - theta))),
+        math.asinh(min(cut / (math.pi * theta), 1e300)) + _TAIL_STEP,
+        _TAIL_STEP,
+    )
+    y = 0.5 * np.sinh(x)
+    ay = np.abs(y)
+    rate = np.where(y >= 0.0, theta, 1.0 - theta)
+    w_dy = np.exp(-2.0 * math.pi * rate * ay - np.log1p(np.exp(-2.0 * math.pi * ay)))
+    w_dy *= 0.5 * _TAIL_STEP * np.cosh(x)
+    # (u + a)^2 + b^2 = (u + a - ib)(u + a + ib): each factor has positive
+    # real part on the line, so principal logs continue f analytically
+    up = np.log(c + a + 1j * (y - b)) + np.log(c + a + 1j * (y + b)) - log_scale
+    down = np.log(c - a - 1j * (y + b)) + np.log(c - a - 1j * (y - b)) - log_scale
+    phase = cmath.exp(2j * math.pi * (theta * c % 1.0))
+    upper = np.exp(-np.multiply.outer(p, up)) @ w_dy
+    lower = np.exp(-np.multiply.outer(p, down)) @ w_dy
+    # the k <= -start side has phase xi^-c e^{2 pi i c} = -conj(xi^c)
+    return 1j * (phase * upper - phase.conjugate() * lower)
 
 
 def s_xi_direct(xi_angle: float, s: complex, a: float, b: float) -> complex:
     """Twisted lattice sum sum_k xi^k (|k+a|^2 + b^2)^{-s}, xi = e^{2 pi i xi_angle}.
 
-    Direct summation with accelerated tails; requires Re s > 1/2 + MARGIN.
+    Direct summation over |k| <= `_lattice_window` and `_sxi_tails` beyond;
+    requires Re s > 1/2 + MARGIN.
     """
     s = complex(s)
     if not (0.0 <= xi_angle < 1.0):
@@ -641,19 +724,10 @@ def s_xi_direct(xi_angle: float, s: complex, a: float, b: float) -> complex:
         raise DomainError(f"b must be positive, got {b}")
     if s.real <= 0.5 + MARGIN:
         raise DomainError(f"direct sum needs Re s > {0.5 + MARGIN}, got {s.real}")
-    b2 = b * b
-    K = int(max(64.0, 8.0 + abs(a), 8.0 + 3.0 * b, 8.0 + 2.0 * abs(s)))
-    xi = cmath.exp(2j * math.pi * xi_angle)
-    total = 0.0 + 0.0j
-    for k in range(-K, K + 1):
-        total += xi**k * _sxi_f(k, a, b2, s)
-    if xi_angle == 0.0:
-        total += _sxi_tail_integral(s, a, b, K + 1)
-        total += _sxi_tail_integral(s, -a, b, K + 1)
-    else:
-        total += _sxi_tail_euler(xi, s, a, b2, K + 1)
-        total += _sxi_tail_euler(xi.conjugate(), s, -a, b2, K + 1)
-    return total
+    window = _lattice_window(s, a, b)
+    k = np.arange(-window, window + 1)
+    terms = np.exp(2j * math.pi * (xi_angle * k % 1.0) - s * np.log((k + a) ** 2 + b * b))
+    return complex(terms.sum() + _sxi_tails(xi_angle, np.array([s]), a, b, window + 1)[0])
 
 
 def s_xi_continued(

@@ -98,7 +98,7 @@ def test_criterion_6_sxi_dual_and_pole():
     t0 = time.time()
     pole_mag = abs(mk.s_xi_continued(0.0, 0.5 + 1e-4, 0.2, 1.0))
     report_checks(
-        6, "S_xi dual representation (27 points) + pole witness",
+        6, "S_xi dual representation (36 points) + pole witness",
         [vf.check_sxi_dual(tol=1e-8)], t0, 10.0,
         extra_ok=pole_mag >= 1e3, extra=f"|S| at 1e-4 from pole = {pole_mag:.1f}",
     )

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -165,16 +166,67 @@ class TestKernelCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["max_rel_diff"] < 1e-6
 
-    def test_numerical_failure_exit_3(self, spec_file, capsys):
+    def test_numerical_failure_exit_3(self, tmp_path, capsys):
         # an impossible truncation budget must exit 3
+        path = tmp_path / "cyl.json"
+        path.write_text(json.dumps({"cylinders": [{"ell": 1.0, "twist": {"angles": [{"theta": 0.0, "mult": 1}]}}]}))
         rc = cli.main(
             [
-                "kernel", "--spec", spec_file, "--end", "cusp", "--method", "images",
-                "--s", "0.8", "--coords", "0.1", "1.0", "0.5", "2.0",
+                "kernel", "--spec", str(path), "--end", "cylinder", "--method", "images",
+                "--s", "2", "--coords", "0.1", "1.0", "0.5", "2.0",
                 "--max-images", "5", "--tail-tol", "1e-14",
             ]
         )
         assert rc == 3
+        assert "images sum not below tail_tol=1e-14" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["images", "fourier", "both"])
+    def test_twist_without_classes_exit_2(self, tmp_path, capsys, method):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"cylinders": [{"ell": 1.0, "twist": {"angles": []}}]}))
+        rc = cli.main(
+            [
+                "kernel", "--spec", str(path), "--end", "cylinder", "--method", method,
+                "--s", "2+0.3i", "--coords", "0.2", "1.0", "1.0", "2.0",
+            ]
+        )
+        assert rc == 2
+        assert "no eigenvalue classes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["images", "fourier", "both"])
+    def test_negative_k_max_exit_2(self, spec_file, capsys, method):
+        rc = cli.main(
+            [
+                "kernel", "--spec", spec_file, "--end", "cylinder", "--method", method,
+                "--s", "2+0.3i", "--coords", "0.2", "1.0", "1.0", "2.0", "--k-max", "-3",
+            ]
+        )
+        assert rc == 2
+        assert "--k-max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "angles,s,coords",
+        [
+            ([(0.25, 1), (0.5, 1)], "1.2+0.5i", ["0.2", "1.0", "0.9", "2.5"]),
+            ([(0.0, 1)], "0.8-0.4i", ["-0.3", "4.0", "0.6", "0.5"]),
+        ],
+    )
+    def test_cusp_ops_below_re_s_1_5(self, tmp_path, capsys, angles, s, coords):
+        # at the CLI defaults these stopped with TruncationError before the
+        # cusp images were split into near images and lattice tails
+        path = tmp_path / "cusp.json"
+        tw = {"angles": [{"theta": th, "mult": m} for th, m in angles]}
+        path.write_text(json.dumps({"cusps": [{"twist": tw}]}))
+        argv = ["kernel", "--spec", str(path), "--end", "cusp", "--s", s, "--coords", *coords]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["max_rel_diff"] <= 1e-10
+        images = argv + ["--method", "images"]
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert cli.main(images) == 0
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.05
 
     @pytest.mark.parametrize("end", ["cylinder", "funnel", "cusp"])
     def test_coinciding_points_exit_2(self, spec_file, capsys, end):

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import re
 import time
 
 import numpy as np
@@ -146,12 +145,6 @@ class TestCylinderKernel:
 class TestTruncation:
     """Each tail rule of the shared truncation loop, up to its failure."""
 
-    def test_cusp_images_budget_error(self):
-        cfg = mk.ImagesConfig(max_images=10, tail_tol=1e-14)
-        msg = "cusp images not below tail_tol=1e-14 within 10 images"
-        with pytest.raises(TruncationError, match=re.escape(msg)):
-            mk.cusp_kernel_images(S_REF, TWIST, CylCoord(0.2, 1.0), CylCoord(0.9, 2.5), cfg)
-
     @pytest.mark.parametrize("route", ["cylinder", "funnel", "cusp"])
     def test_fourier_mode_budget_error(self, monkeypatch, route):
         monkeypatch.setattr(mk, "_MAX_FOURIER_MODES", 5)
@@ -294,7 +287,6 @@ class TestCuspKernel:
 
     def test_images_vs_fourier(self):
         rng = np.random.default_rng(55)
-        cfg = mk.ImagesConfig(max_images=40_000, tail_tol=1e-10)
         done = 0
         while done < 10:
             c1 = CylCoord(rng.uniform(-0.5, 1.2), rng.uniform(0.0, TWO_PI))
@@ -302,9 +294,9 @@ class TestCuspKernel:
             if abs(math.exp(c1.r) - math.exp(c2.r)) < 0.15:
                 continue
             done += 1
-            ki = mk.cusp_kernel_images(3.0 + 0.2j, TWIST, c1, c2, cfg)
+            ki = mk.cusp_kernel_images(3.0 + 0.2j, TWIST, c1, c2)
             kf = mk.cusp_kernel(3.0 + 0.2j, TWIST, c1, c2)
-            assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-5
+            assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-9
 
     def test_zero_mode_factor_is_entire(self):
         # (2s-1) u_0(s; y, y') has vanishing d/d(s bar) on a grid near s = 1/2
@@ -349,7 +341,7 @@ class TestSXi:
 
     def test_overlap_agreement(self):
         for s in (0.75, 1.5, 2.0 + 2.0j):
-            for xia in (0.0, 1.0 / 3.0, 0.5):
+            for xia in (0.0, 0.1, 1.0 / 3.0, 0.5):
                 for a, b in ((0.0, 1.0), (0.3, 0.5), (-1.7, 2.5)):
                     d = mk.s_xi_direct(xia, s, a, b)
                     c = mk.s_xi_continued(xia, s, a, b)
