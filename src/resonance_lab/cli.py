@@ -36,7 +36,7 @@ from .errors import (
     ResonanceLabError,
     TruncationError,
 )
-from .geometry import CylCoord, cyl_to_plane
+from .geometry import CylCoord, _exp, cyl_to_plane
 
 _NUMERICAL_ERRORS = (
     PoleError,
@@ -228,6 +228,8 @@ def _cmd_modes(args) -> int:
     if n < 2:
         raise DomainError(f"--n must be at least 2, got {n}")
     rs = [args.r_min + (args.r_max - args.r_min) * i / (n - 1) for i in range(n)]
+    if not all(map(math.isfinite, (args.kappa, args.r2, *rs))):
+        raise DomainError("--kappa, --r2 and the grid from --r-min to --r-max must be finite")
     lines = ["r,re,im"]
     for r in rs:
         if args.end == "cylinder":
@@ -235,7 +237,7 @@ def _cmd_modes(args) -> int:
         elif args.end == "funnel":
             v = mk.funnel_mode(s, args.kappa, r, args.r2, ell)
         else:
-            v = mk.cusp_mode(s, args.kappa, math.exp(r), math.exp(args.r2))
+            v = mk.cusp_mode(s, args.kappa, _exp(r), _exp(args.r2))
         lines.append(f"{_fmt(r)},{_fmt(v.real)},{_fmt(v.imag)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

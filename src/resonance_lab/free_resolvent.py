@@ -1,14 +1,10 @@
-"""Resolvent kernel of the hyperbolic-plane Laplacian and its Taylor tails.
+"""Resolvent kernel of the hyperbolic-plane Laplacian.
 
 The kernel factors through the point-pair invariant:
 
     g_s(x) = Gamma(s)^2 / (4 pi) * x^(-s) * F~(s, s; 2s; 1/x),    x > 1,
 
-with poles in s exactly at the non-positive integers.  The truncated tails
-
-    g_tail(s, N, x) = (1/4pi) sum_{n >= N} Gamma(s+n)^2 / (n! Gamma(2s+n)) x^-(s+n)
-
-decay like x^-(Re s + N) and reduce to g_s at N = 0.
+with poles in s exactly at the non-positive integers.
 """
 
 from __future__ import annotations
@@ -17,34 +13,22 @@ import cmath
 import math
 
 from . import specfun
-from .errors import DiagonalError, NonConvergenceError, PoleError
+from .errors import DiagonalError, PoleError
 from .geometry import HPoint, sigma
 
 #: Kernels are never evaluated closer to the diagonal than this in sigma.
 DIAG_DELTA = 1e-3
 
 _FOUR_PI = 4.0 * math.pi
-_SERIES_CAP = 100_000
-
-
-def _check_spectral_param(s: complex, shift: int = 0) -> complex:
-    s = complex(s)
-    n = specfun._is_nonpositive_integer(s + shift)
-    if n is not None:
-        raise PoleError(f"spectral parameter s = {s} lies on the pole set")
-    return s
-
-
-def _check_offdiag(x: float) -> float:
-    if not x > 1.0 + DIAG_DELTA:
-        raise DiagonalError(f"sigma = {x} within the diagonal guard 1 + {DIAG_DELTA}")
-    return x
 
 
 def g_s(s: complex, x: float) -> complex:
     """Free resolvent profile g_s(x) for x > 1 + DIAG_DELTA, s not in -N0."""
-    s = _check_spectral_param(s)
-    x = _check_offdiag(x)
+    s = complex(s)
+    if specfun._is_nonpositive_integer(s) is not None:
+        raise PoleError(f"spectral parameter s = {s} lies on the pole set")
+    if not x > 1.0 + DIAG_DELTA:
+        raise DiagonalError(f"sigma = {x} within the diagonal guard 1 + {DIAG_DELTA}")
     gam2 = cmath.exp(2.0 * specfun.log_gamma(s))
     return (
         gam2
@@ -57,44 +41,3 @@ def g_s(s: complex, x: float) -> complex:
 def free_kernel(s: complex, z: HPoint, z2: HPoint) -> complex:
     """Resolvent kernel of the hyperbolic plane, g_s(sigma(z, z'))."""
     return g_s(s, sigma(z, z2))
-
-
-def g_tail(s: complex, N: int, x: float) -> complex:
-    """Tail sum (1/4pi) sum_{n >= N} Gamma(s+n)^2/(n! Gamma(2s+n)) x^-(s+n).
-
-    Requires s not in -N - N0 and x > 1 + DIAG_DELTA.  g_tail(s, 0, x)
-    equals g_s(s, x).
-    """
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    s = _check_spectral_param(s, shift=N)
-    x = _check_offdiag(x)
-
-    n0 = N
-    m = specfun._is_nonpositive_integer(2.0 * s)
-    if m is not None:
-        # 1/Gamma(2s+n) kills every term with n <= -2s
-        n0 = max(N, m + 1)
-
-    # first term: Gamma(s+n0)^2 / (n0! Gamma(2s+n0)) x^-(s+n0)
-    log_t = (
-        2.0 * specfun.log_gamma(s + n0)
-        - math.lgamma(n0 + 1)
-        - specfun.log_gamma(2.0 * s + n0)
-        - (s + n0) * math.log(x)
-    )
-    term = cmath.exp(log_t)
-    total = term
-    rx = 1.0 / x
-    n = n0
-    while n < _SERIES_CAP:
-        term = term * (s + n) ** 2 / ((n + 1.0) * (2.0 * s + n)) * rx
-        total += term
-        n += 1
-        if n > n0 + 2:
-            ratio = rx * (1.0 + (abs(s) + 1.0) / n) ** 2
-            if ratio < 1.0:
-                tail = abs(term) * ratio / (1.0 - ratio)
-                if tail <= 1e-15 * max(abs(total), 1e-300):
-                    return total / _FOUR_PI
-    raise NonConvergenceError(f"g_tail series did not converge for x = {x}")

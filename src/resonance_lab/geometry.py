@@ -1,5 +1,5 @@
-"""Upper half-plane model: Moebius actions, the point-pair invariant sigma,
-and geodesic/horocyclic coordinates for the model ends."""
+"""Upper half-plane model: the point-pair invariant sigma, and
+geodesic/horocyclic coordinates for the model ends."""
 
 from __future__ import annotations
 
@@ -31,53 +31,11 @@ class HPoint:
         return HPoint(z.real, z.imag)
 
 
-@dataclass(frozen=True)
-class Mobius:
-    """Real Moebius transformation (az+b)/(cz+d) with ad - bc = 1."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self) -> None:
-        det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > 1e-12:
-            raise DomainError(f"Mobius determinant {det} != 1")
-
-    @staticmethod
-    def identity() -> "Mobius":
-        return Mobius(1.0, 0.0, 0.0, 1.0)
-
-    @staticmethod
-    def translation(t: float) -> "Mobius":
-        """z -> z + t."""
-        return Mobius(1.0, t, 0.0, 1.0)
-
-    @staticmethod
-    def dilation(ell: float) -> "Mobius":
-        """z -> e^ell z, the standard hyperbolic element of displacement ell."""
-        h = math.exp(0.5 * ell)
-        return Mobius(h, 0.0, 0.0, 1.0 / h)
-
-
-def mobius_apply(g: Mobius, p: HPoint) -> HPoint:
-    """(az+b)/(cz+d); the image has positive imaginary part."""
-    z = p.z
-    w = (g.a * z + g.b) / (g.c * z + g.d)
-    return HPoint(w.real, w.imag)
-
-
 def sigma(p: HPoint, q: HPoint) -> float:
     """Point-pair invariant ((x-x')^2 + (y+y')^2) / (4yy') = cosh^2(d/2) >= 1."""
     dx = p.x - q.x
     sy = p.y + q.y
     return (dx * dx + sy * sy) / (4.0 * p.y * q.y)
-
-
-def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
-    """d(p, q) = 2 arcosh(sqrt(sigma)); single source of truth is sigma."""
-    return 2.0 * math.acosh(math.sqrt(max(sigma(p, q), 1.0)))
 
 
 @dataclass(frozen=True)
@@ -95,6 +53,8 @@ class CylCoord:
     winding: int = field(default=0)
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.r) and math.isfinite(self.phi)):
+            raise DomainError(f"coordinates must be finite, got r = {self.r}, phi = {self.phi}")
         w = math.floor(self.phi / TWO_PI)
         phi = self.phi - TWO_PI * w
         if phi >= TWO_PI:  # rounding pushed phi onto the upper edge
@@ -107,6 +67,14 @@ class CylCoord:
             object.__setattr__(self, "winding", self.winding + w)
 
 
+def _exp(x: float) -> float:
+    """e^x, with DomainError where it overflows a double."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DomainError(f"e^{x} overflows a double") from None
+
+
 def cyl_to_plane(c: CylCoord, ell: float) -> HPoint:
     """Geodesic coordinates of the hyperbolic cylinder to the half-plane.
 
@@ -116,22 +84,12 @@ def cyl_to_plane(c: CylCoord, ell: float) -> HPoint:
     if not ell > 0.0:
         raise DomainError(f"cylinder length must be positive, got {ell}")
     omega = TWO_PI / ell
-    er = math.exp(c.r)
+    er = _exp(c.r)
     w = complex(er, 1.0) / complex(er, -1.0)
-    z = math.exp(c.phi / omega) * w
+    z = _exp(c.phi / omega) * w
     return HPoint(z.real, z.imag)
 
 
 def cusp_to_plane(c: CylCoord) -> HPoint:
     """Horocyclic coordinates of the parabolic cylinder: z = phi/(2pi) + i e^r."""
-    return HPoint(c.phi / TWO_PI, math.exp(c.r))
-
-
-def funnel_bdf(r: float) -> float:
-    """Funnel boundary defining function rho_f(r) = 1/cosh(r)."""
-    return 1.0 / math.cosh(r)
-
-
-def cusp_bdf(r: float) -> float:
-    """Cusp boundary defining function rho_c(r) = e^(-r)."""
-    return math.exp(-r)
+    return HPoint(c.phi / TWO_PI, _exp(c.r))

@@ -13,9 +13,8 @@ Every sum over k in Z on the cylinder and the funnel runs through one
 truncation loop, `_sum_over_z`: it adds k = 1, 2, ... and then
 k = -1, -2, ..., and stops each side on one of two tail rules:
 
-  * images (`_images_sum`, also `h_series_direct`): the geometric tail of
-    the last magnitude ratio, times 4, below the absolute
-    ImagesConfig.tail_tol, from |k| = 3 on;
+  * images (`_images_sum`): the geometric tail of the last magnitude
+    ratio, times 4, below the absolute ImagesConfig.tail_tol, from |k| = 3 on;
   * Fourier modes (`_mode_sum`, also on the cusp): the same tail, times 10,
     below FOURIER_TAIL_TOL times the largest term so far.
 
@@ -81,14 +80,6 @@ class ImagesConfig:
     def __post_init__(self) -> None:
         if self.max_images < 1 or not self.tail_tol > 0.0:
             raise DomainError(f"invalid ImagesConfig {self}")
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Adaptive quadrature control for the continued lattice sum."""
-
-    tol: float = 1e-12
-    max_panels: int = 4000
 
 
 def _require_convergence(s: complex, ell: float, t: TwistSpec) -> None:
@@ -624,7 +615,7 @@ def cusp_kernel_images(s: complex, t: TwistSpec, c1: CylCoord, c2: CylCoord) -> 
 
 
 # ---------------------------------------------------------------------------
-# Twisted lattice sums S_xi and the cylinder H-series
+# Twisted lattice sums S_xi
 # ---------------------------------------------------------------------------
 
 
@@ -730,13 +721,7 @@ def s_xi_direct(xi_angle: float, s: complex, a: float, b: float) -> complex:
     return complex(terms.sum() + _sxi_tails(xi_angle, np.array([s]), a, b, window + 1)[0])
 
 
-def s_xi_continued(
-    xi_angle: float,
-    s: complex,
-    a: float,
-    b: float,
-    quad: QuadConfig = QuadConfig(),
-) -> complex:
+def s_xi_continued(xi_angle: float, s: complex, a: float, b: float) -> complex:
     """Meromorphic continuation of S_xi via its Poisson-summation integral.
 
     S_xi(s; a, b) = sqrt(pi) b^{1-2s} / Gamma(s) * [ I(s) + [xi = 1] Gamma(s - 1/2) ],
@@ -782,43 +767,10 @@ def s_xi_continued(
     while U - max(s.real - 0.5, 0.0) * math.log(U) < 37.0:
         U += 5.0
     u_min = pib2 * m_min * m_min / 700.0
-    integral = gauss_legendre_adaptive(
-        integrand, u_min, U, quad.tol, max_panels=quad.max_panels
-    )
+    integral = gauss_legendre_adaptive(integrand, u_min, U, 1e-12)
     if lam == 0.0:
         integral += cmath.exp(log_gamma(s - 0.5))
     pref = cmath.exp(
         0.5 * math.log(math.pi) + (1.0 - 2.0 * s) * math.log(b) - log_gamma(s)
     )
     return pref * integral
-
-
-def h_series_direct(
-    s: complex,
-    ell: float,
-    t: TwistSpec,
-    z: HPoint,
-    z2: HPoint,
-    cfg: ImagesConfig = ImagesConfig(),
-) -> np.ndarray:
-    """Direct evaluation of H(s; z, z') = sum_{k != 0} lam^k sigma(z, e^{k ell} z')^{-s}.
-
-    Requires Re s above the twist's convergence abscissa plus MARGIN.
-    """
-    s = complex(s)
-    _require_convergence(s, ell, t)
-    wc = z2.z
-
-    def class_value(cls) -> complex:
-        log_lam = cmath.log(cls.eigenvalue)
-
-        def term(k: int) -> complex:
-            if k == 0 or abs(k) * ell > 700.0:
-                return 0.0 + 0.0j
-            img = HPoint.from_complex(math.exp(k * ell) * wc)
-            x = k * log_lam - s * math.log(sigma(z, img))
-            return cmath.exp(x) if x.real > -745.0 else 0.0 + 0.0j
-
-        return _images_sum(term, 0.0 + 0.0j, cfg)
-
-    return _classwise(t, 0, class_value)

@@ -35,6 +35,10 @@ _MAX_DENOM = 1_000_000
 #: per real part.
 _CENSUS_BLOCK = 1 << 15
 
+#: Largest N(radius) that `surface_resonances` lists; a listing holds about
+#: 350 bytes per row.
+_MAX_LISTED = 4_000_000
+
 
 @dataclass(frozen=True)
 class Resonance:
@@ -123,6 +127,8 @@ class SurfaceSpec:
 
     @staticmethod
     def from_json_dict(d: dict) -> "SurfaceSpec":
+        if not isinstance(d, dict):
+            raise DomainError(f"malformed surface spec: expected a JSON object, got {type(d).__name__}")
         try:
             funnels = tuple(
                 (float(e["ell"]), TwistSpec.from_json_dict(e["twist"]))
@@ -282,9 +288,15 @@ def surface_resonances(spec: SurfaceSpec, radius: float) -> ResonanceSet:
 
     This is the union of the closed-form end lattices (plus cusp points),
     not the resonance set of a glued surface.  Each end is merged first,
-    then the ends together.
+    then the ends together.  N(radius) is counted first: a listing of more
+    than _MAX_LISTED raises DomainError before anything is enumerated.
     """
     _require_radius(radius)
+    n = _count(spec, radius, _MAX_LISTED)
+    if n > _MAX_LISTED:
+        raise DomainError(
+            f"N({radius}) exceeds the listing cap {_MAX_LISTED}; list a smaller radius"
+        )
     collections = (
         [funnel_resonances(ell, t, radius) for ell, t in spec.funnels]
         + [cylinder_resonances(ell, t, radius) for ell, t in spec.cylinders]
@@ -300,7 +312,8 @@ def surface_resonances(spec: SurfaceSpec, radius: float) -> ResonanceSet:
 
 
 def _interval_count(
-    ell: float, t: TwistSpec, r: float, real_base: int, real_step: int
+    ell: float, t: TwistSpec, r: float, real_base: int, real_step: int,
+    limit: float = math.inf,
 ) -> int:
     """Total multiplicity of the `_lattice_points` lattice inside |s| < r.
 
@@ -309,7 +322,8 @@ def _interval_count(
     ends are estimated in floating point and then moved with the
     enumeration's own predicate (np.hypot is the libm hypot behind
     abs(complex)), so points on the circle count exactly as enumerated.
-    The real parts go in blocks of _CENSUS_BLOCK, which bounds the memory.
+    The real parts go in blocks of _CENSUS_BLOCK, which bounds the memory;
+    the count stops after the first block that takes it past limit.
     """
     omega = 2.0 * math.pi / ell
     stride = real_step * _CENSUS_BLOCK
@@ -317,6 +331,9 @@ def _interval_count(
     for cls in t.angles:
         shift = cls.log_abs / ell
         theta = cls.theta
+        # the ends move by 1.0 at a time: they must stay exact integers
+        if not r + abs(shift) + r / omega < 2.0**52:
+            raise DomainError(f"N({r}) is too large to count in floating point")
         n_max = int(math.ceil(r + abs(shift))) + real_base
         for start in range(real_base, n_max + 1, stride):
             n_real = np.arange(start, min(start + stride, n_max + 1), real_step, dtype=float)
@@ -339,7 +356,19 @@ def _interval_count(
                 while (step := (lo <= hi) & ~inside(hi)).any():
                     hi -= step
                 total += cls.mult * int(np.maximum(hi - lo + 1.0, 0.0).sum())
+            if total > limit:
+                return total
     return total
+
+
+def _count(spec: SurfaceSpec, r: float, limit: float = math.inf) -> int:
+    """N(r) of the spec by `_interval_count`; a count past limit may stop early."""
+    cusp_mult = sum(c.mult for t in spec.cusps for c in t.angles if c.theta == 0.0)
+    return (
+        sum(_interval_count(ell, t, r, 1, 2, limit) for ell, t in spec.funnels)
+        + sum(_interval_count(ell, t, r, 0, 1, limit) for ell, t in spec.cylinders)
+        + (cusp_mult if r > 0.5 else 0)
+    )
 
 
 def census(spec: SurfaceSpec, r_max: float, n_samples: int) -> list[tuple[float, int]]:
@@ -351,17 +380,8 @@ def census(spec: SurfaceSpec, r_max: float, n_samples: int) -> list[tuple[float,
     if n_samples < 1:
         raise InsufficientDataError("census needs at least one sample radius")
     _require_radius(r_max)
-    cusp_mult = sum(c.mult for t in spec.cusps for c in t.angles if c.theta == 0.0)
-    table = []
-    for i in range(n_samples):
-        r = r_max * (i + 1) / n_samples
-        n = (
-            sum(_interval_count(ell, t, r, 1, 2) for ell, t in spec.funnels)
-            + sum(_interval_count(ell, t, r, 0, 1) for ell, t in spec.cylinders)
-            + (cusp_mult if r > 0.5 else 0)
-        )
-        table.append((r, n))
-    return table
+    radii = (r_max * (i + 1) / n_samples for i in range(n_samples))
+    return [(r, _count(spec, r)) for r in radii]
 
 
 def growth_fit(table: list[tuple[float, int]]) -> tuple[float, float]:

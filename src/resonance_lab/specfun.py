@@ -95,11 +95,6 @@ def _log_gamma_lanczos(z: complex) -> complex:
     return _LOG_SQRT_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(series)
 
 
-def gamma(z: complex) -> complex:
-    """Gamma(z) = exp(log_gamma(z))."""
-    return cmath.exp(log_gamma(z))
-
-
 def rgamma(z: complex) -> complex:
     """1 / Gamma(z); exactly 0 at the poles of Gamma."""
     if _is_nonpositive_integer(z) is not None:

@@ -8,7 +8,6 @@ cylinder through the optional per-class log|lambda| entries.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -43,14 +42,6 @@ class AngleClass:
 
 
 @dataclass(frozen=True)
-class ModeIndex:
-    """Fourier index (k, j): integer offset k within eigenvector class j."""
-
-    k: int
-    j: int
-
-
-@dataclass(frozen=True)
 class TwistSpec:
     """Eigen-angle classes of a monodromy matrix, sorted by (theta, log_abs)."""
 
@@ -66,10 +57,6 @@ class TwistSpec:
             if key in seen:
                 raise DomainError(f"duplicate eigenvalue class {key}")
             seen.add(key)
-
-    @property
-    def dim(self) -> int:
-        return sum(a.mult for a in self.angles)
 
     @property
     def is_unitary(self) -> bool:
@@ -113,16 +100,9 @@ class TwistSpec:
                 )
                 for e in d["angles"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed twist spec: {d!r}") from exc
         return TwistSpec(angles)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def from_json(text: str) -> "TwistSpec":
-        return TwistSpec.from_json_dict(json.loads(text))
 
 
 def eigen_angles(U, tol: float = UNITARY_TOL) -> TwistSpec:
@@ -158,10 +138,3 @@ def eigen_angles(U, tol: float = UNITARY_TOL) -> TwistSpec:
     return TwistSpec(
         tuple(AngleClass(snap(float(np.mean(c))), len(c)) for c in classes)
     )
-
-
-def kappa(t: TwistSpec, m: ModeIndex) -> float:
-    """Effective Fourier frequency kappa = k + theta_j."""
-    if not (0 <= m.j < len(t.angles)):
-        raise DomainError(f"class index {m.j} out of range")
-    return m.k + t.angles[m.j].theta

@@ -332,3 +332,40 @@ class TestNegativeValues:
         exponent = self._out(base + ["0.2", "1.0", "-6.8e-05", "2.5"], capsys)
         fixed = self._out(base + ["0.2", "1.0", "-0.000068", "2.5"], capsys)
         assert exponent == fixed
+
+
+_MODES = ["modes", "--s", "2+0.3i", "--kappa", "1.25", "--r2", "1", "--r-min", "-1", "--r-max", "1", "--n", "2"]
+
+_EXIT_2_ARGV = (
+    [["kernel", "--end", end, "--s", "2+0.3i", "--coords", *coords]
+     for end in ("cylinder", "funnel", "cusp")
+     for coords in (["1e300", "1", "1", "2"], ["0.2", "inf", "1", "2"], ["0.2", "nan", "1", "2"])]
+    + [_MODES + ["--end", "cusp", "--r2", "1e300"]]
+    + [_MODES + ["--end", end, flag, value]
+       for end in ("cylinder", "cusp")
+       for flag, value in (("--kappa", "nan"), ("--r2", "nan"), ("--r-min", "nan"), ("--r-max", "inf"))]
+    + [_MODES + ["--end", "funnel", "--r-min", "-1e308", "--r-max", "1e308"]]
+    + [["resonances", "--radius", "1e4"], ["resonances", "--radius", "1e16"]]
+)
+
+
+@pytest.mark.parametrize(
+    "spec,argv",
+    [(None, argv) for argv in _EXIT_2_ARGV]
+    + [(doc, argv) for doc in ([1, 2], "x") for argv in (
+        ["kernel", "--end", "cusp", "--s", "2+0.3i", "--coords", "0.2", "1", "1", "2"],
+        ["count", "--r-max", "5"],
+    )],
+)
+def test_malformed_input_exits_2(spec, argv, spec_file, tmp_path, capsys, monkeypatch):
+    # non-finite or overflowing coordinates and mode grids, a spec that is not
+    # a JSON object, and listings over the cap fail before any evaluation
+    def no_listing(*args, **kwargs):
+        raise AssertionError("the listing was enumerated")
+
+    monkeypatch.setattr("resonance_lab.resonances._lattice_points", no_listing)
+    if spec is not None:
+        spec_file = tmp_path / "bad.json"
+        spec_file.write_text(json.dumps(spec))
+    assert cli.main([argv[0], "--spec", str(spec_file), *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,4 +1,4 @@
-"""Free resolvent kernel g_s, its tails, and the defining PDE."""
+"""Free resolvent kernel g_s and the defining PDE."""
 
 import cmath
 import math
@@ -9,7 +9,8 @@ import pytest
 from resonance_lab import free_resolvent as fr
 from resonance_lab import specfun as sf
 from resonance_lab.errors import DiagonalError, PoleError
-from resonance_lab.geometry import HPoint, Mobius, mobius_apply, sigma
+from resonance_lab.geometry import HPoint, sigma
+from sl2_action import act, dilation
 
 
 def g_series_oracle(s, x, n_terms=400):
@@ -67,9 +68,9 @@ class TestFreeKernel:
             q = HPoint(rng.uniform(-2, 2), rng.uniform(0.2, 3))
             if sigma(p, q) < 1.01:
                 continue
-            g = Mobius.dilation(rng.uniform(-1, 1))
+            g = dilation(rng.uniform(-1, 1))
             a = fr.free_kernel(s, p, q)
-            b = fr.free_kernel(s, mobius_apply(g, p), mobius_apply(g, q))
+            b = fr.free_kernel(s, act(g, p), act(g, q))
             assert abs(a - b) / abs(a) < 1e-10
 
     def test_conjugate_symmetry(self):
@@ -96,54 +97,6 @@ class TestFreeKernel:
             uyy = (u(z.x, z.y + h) - 2 * u(z.x, z.y) + u(z.x, z.y - h)) / h**2
             resid = -z.y**2 * (uxx + uyy) - s * (1 - s) * u(z.x, z.y)
             assert abs(resid) < 1e-4
-
-
-class TestGTail:
-    def test_n_zero_is_gs(self):
-        for s in (2.0, 1.3 - 0.4j):
-            for x in (2.0, 7.7):
-                assert abs(fr.g_tail(s, 0, x) - fr.g_s(s, x)) < 1e-12 * abs(fr.g_s(s, x))
-
-    def test_partial_sum_rearrangement(self):
-        s, x, big_n = 1.7 - 0.4j, 7.0, 3
-        head = sum(
-            cmath.exp(
-                2.0 * sf.log_gamma(s + n)
-                - math.lgamma(n + 1)
-                - sf.log_gamma(2.0 * s + n)
-            )
-            * x ** -(s + n)
-            for n in range(big_n)
-        ) / (4.0 * math.pi)
-        assert abs(fr.g_tail(s, big_n, x) - (fr.g_s(s, x) - head)) < 1e-10
-
-    def test_decay_slope(self):
-        # s = 2, N = 3: log|g_tail| vs log x has slope -(2+3) over [10, 1e4]
-        xs = np.geomspace(10.0, 1e4, 12)
-        ys = [math.log(abs(fr.g_tail(2.0, 3, float(x)))) for x in xs]
-        slope = np.polyfit(np.log(xs), ys, 1)[0]
-        assert abs(slope + 5.0) < 0.05
-
-    def test_pole_condition_shifted(self):
-        # s = -2 is fine for N = 3 (poles only at -N - N0)
-        v = fr.g_tail(-2.0, 3, 5.0)
-        assert np.isfinite(v.real) and np.isfinite(v.imag)
-        with pytest.raises(PoleError):
-            fr.g_tail(-3.0, 3, 5.0)
-
-    def test_half_integer_s(self):
-        # 2s hits a non-positive integer: vanishing 1/Gamma(2s+n) terms skipped
-        v = fr.g_tail(-1.5, 4, 6.0)
-        w = g_series_oracle(-1.5 + 1e-9, 6.0) - sum(
-            cmath.exp(
-                2.0 * sf.log_gamma(-1.5 + 1e-9 + n)
-                - math.lgamma(n + 1)
-                - sf.log_gamma(2.0 * (-1.5 + 1e-9) + n)
-            )
-            * 6.0 ** -(-1.5 + 1e-9 + n)
-            for n in range(4)
-        ) / (4.0 * math.pi)
-        assert abs(v - w) < 1e-5 * max(1.0, abs(v))
 
 
 class TestAnalyticity:

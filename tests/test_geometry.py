@@ -1,4 +1,4 @@
-"""Half-plane geometry: Moebius actions, sigma, end coordinates."""
+"""Half-plane geometry: sigma and end coordinates."""
 
 import math
 
@@ -7,43 +7,19 @@ import pytest
 
 from resonance_lab import geometry as geo
 from resonance_lab.errors import DomainError
-from resonance_lab.geometry import CylCoord, HPoint, Mobius
+from resonance_lab.geometry import CylCoord, HPoint
+from sl2_action import act, dilation, translation
 
 
-def random_mobius(rng):
+def random_sl2(rng):
     # products of dilations and translations stay in SL(2, R)
-    g = Mobius.identity()
+    g = np.eye(2)
     for _ in range(3):
         if rng.uniform() < 0.5:
-            h = Mobius.dilation(rng.uniform(-1.5, 1.5))
+            g = g @ dilation(rng.uniform(-1.5, 1.5))
         else:
-            h = Mobius.translation(rng.uniform(-3.0, 3.0))
-        g = Mobius(
-            g.a * h.a + g.b * h.c,
-            g.a * h.b + g.b * h.d,
-            g.c * h.a + g.d * h.c,
-            g.c * h.b + g.d * h.d,
-        )
+            g = g @ translation(rng.uniform(-3.0, 3.0))
     return g
-
-
-class TestMobius:
-    def test_identity(self):
-        p = HPoint(0.0, 1.0)
-        q = geo.mobius_apply(Mobius.identity(), p)
-        assert (q.x, q.y) == (0.0, 1.0)
-
-    def test_unit_shift(self):
-        q = geo.mobius_apply(Mobius.translation(1.0), HPoint(0.0, 1.0))
-        assert abs(q.x - 1.0) < 1e-15 and abs(q.y - 1.0) < 1e-15
-
-    def test_dilation(self):
-        q = geo.mobius_apply(Mobius.dilation(1.0), HPoint(0.0, 1.0))
-        assert abs(q.x) < 1e-15 and abs(q.y - math.e) < 1e-12
-
-    def test_determinant_validation(self):
-        with pytest.raises(DomainError):
-            Mobius(2.0, 0.0, 0.0, 1.0)
 
 
 class TestSigma:
@@ -64,11 +40,11 @@ class TestSigma:
     def test_invariance(self):
         rng = np.random.default_rng(22)
         for _ in range(100):
-            g = random_mobius(rng)
+            g = random_sl2(rng)
             p = HPoint(rng.uniform(-2, 2), rng.uniform(0.1, 4))
             q = HPoint(rng.uniform(-2, 2), rng.uniform(0.1, 4))
             s1 = geo.sigma(p, q)
-            s2 = geo.sigma(geo.mobius_apply(g, p), geo.mobius_apply(g, q))
+            s2 = geo.sigma(act(g, p), act(g, q))
             assert abs(s1 - s2) / s1 < 1e-10
 
     def test_lower_bound_and_distance(self):
@@ -76,11 +52,7 @@ class TestSigma:
         for _ in range(100):
             p = HPoint(rng.uniform(-3, 3), rng.uniform(0.1, 5))
             q = HPoint(rng.uniform(-3, 3), rng.uniform(0.1, 5))
-            s = geo.sigma(p, q)
-            assert s >= 1.0
-            d = geo.hyperbolic_distance(p, q)
-            assert abs(s - math.cosh(d / 2.0) ** 2) < 1e-10 * s
-        assert geo.hyperbolic_distance(HPoint(0, 1), HPoint(0, 1)) == 0.0
+            assert geo.sigma(p, q) >= 1.0
 
 
 class TestEndCoordinates:
@@ -147,16 +119,20 @@ class TestEndCoordinates:
             assert 0.0 <= c.phi < 2 * math.pi
             assert abs(c.phi + 2 * math.pi * c.winding - raw) < 1e-12
 
+    @pytest.mark.parametrize("r,phi", [(0.2, math.inf), (0.2, math.nan), (math.nan, 1.0), (-math.inf, 1.0)])
+    def test_nonfinite_coordinates_rejected(self, r, phi):
+        with pytest.raises(DomainError):
+            CylCoord(r, phi)
+
+    def test_overflowing_exponential_rejected(self):
+        c = CylCoord(710.0, 1.0)
+        with pytest.raises(DomainError):
+            geo.cyl_to_plane(c, 1.0)
+        with pytest.raises(DomainError):
+            geo.cusp_to_plane(c)
+        with pytest.raises(DomainError):
+            geo.cyl_to_plane(CylCoord(0.2, 1.0), 1e300)
+
     def test_hpoint_validation(self):
         with pytest.raises(DomainError):
             HPoint(0.0, -1.0)
-
-
-class TestBoundaryDefiningFunctions:
-    def test_positive_and_decreasing(self):
-        rs = np.linspace(0.0, 6.0, 50)
-        f = [geo.funnel_bdf(r) for r in rs]
-        c = [geo.cusp_bdf(r) for r in rs]
-        assert all(v > 0 for v in f) and all(v > 0 for v in c)
-        assert all(a > b for a, b in zip(f[:-1], f[1:]))
-        assert all(a > b for a, b in zip(c[:-1], c[1:]))

@@ -7,10 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from resonance_lab import free_resolvent as fr
 from resonance_lab import model_kernels as mk
 from resonance_lab.errors import DomainError, PoleError, TruncationError
-from resonance_lab.free_resolvent import g_tail
 from resonance_lab.geometry import TWO_PI, CylCoord, HPoint, cyl_to_plane, sigma
 from resonance_lab.twist import TwistSpec
 
@@ -360,53 +358,3 @@ class TestSXi:
     def test_direct_domain_guard(self):
         with pytest.raises(DomainError):
             mk.s_xi_direct(0.0, 0.55, 0.0, 1.0)
-
-
-class TestHSeries:
-    def test_untwisted_real_positive(self):
-        t0 = TwistSpec.trivial()
-        h = mk.h_series_direct(4.0, ELL, t0, HPoint(0.0, 1.0), HPoint(0.3, 1.5), CFG)
-        assert abs(h[0].imag) < 1e-14
-        assert h[0].real > 0.0
-
-    def test_decomposition_identity(self):
-        # kernel = free + (1/4pi) sum_{n<N} Gamma-coeff H(s+n) + twisted g_tail sum
-        import resonance_lab.specfun as sf
-
-        big_n = 2
-        z, w = HPoint(0.1, 1.2), HPoint(-0.4, 2.0)
-        for j, cls in enumerate(TWIST.angles):
-            lam = cls.eigenvalue
-            lhs = mk.cyl_class_images(S_REF, ELL, lam, z, w, CFG)
-            rhs = fr.free_kernel(S_REF, z, w)
-            for n in range(big_n):
-                coeff = cmath.exp(
-                    2.0 * sf.log_gamma(S_REF + n)
-                    - math.lgamma(n + 1)
-                    - sf.log_gamma(2.0 * S_REF + n)
-                ) / (4.0 * math.pi)
-                hn = mk.h_series_direct(
-                    S_REF + n, ELL, TWIST, z, w, mk.ImagesConfig(tail_tol=1e-13)
-                )
-                rhs += coeff * hn[j]
-            k = 1
-            while True:
-                t1 = lam**k * g_tail(S_REF, big_n, sigma(z, HPoint.from_complex(math.exp(k * ELL) * w.z)))
-                t2 = lam**-k * g_tail(S_REF, big_n, sigma(z, HPoint.from_complex(math.exp(-k * ELL) * w.z)))
-                rhs += t1 + t2
-                if abs(t1) + abs(t2) < 1e-14:
-                    break
-                k += 1
-            assert abs(lhs - rhs) < 1e-8
-
-    def test_termwise_envelope(self):
-        # |H| bounded by the geometric envelope of its term magnitudes
-        t0 = TwistSpec.trivial()
-        s = 3.0
-        z, w = HPoint(0.0, 1.0), HPoint(0.2, 1.1)
-        h = mk.h_series_direct(s, ELL, t0, z, w, CFG)
-        envelope = 0.0
-        for k in range(1, 200):
-            for kk in (k, -k):
-                envelope += sigma(z, HPoint.from_complex(math.exp(kk * ELL) * w.z)) ** -s
-        assert abs(h[0]) <= envelope * (1.0 + 1e-9)

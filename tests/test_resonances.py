@@ -332,6 +332,13 @@ class TestIntervalCensus:
         table = rz.census(spec, 13.0, 13)
         assert table == enumerated_table(spec, table)
 
+    @pytest.mark.parametrize("r", [1e16, 1e300])
+    def test_radius_beyond_exact_counting(self, r):
+        # the interval ends move by 1.0, which they cannot past 2^53
+        spec = rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),))
+        with pytest.raises(DomainError, match="too large to count"):
+            rz.census(spec, r, 1)
+
     def test_memory_bounded_at_large_radius(self):
         spec = rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),))
         tracemalloc.start()
@@ -396,6 +403,30 @@ class TestPoleWitness:
             assert abs(slope + 1.0) < 0.1
 
 
+class TestListingCap:
+    SPEC = rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),))
+
+    def test_just_above_the_cap_fails_before_enumerating(self, monkeypatch):
+        # N(1128) = 3,999,512 and N(1128.5) = 4,003,110 straddle the cap
+        counts = [n for _, n in rz.census(self.SPEC, 1128.5, 2)]
+        assert counts[0] <= rz._MAX_LISTED < counts[1]
+
+        def no_listing(*args, **kwargs):
+            raise AssertionError("the listing was enumerated")
+
+        monkeypatch.setattr(rz, "_lattice_points", no_listing)
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="listing cap"):
+            rz.surface_resonances(self.SPEC, 1128.5)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_count_stops_past_its_limit(self):
+        # N(1e15) is about 3e30; the first block of real parts exceeds the limit
+        t0 = time.perf_counter()
+        assert rz._count(self.SPEC, 1e15, rz._MAX_LISTED) > rz._MAX_LISTED
+        assert time.perf_counter() - t0 < 1.0
+
+
 class TestSurfaceSpec:
     def test_json_round_trip(self):
         spec = rz.SurfaceSpec(
@@ -404,6 +435,11 @@ class TestSurfaceSpec:
             cylinders=((2.0, TRIVIAL),),
         )
         assert rz.SurfaceSpec.from_json_dict(spec.to_json_dict()) == spec
+
+    @pytest.mark.parametrize("doc", [[1, 2], "x", None, 3.0])
+    def test_non_object_rejected(self, doc):
+        with pytest.raises(DomainError, match="JSON object"):
+            rz.SurfaceSpec.from_json_dict(doc)
 
     def test_invalid_length(self):
         with pytest.raises(DomainError):

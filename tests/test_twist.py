@@ -1,12 +1,13 @@
-"""Twist reduction: eigen-angles, multiplicities, mode frequencies."""
+"""Twist reduction: eigen-angles and multiplicities."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from resonance_lab.errors import DomainError, NonUnitaryError
-from resonance_lab.twist import ModeIndex, TwistSpec, eigen_angles, kappa
+from resonance_lab.twist import TwistSpec, eigen_angles
 
 
 def random_unitary(rng, n):
@@ -54,28 +55,10 @@ class TestEigenAngles:
         assert t.angles[0].theta == 0.0
 
 
-class TestKappa:
-    def test_examples(self):
-        t = TwistSpec.from_angles([(0.0, 1), (0.25, 1), (0.5, 1)])
-        assert kappa(t, ModeIndex(3, 0)) == 3.0
-        assert kappa(t, ModeIndex(-1, 1)) == -0.75
-        assert kappa(t, ModeIndex(0, 2)) == 0.5
-
-    def test_branch_shift_identity(self):
-        # theta -> theta + 1 with k -> k - 1 leaves kappa unchanged
-        theta, k = 0.37, 4
-        assert (k - 1) + (theta + 1.0) == k + theta
-
-    def test_index_out_of_range(self):
-        t = TwistSpec.trivial()
-        with pytest.raises(DomainError):
-            kappa(t, ModeIndex(0, 2))
-
-
 class TestTwistSpec:
     def test_dimension_and_unitarity(self):
         t = TwistSpec.from_angles([(0.0, 2), (0.25, 1)])
-        assert t.dim == 3 and t.is_unitary
+        assert sum(a.mult for a in t.angles) == 3 and t.is_unitary
         tn = TwistSpec.from_angles([(0.0, 1)], moduli=[0.3])
         assert not tn.is_unitary
         assert abs(tn.log_norm() - 0.3) < 1e-15
@@ -90,9 +73,14 @@ class TestTwistSpec:
 
     def test_json_round_trip(self):
         t = TwistSpec.from_angles([(0.25, 1), (0.5, 3)])
-        assert TwistSpec.from_json(t.to_json()) == t
+        assert TwistSpec.from_json_dict(json.loads(json.dumps(t.to_json_dict()))) == t
         tn = TwistSpec.from_angles([(0.1, 2)], moduli=[-0.7])
-        assert TwistSpec.from_json(tn.to_json()) == tn
+        assert TwistSpec.from_json_dict(json.loads(json.dumps(tn.to_json_dict()))) == tn
+
+    @pytest.mark.parametrize("entry", [{"theta": 0.25, "mult": 1e400}, {"theta": 0.25}, [0.25, 1]])
+    def test_malformed_json_rejected(self, entry):
+        with pytest.raises(DomainError):
+            TwistSpec.from_json_dict({"angles": [entry]})
 
     def test_eigenvalue_property(self):
         t = TwistSpec.from_angles([(0.25, 1)])
