@@ -17,7 +17,6 @@ from .errors import (
 from .free_resolvent import free_kernel, g_s
 from .geometry import CylCoord, HPoint, cusp_to_plane, cyl_to_plane, sigma
 from .model_kernels import (
-    ImagesConfig,
     cusp_kernel,
     cusp_kernel_images,
     cusp_mode,
@@ -57,7 +56,6 @@ __all__ = [
     "DiagonalError",
     "DomainError",
     "HPoint",
-    "ImagesConfig",
     "InsufficientDataError",
     "NonConvergenceError",
     "NonUnitaryError",

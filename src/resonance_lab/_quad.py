@@ -49,8 +49,9 @@ def gauss_legendre_adaptive(
     """Adaptive bisecting Gauss-Legendre integration of f over [a, b].
 
     Each panel compares 15- and 31-point rules; panels whose difference
-    exceeds their share of tol are bisected.  Raises QuadratureError when
-    the panel budget is exhausted.
+    exceeds their share of tol are bisected.  tol is relative: it is scaled
+    by max(1, |31-point rule over the whole interval|), the first panel's
+    own estimate.  Raises QuadratureError when the panel budget is exhausted.
     """
     stack = [(a, b)]
     total = 0.0 + 0.0j
@@ -60,6 +61,8 @@ def gauss_legendre_adaptive(
         coarse = _gl(f, lo, hi, 15)
         fine = _gl(f, lo, hi, 31)
         used += 1
+        if used == 1:
+            tol *= max(1.0, abs(fine))
         if used > max_panels:
             raise QuadratureError("adaptive quadrature exhausted its panel budget")
         err = abs(fine - coarse)

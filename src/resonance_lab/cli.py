@@ -160,31 +160,22 @@ def _kernel_values(args, spec):
     s = parse_complex(args.s)
     r1, phi1, r2, phi2 = args.coords
     c1, c2 = CylCoord(r1, phi1), CylCoord(r2, phi2)
-    cfg = mk.ImagesConfig(max_images=args.max_images, tail_tol=args.tail_tol)
     ell, t = _select_end(spec, end, args.index)
     if not t.angles:
         raise DomainError(f"the twist of {end} {args.index} has no eigenvalue classes")
     if args.k_max is not None and args.k_max < 0:
         raise DomainError(f"--k-max must be at least 0, got {args.k_max}")
-    results = {}
     if end == "cylinder":
-        if args.method in ("images", "both"):
-            results["images"] = mk.cyl_kernel_images(
-                s, ell, t, cyl_to_plane(c1, ell), cyl_to_plane(c2, ell), cfg
-            )
-        if args.method in ("fourier", "both"):
-            results["fourier"] = mk.cyl_kernel_fourier(s, ell, t, c1, c2, args.k_max)
+        images = lambda: mk.cyl_kernel_images(s, ell, t, cyl_to_plane(c1, ell), cyl_to_plane(c2, ell))
+        fourier = lambda: mk.cyl_kernel_fourier(s, ell, t, c1, c2, args.k_max)
     elif end == "funnel":
-        if args.method in ("images", "both"):
-            results["images"] = mk.funnel_kernel(s, ell, t, c1, c2, cfg)
-        if args.method in ("fourier", "both"):
-            results["fourier"] = mk.funnel_kernel_fourier(s, ell, t, c1, c2, args.k_max)
+        images = lambda: mk.funnel_kernel(s, ell, t, c1, c2)
+        fourier = lambda: mk.funnel_kernel_fourier(s, ell, t, c1, c2, args.k_max)
     else:
-        if args.method in ("images", "both"):
-            results["images"] = mk.cusp_kernel_images(s, t, c1, c2)
-        if args.method in ("fourier", "both"):
-            results["fourier"] = mk.cusp_kernel(s, t, c1, c2, args.k_max)
-    return t, results
+        images = lambda: mk.cusp_kernel_images(s, t, c1, c2)
+        fourier = lambda: mk.cusp_kernel(s, t, c1, c2, args.k_max)
+    methods = ("images", "fourier") if args.method == "both" else (args.method,)
+    return t, {m: {"images": images, "fourier": fourier}[m]() for m in methods}
 
 
 def _cmd_kernel(args) -> int:
@@ -289,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--coords", type=float, nargs=4, metavar=("R1", "PHI1", "R2", "PHI2"),
         required=True,
     )
-    sp.add_argument("--tail-tol", type=float, default=1e-10)
-    sp.add_argument("--max-images", type=int, default=40_000)
     sp.add_argument("--k-max", type=int, default=None)
     sp.set_defaults(func=_cmd_kernel)
 

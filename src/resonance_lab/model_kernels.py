@@ -9,19 +9,15 @@ diagonalized once and for all; kernels are diagonal in that basis, and
   * a Fourier-mode synthesis from closed-form mode functions, valid for all
     s off the mode pole lattices.
 
-Every sum over k in Z on the cylinder and the funnel runs through one
-truncation loop, `_sum_over_z`: it adds k = 1, 2, ... and then
-k = -1, -2, ..., and stops each side on one of two tail rules:
-
-  * images (`_images_sum`): the geometric tail of the last magnitude
-    ratio, times 4, below the absolute ImagesConfig.tail_tol, from |k| = 3 on;
-  * Fourier modes (`_mode_sum`, also on the cusp): the same tail, times 10,
-    below FOURIER_TAIL_TOL times the largest term so far.
-
-Cusp images decay only like |k|^(-2 Re s), so `cusp_class_images` sums
-the near ones with g_s and the far ones through the twisted lattice sums
-S_xi, whose tails past a direct window `_sxi_tails` evaluates for every
-angle.
+All three image routes run through one engine, `_image_series`: the near
+images go through g_s and the far ones through the n-series of g_s in
+1/sigma, stopped on a bound relative to the smallest class value.  The
+cylinder (and so the funnel, a difference of two cylinder sums) takes its
+far images on a window past which they are geometrically negligible; cusp
+images decay only like |k|^(-2 Re s), so its far sums are twisted lattice
+sums S_xi, whose tails past a direct window `_sxi_tails` evaluates for
+every angle.  Fourier modes (`_mode_sum`) stop on a geometric tail
+estimate, times 10, below FOURIER_TAIL_TOL times the largest term so far.
 
 Mode profiles for the hyperbolic cylinder / funnel are built from the
 regularized hypergeometric function; cusp modes from modified Bessel
@@ -38,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,81 +59,78 @@ FOURIER_TAIL_TOL = 1e-12
 
 _MAX_FOURIER_MODES = 3000
 
-#: Relative bound on the remainder of the cusp images' n-series.
-CUSP_SERIES_TOL = 1e-15
+#: Relative bound on the remainder of every image sum's n-series.
+SERIES_TOL = 1e-15
 
-_MAX_CUSP_SERIES = 512
+_MAX_SERIES_TERMS = 512
+
+#: Images, near and far, that one image sum may take; checked before g_s runs.
+_MAX_IMAGES = 10_000
+
+#: A class value that cancels below this fraction of its near images is
+#: held to the series bound at that fraction of them: its own rounding
+#: error is already larger than the bound.
+_CANCEL_FLOOR = 1e-4
+
+#: The cylinder's far window ends where the images beyond it add less than
+#: e^-_WINDOW_CUT (about 1e-20) of its largest image, per class.
+_WINDOW_CUT = 46.0
 
 
-@dataclass(frozen=True)
-class ImagesConfig:
-    """Truncation control for method-of-images sums."""
-
-    max_images: int = 10_000
-    tail_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.max_images < 1 or not self.tail_tol > 0.0:
-            raise DomainError(f"invalid ImagesConfig {self}")
-
-
-def _require_convergence(s: complex, ell: float, t: TwistSpec) -> None:
-    abscissa = t.log_norm() / ell
-    if s.real <= abscissa + MARGIN:
-        raise DomainError(
-            f"Re s = {s.real} not above the convergence abscissa "
-            f"{abscissa} + margin {MARGIN}"
+def _check_budget(n_near: int, n_far: int) -> None:
+    """TruncationError when an image sum would take more than _MAX_IMAGES images."""
+    if n_near + n_far > _MAX_IMAGES:
+        raise TruncationError(
+            f"image sum needs {n_near} near and {n_far} far images, more than {_MAX_IMAGES}"
         )
 
 
-def _sum_over_z(term, center, done, limit: int, failure: str) -> complex:
-    """center plus term(k) summed over k = 1, 2, ... and then k = -1, -2, ....
+def _image_series(s, sigmas, near_weights, far_sums, far_abs, q) -> np.ndarray:
+    """Image sums of g_s, one per class j, split into near and far images.
 
-    A side stops as soon as done(|k|, |term(k)|, previous |term| or None)
-    holds; a side that passes |k| = limit raises TruncationError(failure).
+    The near images, at sigmas with weights near_weights[j, k], go through
+    g_s.  The far ones, each with sigma_k >= 1/q >= 4, go through the
+    n-series of g_s,
+
+        (1/4pi) sum_n c_n sum_far w_j(k) sigma_k^-(s+n),
+        c_n = Gamma(s+n)^2 / (n! Gamma(2s+n)),
+
+    whose inner sums far_sums(n) gives for n = 0..N, while far_abs(N)
+    bounds sum_far |w_j(k)| sigma_k^-(Re s+N).  Every n loses a factor q,
+    so the series stops when a bound of its remainder falls below
+    SERIES_TOL of each class value (or of _CANCEL_FLOOR of its near images,
+    for a class that cancels below that).  Callers check the image counts
+    with `_check_budget` before they build anything per image.
     """
-    total = center
-    for side in (1, -1):
-        prev = None
-        k = side
-        while True:
-            cur = term(k)
-            total += cur
-            mag = abs(cur)
-            if done(abs(k), mag, prev):
-                break
-            prev = mag
-            k += side
-            if abs(k) > limit:
-                raise TruncationError(failure)
-    return total
-
-
-def _images_sum(term, center, cfg: ImagesConfig) -> complex:
-    """Image sum whose terms decay eventually geometrically in |k|.
-
-    A side's tail is estimated from the last magnitude ratio and must drop
-    below cfg.tail_tol (with a safety factor of 4); an exact zero past
-    |k| = 2 also ends it.
-    """
-
-    def done(n: int, mag: float, prev) -> bool:
-        if prev is not None and mag > 0 and n >= 3:
-            ratio = mag / prev if prev > 0 else 1.0
-            if ratio < 0.95 and 4.0 * (mag * ratio / (1.0 - ratio)) < cfg.tail_tol:
-                return True
-        return mag == 0.0 and n > 2
-
-    return _sum_over_z(
-        term, center, done, cfg.max_images,
-        f"images sum not below tail_tol={cfg.tail_tol} within {cfg.max_images} images",
+    near = np.array([g_s(s, x) for x in sigmas], dtype=complex)
+    floor = _CANCEL_FLOOR * (np.abs(near_weights) @ np.abs(near))
+    near = near_weights @ near
+    c0 = cmath.exp(2.0 * log_gamma(s) - log_gamma(2.0 * s))
+    big_n = max(8, math.ceil(37.0 / -math.log(q)))
+    while big_n <= _MAX_SERIES_TERMS:
+        n = np.arange(big_n + 1)
+        p = s + n
+        # c_{n+1} = c_n (s+n)^2 / ((n+1)(2s+n)); ratio[N] leads on to c_{N+1}
+        ratio = p**2 / ((n + 1.0) * (p + s))
+        c = c0 * np.cumprod(np.concatenate([[1.0], ratio[:-1]]))
+        total = near + c @ far_sums(n) / (4.0 * math.pi)
+        # the terms n > N add at most |c_{N+1}| q E_N / (4pi (1 - rho q)),
+        # E_N = far_abs(N) and rho >= |c_{m+1}/c_m| for all m > N
+        rho = max(1.0, (abs(s) + big_n + 1) ** 2 / ((big_n + 1) * (big_n + 2)))
+        if rho * q < 1.0:
+            bound = abs(c[-1] * ratio[-1]) * q * far_abs(big_n) / (4.0 * math.pi * (1.0 - rho * q))
+            if np.all(bound <= SERIES_TOL * np.maximum(np.abs(total), floor)):
+                return total
+        big_n *= 2
+    raise TruncationError(
+        f"image n-series not below {SERIES_TOL} relative within {_MAX_SERIES_TERMS} terms"
     )
 
 
-def _classwise(t: TwistSpec, word: int, class_value) -> np.ndarray:
-    """lambda_j^word * class_value(class_j), one complex value per class."""
+def _classwise(t: TwistSpec, word: int, values) -> np.ndarray:
+    """lambda_j^word * values[j], one complex value per class j."""
     return np.array(
-        [cls.eigenvalue**word * class_value(cls) for cls in t.angles], dtype=complex
+        [cls.eigenvalue**word * v for cls, v in zip(t.angles, values)], dtype=complex
     )
 
 
@@ -147,38 +139,73 @@ def _classwise(t: TwistSpec, word: int, class_value) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def cyl_class_images(
-    s: complex,
-    ell: float,
-    lam: complex,
-    z: HPoint,
-    z2: HPoint,
-    cfg: ImagesConfig = ImagesConfig(),
-) -> complex:
-    """Raw image sum sum_k lam^k g_s(sigma(z, e^{k ell} z')) for one class.
+def cyl_class_images(s: complex, ell: float, classes, z: HPoint, z2: HPoint) -> np.ndarray:
+    """Raw image sums sum_k lam^k g_s(sigma(z, e^{k ell} z')), one per class.
 
-    No fundamental-domain reduction is applied; valid for any half-plane
-    points with z != z'.
+    With A = |z||z'|/(2yy'), L = log(|z'|/|z|), alpha and beta the
+    arguments of z and z', and x_k = k ell + L,
+
+        sigma_k = A (cosh x_k - cos(alpha + beta))
+                = 2A (sinh^2(x_k/2) + sin^2((alpha + beta)/2)).
+
+    The near images, sigma_k < 4 and the two around x = 0, go through g_s;
+    the far ones through `_image_series`.  Their window ends on each side
+    where the rest, which shrinks by at least
+    |lam| e^{-Re s (ell - 2 log(1 + e^{-|x|}))} per image, is below
+    e^-_WINDOW_CUT of the largest far image.  lam^k and sigma_k^-s share
+    one exponent, so that neither overflows alone.  No fundamental-domain
+    reduction is applied; valid for any half-plane points with z != z'.
     """
-    wc = z2.z
-    unit_modulus = abs(abs(lam) - 1.0) < 1e-15
-    log_lam = cmath.log(lam)
+    s = complex(s)
+    theta = np.array([cls.theta for cls in classes])
+    log_abs = np.array([cls.log_abs for cls in classes])
+    big_a = abs(z.z) * abs(z2.z) / (2.0 * z.y * z2.y)
+    big_l = math.log(abs(z2.z) / abs(z.z))
+    sin2 = math.sin(0.5 * (cmath.phase(z.z) + cmath.phase(z2.z))) ** 2
 
-    def term(k: int) -> complex:
-        if abs(k) * ell > 700.0:
-            # image beyond double range; its contribution underflowed long ago
-            return 0.0 + 0.0j
-        img = HPoint.from_complex(math.exp(k * ell) * wc)
-        base = g_s(s, sigma(z, img))
-        if unit_modulus:
-            return lam**k * base
-        # non-unit |lam|: lam^k alone can overflow while base underflows;
-        # the product is controlled by the convergence condition
-        if base == 0.0:
-            return 0.0 + 0.0j
-        return cmath.exp(k * log_lam + cmath.log(base))
+    def log_weights(k: np.ndarray) -> np.ndarray:
+        """log lam_j^k per image k and class j, the angle reduced mod 2 pi."""
+        return np.multiply.outer(k, log_abs) + 2j * math.pi * (np.multiply.outer(k, theta) % 1.0)
 
-    return _images_sum(term, g_s(s, sigma(z, z2)), cfg)
+    def log_sigma(k: np.ndarray) -> np.ndarray:
+        ax = np.abs(k * ell + big_l)
+        return math.log(2.0 * big_a) + ax + np.log(0.25 * np.expm1(-ax) ** 2 + sin2 * np.exp(-ax))
+
+    k0 = math.floor(-big_l / ell)
+    reach = 2.0 * math.asinh(math.sqrt(max(2.0 / big_a - sin2, 0.0))) / ell
+    lo = min(k0, math.floor(-big_l / ell - reach))
+    hi = max(k0 + 1, math.ceil(-big_l / ell + reach))
+
+    def far_length(side: int) -> int:
+        rate = ell * s.real - float(np.max(side * log_abs, initial=-math.inf))
+        m = max(8, math.ceil(_WINDOW_CUT / rate)) if rate > 0.0 else _MAX_IMAGES + 1
+        while m <= _MAX_IMAGES:
+            k = (hi if side > 0 else lo) + side * np.arange(1, m + 1)
+            tau = log_weights(k).real - s.real * log_sigma(k)[:, None]
+            # sigma_{k+1} / sigma_k >= e^ell / (1 + e^{-|x_k|})^2 further out
+            shrink = side * log_abs - s.real * (
+                ell - 2.0 * math.log1p(math.exp(-abs(k[-1] * ell + big_l)))
+            )
+            if np.all(shrink < 0.0) and np.all(
+                tau[-1] + shrink - np.log(-np.expm1(shrink)) <= tau.max(axis=0) - _WINDOW_CUT
+            ):
+                break
+            m *= 2
+        return m
+
+    up, down = far_length(1), far_length(-1)
+    _check_budget(hi - lo + 1, up + down)
+    k = np.concatenate([hi + np.arange(1, up + 1), lo - np.arange(1, down + 1)])
+    log_sig = log_sigma(k)
+    weights = np.exp(log_weights(k) - s * log_sig[:, None])
+    k_near = np.arange(lo, hi + 1)
+    sigmas = [sigma(z, HPoint.from_complex(math.exp(j * ell) * z2.z)) for j in k_near.tolist()]
+    return _image_series(
+        s, sigmas, np.exp(log_weights(k_near)).T,
+        lambda n: np.exp(-np.multiply.outer(n, log_sig)) @ weights,
+        lambda big_n: np.exp(-big_n * log_sig) @ np.abs(weights),
+        math.exp(-float(log_sig.min())),
+    )
 
 
 def _reduce_cylinder(z: HPoint, ell: float) -> tuple[HPoint, int]:
@@ -189,14 +216,7 @@ def _reduce_cylinder(z: HPoint, ell: float) -> tuple[HPoint, int]:
     return HPoint.from_complex(math.exp(-m * ell) * z.z), m
 
 
-def cyl_kernel_images(
-    s: complex,
-    ell: float,
-    t: TwistSpec,
-    z: HPoint,
-    z2: HPoint,
-    cfg: ImagesConfig = ImagesConfig(),
-) -> np.ndarray:
+def cyl_kernel_images(s: complex, ell: float, t: TwistSpec, z: HPoint, z2: HPoint) -> np.ndarray:
     """Twisted cylinder resolvent kernel by the method of images.
 
     Returns one complex value per eigenvalue class of the twist.  Points
@@ -206,12 +226,14 @@ def cyl_kernel_images(
     s = complex(s)
     if not ell > 0.0:
         raise DomainError(f"cylinder length must be positive, got {ell}")
-    _require_convergence(s, ell, t)
+    abscissa = t.log_norm() / ell
+    if s.real <= abscissa + MARGIN:
+        raise DomainError(
+            f"Re s = {s.real} not above the convergence abscissa {abscissa} + margin {MARGIN}"
+        )
     zf, m1 = _reduce_cylinder(z, ell)
     wf, m2 = _reduce_cylinder(z2, ell)
-    return _classwise(
-        t, m1 - m2, lambda cls: cyl_class_images(s, ell, cls.eigenvalue, zf, wf, cfg)
-    )
+    return _classwise(t, m1 - m2, cyl_class_images(s, ell, t.angles, zf, wf))
 
 
 def _log_cosh(r: float) -> float:
@@ -250,21 +272,9 @@ def _v_profile_scaled(s: complex, q: float, r: float) -> tuple[complex, float]:
     return m * cmath.exp(complex(0.0, -s.imag * lc)), e - s.real * lc
 
 
-def _scaled_to_value(m: complex, e: float, what: str) -> complex:
-    if m == 0.0:
-        return 0.0 + 0.0j
-    x = e + math.log(abs(m))
-    if x > 709.0:
-        raise specfun.OverflowBudgetError(f"{what} overflows a double ({x:.1f})")
-    if x < -745.0:
-        return 0.0 + 0.0j
-    return m * math.exp(e)
-
-
 def v_profile(s: complex, q: float, r: float) -> complex:
     """Cylinder mode profile (cosh r)^{-s} F~(s+iq, s-iq; s+1/2; (1-tanh r)/2)."""
-    m, e = _v_profile_scaled(complex(s), q, r)
-    return _scaled_to_value(m, e, "cylinder mode profile")
+    return _assemble_mode(0j, _v_profile_scaled(complex(s), q, r), (1.0, 0.0))
 
 
 def _assemble_mode(log_pref: complex, f1: tuple[complex, float], f2: tuple[complex, float]) -> complex:
@@ -299,33 +309,37 @@ def cyl_mode(s: complex, kappa: float, r: float, r2: float, ell: float) -> compl
 def _mode_sum(mode_term, k_max: int | None) -> complex:
     """Sum mode_term(k) over k in Z, adaptively unless k_max is given.
 
-    The side tails are estimated geometrically from the last magnitude
-    ratio with a safety factor of 10 (the ratio still creeps toward its
-    asymptote when r and r' are close), relative to the largest term so far.
+    The adaptive sum adds k = 1, 2, ... and then k = -1, -2, ....  A side's
+    tail is estimated geometrically from the last magnitude ratio with a
+    safety factor of 10 (the ratio still creeps toward its asymptote when
+    r and r' are close), relative to the largest term so far; a side that
+    passes _MAX_FOURIER_MODES raises TruncationError.
     """
     center = mode_term(0)
+    total = center
     if k_max is not None:
-        total = center
         for k in range(1, k_max + 1):
             total += mode_term(k) + mode_term(-k)
         return total
     scale = max(abs(center), 1e-30)
-
-    def done(n: int, mag: float, prev) -> bool:
-        nonlocal scale
-        scale = max(scale, mag)
-        if mag == 0.0 and prev == 0.0:
-            return True  # two consecutive true underflows: the tail is gone
-        if prev is not None and 0.0 < mag < prev:
-            ratio = mag / prev
-            tail = mag * ratio / (1.0 - ratio) if ratio < 0.995 else math.inf
-            return 10.0 * tail < FOURIER_TAIL_TOL * scale
-        return False
-
-    return _sum_over_z(
-        mode_term, center, done, _MAX_FOURIER_MODES,
-        f"Fourier synthesis needs more than {_MAX_FOURIER_MODES} modes",
-    )
+    for side in (1, -1):
+        prev = None
+        for k in range(side, side * (_MAX_FOURIER_MODES + 1), side):
+            cur = mode_term(k)
+            total += cur
+            mag = abs(cur)
+            scale = max(scale, mag)
+            if mag == 0.0 and prev == 0.0:
+                break  # two consecutive true underflows: the tail is gone
+            if prev is not None and 0.0 < mag < prev:
+                ratio = mag / prev
+                tail = mag * ratio / (1.0 - ratio) if ratio < 0.995 else math.inf
+                if 10.0 * tail < FOURIER_TAIL_TOL * scale:
+                    break
+            prev = mag
+        else:
+            raise TruncationError(f"Fourier synthesis needs more than {_MAX_FOURIER_MODES} modes")
+    return total
 
 
 def _fourier_kernel(
@@ -345,7 +359,7 @@ def _fourier_kernel(
         total = _mode_sum(lambda k: mode_term(k + cls.theta), k_max)
         return total if ell is None else total / ell
 
-    return _classwise(t, c1.winding - c2.winding, class_value)
+    return _classwise(t, c1.winding - c2.winding, [class_value(cls) for cls in t.angles])
 
 
 def cyl_kernel_fourier(
@@ -385,11 +399,6 @@ def log_beta_kappa(s: complex, q: float) -> complex:
     )
 
 
-def beta_kappa(s: complex, q: float) -> complex:
-    """(1/2) Gamma((s + iq + 1)/2) Gamma((s - iq + 1)/2)."""
-    return cmath.exp(log_beta_kappa(s, q))
-
-
 def _v0_profile_scaled(s: complex, q: float, r: float) -> tuple[complex, float]:
     th = math.tanh(r)
     warg = th * th
@@ -410,8 +419,7 @@ def _v0_profile_scaled(s: complex, q: float, r: float) -> tuple[complex, float]:
 
 def v0_profile(s: complex, q: float, r: float) -> complex:
     """Dirichlet profile tanh(r) (cosh r)^{-s} F~(.., ..; 3/2; tanh^2 r)."""
-    m, e = _v0_profile_scaled(complex(s), q, r)
-    return _scaled_to_value(m, e, "funnel boundary profile")
+    return _assemble_mode(0j, _v0_profile_scaled(complex(s), q, r), (1.0, 0.0))
 
 
 def funnel_mode(s: complex, kappa: float, r: float, r2: float, ell: float) -> complex:
@@ -437,7 +445,6 @@ def funnel_kernel(
     t: TwistSpec,
     c1: CylCoord,
     c2: CylCoord,
-    cfg: ImagesConfig = ImagesConfig(),
 ) -> np.ndarray:
     """Funnel resolvent kernel by images: R_C(z, z') - R_C(z, reflected z').
 
@@ -449,8 +456,8 @@ def funnel_kernel(
     z = cyl_to_plane(c1, ell)
     w = cyl_to_plane(c2, ell)
     w_refl = cyl_to_plane(CylCoord(-c2.r, c2.phi), ell)
-    direct = cyl_kernel_images(s, ell, t, z, w, cfg)
-    image = cyl_kernel_images(s, ell, t, z, w_refl, cfg)
+    direct = cyl_kernel_images(s, ell, t, z, w)
+    image = cyl_kernel_images(s, ell, t, z, w_refl)
     phases = np.array(
         [cls.eigenvalue ** (c1.winding - c2.winding) for cls in t.angles]
     )
@@ -526,8 +533,8 @@ def cusp_kernel(
 
 
 def _lattice_window(s: complex, a: float, b: float) -> int:
-    """Last |k| summed term by term before the S_xi tails take over."""
-    return int(max(64.0, 8.0 + abs(a), 8.0 + 3.0 * b, 8.0 + 2.0 * abs(s)))
+    """Last |k| summed term by term before the S_xi tails take over, at most 2^62."""
+    return int(min(max(64.0, 8.0 + abs(a), 8.0 + 3.0 * b, 8.0 + 2.0 * abs(s)), 2.0**62))
 
 
 def cusp_class_images(s: complex, thetas, z: HPoint, z2: HPoint) -> np.ndarray:
@@ -535,18 +542,11 @@ def cusp_class_images(s: complex, thetas, z: HPoint, z2: HPoint) -> np.ndarray:
 
     With a = x' - x, b = y + y' and L = 4yy', sigma_k = ((k+a)^2 + b^2)/L.
     The near images |k| <= K, K >= 3 the least with sigma_k >= 4 beyond it,
-    are summed with g_s, once for all classes.  The far ones go through
-    the n-series of g_s,
-
-        (1/4pi) sum_n c_n sum_{|k|>K} lam^k sigma_k^-(s+n),
-        c_n = Gamma(s+n)^2 / (n! Gamma(2s+n)),
-
-    whose inner sums are the S_xi lattice sums without their near terms:
-    a numpy window up to `_lattice_window`, then `_sxi_tails`.  Every n
-    loses a factor 1/sigma_k <= 1/4, so the series stops on a bound of its
-    remainder relative to the smallest class sum.  The tails carry the
-    continuation of the sum below Re s = 1/2, so Re s > MARGIN suffices;
-    theta = 0 has its pole at s = 1/2.
+    go through g_s, once for all classes; the far ones through
+    `_image_series`, whose inner sums are the S_xi lattice sums without
+    their near terms: a numpy window up to `_lattice_window`, then
+    `_sxi_tails`.  The tails carry the continuation of the sum below
+    Re s = 1/2, so Re s > MARGIN suffices; theta = 0 has its pole at s = 1/2.
     """
     s = complex(s)
     thetas = np.asarray(thetas, dtype=float)
@@ -556,44 +556,35 @@ def cusp_class_images(s: complex, thetas, z: HPoint, z2: HPoint) -> np.ndarray:
         raise PoleError("resolvent pole at s = 1/2 for the theta = 0 class")
     a, b, big_l = z2.x - z.x, z.y + z2.y, 4.0 * z.y * z2.y
     k_near = 3
-    while big_l > 0.25 * ((k_near + 1 - abs(a)) ** 2 + b * b):
+    while big_l > 0.25 * ((k_near + 1 - abs(a)) ** 2 + b * b) and k_near <= _MAX_IMAGES:
         k_near += 1
-    k = np.arange(-k_near, k_near + 1)
-    near = np.array([g_s(s, sigma(z, HPoint(z2.x + j, z2.y))) for j in k.tolist()])
-    near = np.exp(2j * math.pi * (np.multiply.outer(thetas, k) % 1.0)) @ near
-
     window = _lattice_window(s, a, b)
+    _check_budget(2 * k_near + 1, 2 * (window - k_near))
+    k = np.arange(-k_near, k_near + 1)
+    sigmas = [sigma(z, HPoint(z2.x + j, z2.y)) for j in k.tolist()]
+    near_weights = np.exp(2j * math.pi * (np.multiply.outer(thetas, k) % 1.0))
+
     k = np.concatenate([np.arange(k_near + 1, window + 1), np.arange(-window, -k_near)])
     log_sig = np.log(((k + a) ** 2 + b * b) / big_l)
     phases = np.exp(2j * math.pi * (np.multiply.outer(k, thetas) % 1.0))
-    q = math.exp(-float(log_sig.min()))  # largest 1/sigma_k of a far image, <= 1/4
-    c0 = cmath.exp(2.0 * log_gamma(s) - log_gamma(2.0 * s))
-    big_n = max(8, math.ceil(37.0 / -math.log(q)))
-    while big_n <= _MAX_CUSP_SERIES:
-        n = np.arange(big_n + 1)
+
+    def far_sums(n: np.ndarray) -> np.ndarray:
         p = s + n
-        # c_{n+1} = c_n (s+n)^2 / ((n+1)(2s+n)); ratio[N] leads on to c_{N+1}
-        ratio = p**2 / ((n + 1.0) * (p + s))
-        c = c0 * np.cumprod(np.concatenate([[1.0], ratio[:-1]]))
         lattice = np.exp(-np.multiply.outer(p, log_sig)) @ phases
         for j, theta in enumerate(thetas):
             lattice[:, j] += _sxi_tails(theta, p, a, b, window + 1, math.log(big_l))
-        total = near + c @ lattice / (4.0 * math.pi)
-        # the terms n > N add at most |c_{N+1}| q E_N / (4pi (1 - rho q)),
-        # E_N = sum_far sigma_k^-(Re s + N) with the part past the window
-        # bounded by the integral, and rho >= |c_{m+1}/c_m| for all m > N
+        return lattice
+
+    def far_abs(big_n: int) -> float:
+        # the part past the window is bounded by the integral
         pw = s.real + big_n
-        e_n = float(np.exp(-pw * log_sig).sum()) + 2.0 * math.exp(
+        return float(np.exp(-pw * log_sig).sum()) + 2.0 * math.exp(
             pw * math.log(big_l) + (1.0 - 2.0 * pw) * math.log(window - abs(a))
         ) / (2.0 * pw - 1.0)
-        rho = max(1.0, (abs(s) + big_n + 1) ** 2 / ((big_n + 1) * (big_n + 2)))
-        if rho * q < 1.0:
-            bound = abs(c[-1] * ratio[-1]) * q * e_n / (4.0 * math.pi * (1.0 - rho * q))
-            if bound <= CUSP_SERIES_TOL * float(np.min(np.abs(total))):
-                return total
-        big_n *= 2
-    raise TruncationError(
-        f"cusp image n-series not below {CUSP_SERIES_TOL} relative within {_MAX_CUSP_SERIES} terms"
+
+    # q, the largest 1/sigma_k of a far image, is <= 1/4
+    return _image_series(
+        s, sigmas, near_weights, far_sums, far_abs, math.exp(-float(log_sig.min()))
     )
 
 
@@ -608,10 +599,8 @@ def cusp_kernel_images(s: complex, t: TwistSpec, c1: CylCoord, c2: CylCoord) -> 
     z = HPoint(x1, p1.y)
     w = HPoint(x2, p2.y)
     thetas = [cls.theta for cls in t.angles]
-    sums = dict(zip(thetas, cusp_class_images(s, thetas, z, w))) if thetas else {}
-    return _classwise(
-        t, int(m1) - int(m2) + c1.winding - c2.winding, lambda cls: sums[cls.theta]
-    )
+    sums = cusp_class_images(s, thetas, z, w) if thetas else []
+    return _classwise(t, int(m1) - int(m2) + c1.winding - c2.winding, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -744,23 +733,16 @@ def s_xi_continued(xi_angle: float, s: complex, a: float, b: float) -> complex:
     pib2 = math.pi * math.pi * b * b
     m_min = 1.0 if lam == 0.0 else min(lam, 1.0 - lam)
 
-    def dual_sum(u: float) -> complex:
-        kmax = int(math.sqrt(u * 700.0 / pib2)) + 2
-        acc = 0.0 + 0.0j
-        for k in range(-kmax, kmax + 1):
-            freq = k + lam
-            if freq == 0.0:
-                continue
-            ex = -pib2 * freq * freq / u
-            if ex < -700.0:
-                continue
-            # dual phase is e^{-2 pi i a (k+lam)}: the sign is pinned by the
-            # index-shift identity S(s; a+1, b) = xi^{-1} S(s; a, b)
-            acc += cmath.exp(complex(ex, -2.0 * math.pi * a * freq))
-        return acc
-
     def integrand(u: float) -> complex:
-        return cmath.exp(-u + (s - 1.5) * math.log(u)) * dual_sum(u)
+        kmax = int(math.sqrt(u * 700.0 / pib2)) + 2
+        freq = np.arange(-kmax, kmax + 1) + lam
+        ex = -pib2 * freq * freq / u
+        # the dual sum leaves out the zero frequency and terms below e^-700;
+        # its phase is e^{-2 pi i a (k+lam)}: the sign is pinned by the
+        # index-shift identity S(s; a+1, b) = xi^{-1} S(s; a, b)
+        keep = (freq != 0.0) & (ex >= -700.0)
+        dual = complex(np.exp(ex[keep] - 2j * math.pi * a * freq[keep]).sum())
+        return cmath.exp(-u + (s - 1.5) * math.log(u)) * dual
 
     # upper limit: e^{-U} U^{Re s - 1/2} < 1e-16
     U = 45.0

@@ -39,6 +39,12 @@ _CENSUS_BLOCK = 1 << 15
 #: 350 bytes per row.
 _MAX_LISTED = 4_000_000
 
+#: Work `census` may do, in real parts walked over all radii, classes and
+#: signs (100-170 ns each); each radius, class and sign adds the fixed cost
+#: of its numpy calls, about _CENSUS_CALL_COST real parts.
+_MAX_CENSUS_WALK = 10**8
+_CENSUS_CALL_COST = 512
+
 
 @dataclass(frozen=True)
 class Resonance:
@@ -208,6 +214,24 @@ def _require_radius(radius: float) -> None:
         raise DomainError(f"radius must be finite, got {radius}")
 
 
+def _last_real_part(ell: float, cls, r: float, real_base: int, real_step: int) -> int:
+    """Largest n whose real parts -n + p log_abs/ell can hold a point of cls in |s| < r.
+
+    Every point of the class has |Im s| >= omega min(theta, 1 - theta), so
+    |Re s| < sqrt(r^2 - (omega min(theta, 1 - theta))^2); one real step of
+    margin leaves every decision to the callers' strict hypot test.  Raises
+    DomainError where `_interval_count`'s interval ends, which move by 1.0,
+    would not stay exact integers.
+    """
+    omega = 2.0 * math.pi / ell
+    shift = abs(cls.log_abs / ell)
+    if not r + shift + r / omega < 2.0**52:
+        raise DomainError(f"N({r}) is too large to count in floating point")
+    gap = omega * min(cls.theta, 1.0 - cls.theta)
+    reach = min(math.sqrt(max(r * r - gap * gap, 0.0)) + real_step, r)
+    return int(math.ceil(reach + shift)) + real_base
+
+
 def _lattice_points(
     ell: float, t: TwistSpec, radius: float, real_base: int, real_step: int
 ) -> ResonanceSet:
@@ -228,8 +252,8 @@ def _lattice_points(
     blocks = []
     for cls, fr in zip(t.angles, fracs):
         shift = cls.log_abs / ell
+        n_max = _last_real_part(ell, cls, radius, real_base, real_step)
         for p in (1, -1):
-            n_max = int(math.ceil(radius + abs(shift))) + real_base
             n_real = np.arange(real_base, n_max + 1, real_step)
             re = -n_real + p * shift
             keep = np.abs(re) < radius
@@ -331,10 +355,7 @@ def _interval_count(
     for cls in t.angles:
         shift = cls.log_abs / ell
         theta = cls.theta
-        # the ends move by 1.0 at a time: they must stay exact integers
-        if not r + abs(shift) + r / omega < 2.0**52:
-            raise DomainError(f"N({r}) is too large to count in floating point")
-        n_max = int(math.ceil(r + abs(shift))) + real_base
+        n_max = _last_real_part(ell, cls, r, real_base, real_step)
         for start in range(real_base, n_max + 1, stride):
             n_real = np.arange(start, min(start + stride, n_max + 1), real_step, dtype=float)
             for p in (1, -1):
@@ -361,26 +382,41 @@ def _interval_count(
     return total
 
 
+def _lattice_ends(spec: SurfaceSpec) -> list[tuple[float, TwistSpec, int, int]]:
+    """(ell, twist, real_base, real_step) of every funnel and cylinder lattice."""
+    return [(ell, t, 1, 2) for ell, t in spec.funnels] + [(ell, t, 0, 1) for ell, t in spec.cylinders]
+
+
 def _count(spec: SurfaceSpec, r: float, limit: float = math.inf) -> int:
     """N(r) of the spec by `_interval_count`; a count past limit may stop early."""
     cusp_mult = sum(c.mult for t in spec.cusps for c in t.angles if c.theta == 0.0)
-    return (
-        sum(_interval_count(ell, t, r, 1, 2, limit) for ell, t in spec.funnels)
-        + sum(_interval_count(ell, t, r, 0, 1, limit) for ell, t in spec.cylinders)
-        + (cusp_mult if r > 0.5 else 0)
-    )
+    return sum(
+        _interval_count(ell, t, r, base, step, limit) for ell, t, base, step in _lattice_ends(spec)
+    ) + (cusp_mult if r > 0.5 else 0)
 
 
 def census(spec: SurfaceSpec, r_max: float, n_samples: int) -> list[tuple[float, int]]:
     """Table of (r, N(r)) at n_samples radii evenly spaced in (0, r_max].
 
     N(r) is counted by integer intervals (see `_interval_count`), not by
-    enumerating `surface_resonances`; the two agree exactly.
+    enumerating `surface_resonances`; the two agree exactly.  The real parts
+    that would be walked are added up first: past _MAX_CENSUS_WALK the
+    census raises DomainError before it counts anything.
     """
     if n_samples < 1:
         raise InsufficientDataError("census needs at least one sample radius")
     _require_radius(r_max)
-    radii = (r_max * (i + 1) / n_samples for i in range(n_samples))
+    classes = [(ell, cls, base, step) for ell, t, base, step in _lattice_ends(spec) for cls in t.angles]
+    walk = 2 * _CENSUS_CALL_COST * max(len(classes), 1) * n_samples
+    radii = [r_max * (i + 1) / n_samples for i in range(n_samples)] if walk <= _MAX_CENSUS_WALK else []
+    for r in radii:
+        for ell, cls, base, step in classes:
+            walk += 2 * ((_last_real_part(ell, cls, r, base, step) - base) // step + 1)
+    if walk > _MAX_CENSUS_WALK:
+        raise DomainError(
+            f"census would walk about {walk} real parts, more than {_MAX_CENSUS_WALK}; "
+            "ask for a smaller r_max or fewer samples"
+        )
     return [(r, _count(spec, r)) for r in radii]
 
 

@@ -13,7 +13,7 @@ import cmath
 
 from .errors import DomainError, PoleError
 from .geometry import TWO_PI
-from .model_kernels import beta_kappa, funnel_mode, v0_profile
+from .model_kernels import funnel_mode, log_beta_kappa, v0_profile
 from .specfun import _is_nonpositive_integer, log_gamma, rgamma
 
 def poisson_mode(s: complex, kappa: float, r: float, ell: float) -> complex:
@@ -26,7 +26,7 @@ def poisson_mode(s: complex, kappa: float, r: float, ell: float) -> complex:
     if r < 0.0:
         raise DomainError(f"Poisson mode needs r >= 0, got {r}")
     q = TWO_PI / ell * abs(kappa)  # even in kappa
-    return beta_kappa(s, q) * v0_profile(s, q, r) * rgamma(s + 0.5) / ell
+    return cmath.exp(log_beta_kappa(s, q)) * v0_profile(s, q, r) * rgamma(s + 0.5) / ell
 
 
 def scattering_coeff(s: complex, kappa: float, ell: float) -> complex:

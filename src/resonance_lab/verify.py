@@ -46,39 +46,34 @@ def _sample_cylinder_pairs(rng, n, r_range=(-2.0, 2.0), min_dr=0.15):
     return out
 
 
+def _max_rel_err(pairs) -> float:
+    """Largest relative images-vs-Fourier difference over (images, fourier) pairs."""
+    return max(float(np.max(np.abs(ki - kf) / np.abs(ki))) for ki, kf in pairs)
+
+
 def check_two_representation_cylinder(n_pairs: int = 20, tol: float = 1e-6) -> CheckResult:
-    rng = np.random.default_rng(101)
     ell, t = 1.0, _TWIST_EXAMPLE
-    worst = 0.0
-    for c1, c2 in _sample_cylinder_pairs(rng, n_pairs):
-        ki = mk.cyl_kernel_images(
-            _S_REF, ell, t, cyl_to_plane(c1, ell), cyl_to_plane(c2, ell),
-            mk.ImagesConfig(tail_tol=1e-12),
-        )
-        kf = mk.cyl_kernel_fourier(_S_REF, ell, t, c1, c2)
-        worst = max(worst, float(np.max(np.abs(ki - kf) / np.abs(ki))))
-    return CheckResult(
-        "two_representation_cylinder", worst <= tol, f"max rel err {worst:.3e}"
+    worst = _max_rel_err(
+        (mk.cyl_kernel_images(_S_REF, ell, t, cyl_to_plane(c1, ell), cyl_to_plane(c2, ell)),
+         mk.cyl_kernel_fourier(_S_REF, ell, t, c1, c2))
+        for c1, c2 in _sample_cylinder_pairs(np.random.default_rng(101), n_pairs)
     )
+    return CheckResult("two_representation_cylinder", worst <= tol, f"max rel err {worst:.3e}")
 
 
 def check_two_representation_funnel(n_pairs: int = 20, tol: float = 1e-6) -> CheckResult:
-    rng = np.random.default_rng(102)
     ell, t = 1.0, _TWIST_EXAMPLE
-    worst = 0.0
-    for c1, c2 in _sample_cylinder_pairs(rng, n_pairs, (0.05, 2.2)):
-        ki = mk.funnel_kernel(_S_REF, ell, t, c1, c2, mk.ImagesConfig(tail_tol=1e-13))
-        kf = mk.funnel_kernel_fourier(_S_REF, ell, t, c1, c2)
-        worst = max(worst, float(np.max(np.abs(ki - kf) / np.abs(ki))))
-    return CheckResult(
-        "two_representation_funnel", worst <= tol, f"max rel err {worst:.3e}"
+    worst = _max_rel_err(
+        (mk.funnel_kernel(_S_REF, ell, t, c1, c2), mk.funnel_kernel_fourier(_S_REF, ell, t, c1, c2))
+        for c1, c2 in _sample_cylinder_pairs(np.random.default_rng(102), n_pairs, (0.05, 2.2))
     )
+    return CheckResult("two_representation_funnel", worst <= tol, f"max rel err {worst:.3e}")
 
 
 def check_two_representation_cusp(n_pairs: int = 20, tol: float = 1e-6) -> CheckResult:
     rng = np.random.default_rng(103)
     t = _TWIST_EXAMPLE
-    worst = 0.0
+    pairs = []
     # the last pairs lie below Re s = 1/2 + MARGIN, where the image sum is
     # continued through the S_xi tails
     for s in [_S_REF] * n_pairs + [0.3 + 1.2j] * 4:
@@ -87,12 +82,9 @@ def check_two_representation_cusp(n_pairs: int = 20, tol: float = 1e-6) -> Check
             c2 = CylCoord(rng.uniform(-0.5, 1.2), rng.uniform(0.0, TWO_PI))
             if abs(math.exp(c1.r) - math.exp(c2.r)) >= 0.15:
                 break
-        ki = mk.cusp_kernel_images(s, t, c1, c2)
-        kf = mk.cusp_kernel(s, t, c1, c2)
-        worst = max(worst, float(np.max(np.abs(ki - kf) / np.abs(ki))))
-    return CheckResult(
-        "two_representation_cusp", worst <= tol, f"max rel err {worst:.3e}"
-    )
+        pairs.append((mk.cusp_kernel_images(s, t, c1, c2), mk.cusp_kernel(s, t, c1, c2)))
+    worst = _max_rel_err(pairs)
+    return CheckResult("two_representation_cusp", worst <= tol, f"max rel err {worst:.3e}")
 
 
 def _ode_residual(mode, s, kap, r, r2, ell, h=1e-3):
@@ -190,21 +182,18 @@ def check_free_kernel_pde(n_points: int = 30, tol: float = 1e-4) -> CheckResult:
 def check_kernel_symmetries(tol: float = 1e-8) -> CheckResult:
     rng = np.random.default_rng(107)
     ell, t = 1.0, _TWIST_EXAMPLE
-    cfg = mk.ImagesConfig(tail_tol=1e-12)
+    lams = np.array([cls.eigenvalue for cls in t.angles])
     worst_eq = 0.0
     worst_sym = 0.0
     for _ in range(10):
         z = HPoint(rng.uniform(-1.0, 1.0), rng.uniform(0.8, 2.0))
         w = HPoint(rng.uniform(-1.0, 1.0), rng.uniform(2.5, 4.0))
         shifted = HPoint.from_complex(math.exp(ell) * z.z)
-        for cls in t.angles:
-            lam = cls.eigenvalue
-            a = mk.cyl_class_images(_S_REF, ell, lam, shifted, w, cfg)
-            b = lam * mk.cyl_class_images(_S_REF, ell, lam, z, w, cfg)
-            worst_eq = max(worst_eq, abs(a - b))
-            c = mk.cyl_class_images(_S_REF, ell, lam, z, w, cfg).conjugate()
-            d = mk.cyl_class_images(_S_REF.conjugate(), ell, lam, w, z, cfg)
-            worst_sym = max(worst_sym, abs(c - d))
+        base = mk.cyl_class_images(_S_REF, ell, t.angles, z, w)
+        a = mk.cyl_class_images(_S_REF, ell, t.angles, shifted, w)
+        worst_eq = max(worst_eq, float(np.max(np.abs(a - lams * base))))
+        d = mk.cyl_class_images(_S_REF.conjugate(), ell, t.angles, w, z)
+        worst_sym = max(worst_sym, float(np.max(np.abs(np.conj(base) - d))))
     ok = worst_eq <= tol and worst_sym <= tol
     return CheckResult(
         "kernel_symmetries", ok, f"equivariance {worst_eq:.3e}, conj-symmetry {worst_sym:.3e}"

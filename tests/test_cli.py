@@ -81,6 +81,14 @@ class TestResonancesCommand:
         original = SurfaceSpec.from_json_dict(json.loads(open(spec_file).read()))
         assert echoed == original
 
+    def test_census_budget_exit_2(self, spec_file, capsys):
+        # about 1e12 real parts to walk: refused before counting
+        t0 = time.perf_counter()
+        rc = cli.main(["count", "--spec", spec_file, "--r-max", "1e12"])
+        assert time.perf_counter() - t0 < 0.1
+        assert rc == 2
+        assert "census would walk" in capsys.readouterr().err
+
     def test_infinite_radius_exit_2(self, spec_file, capsys):
         assert cli.main(["resonances", "--spec", spec_file, "--radius", "inf"]) == 2
         assert "finite" in capsys.readouterr().err
@@ -148,6 +156,14 @@ class TestCountCommand:
         assert doc["growth_fit"]["coefficient"] > 0
 
 
+    def test_census_budget_exit_2(self, spec_file, capsys):
+        # about 1e12 real parts to walk: refused before counting
+        t0 = time.perf_counter()
+        rc = cli.main(["count", "--spec", spec_file, "--r-max", "1e12"])
+        assert time.perf_counter() - t0 < 0.1
+        assert rc == 2
+        assert "census would walk" in capsys.readouterr().err
+
     def test_infinite_radius_exit_2(self, spec_file, capsys):
         rc = cli.main(["count", "--spec", spec_file, "--r-max", "inf", "--samples", "4"])
         assert rc == 2
@@ -167,18 +183,28 @@ class TestKernelCommand:
         assert doc["max_rel_diff"] < 1e-6
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
-        # an impossible truncation budget must exit 3
+        # ell = 1e-4 at s = 0.2 needs millions of images: exit 3 at once
         path = tmp_path / "cyl.json"
-        path.write_text(json.dumps({"cylinders": [{"ell": 1.0, "twist": {"angles": [{"theta": 0.0, "mult": 1}]}}]}))
-        rc = cli.main(
-            [
-                "kernel", "--spec", str(path), "--end", "cylinder", "--method", "images",
-                "--s", "2", "--coords", "0.1", "1.0", "0.5", "2.0",
-                "--max-images", "5", "--tail-tol", "1e-14",
-            ]
-        )
+        path.write_text(json.dumps({"cylinders": [{"ell": 1e-4, "twist": {"angles": [{"theta": 0.0, "mult": 1}]}}]}))
+        argv = [
+            "kernel", "--spec", str(path), "--end", "cylinder", "--method", "images",
+            "--s", "0.2", "--coords", "0.1", "1.0", "0.5", "2.0",
+        ]
+        t0 = time.perf_counter()
+        rc = cli.main(argv)
+        assert time.perf_counter() - t0 < 0.1
         assert rc == 3
-        assert "images sum not below tail_tol=1e-14" in capsys.readouterr().err
+        assert "more than 10000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--tail-tol", "1e-12"), ("--max-images", "100")])
+    def test_retired_truncation_flags_exit_2(self, spec_file, flag, value):
+        argv = [
+            "kernel", "--spec", spec_file, "--end", "cylinder", "--s", "2+0.3i",
+            "--coords", "0.2", "1.0", "1.0", "2.0", flag, value,
+        ]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("method", ["images", "fourier", "both"])
     def test_twist_without_classes_exit_2(self, tmp_path, capsys, method):

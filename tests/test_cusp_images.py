@@ -3,11 +3,12 @@ reference loop, mpmath lattice tails, and its own symmetries and poles."""
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
 
-import cusp_images_reference as ref
+import images_reference as ref
 from resonance_lab import model_kernels as mk
 from resonance_lab.errors import DomainError, PoleError, TruncationError
 from resonance_lab.geometry import CylCoord
@@ -57,14 +58,14 @@ class TestAgainstReference:
     @pytest.mark.parametrize("s", [2.5 + 0.4j, 3.5 - 1.1j])
     def test_agrees(self, s):
         t = TwistSpec.from_angles([(0.0, 1), (0.25, 1), (0.9, 1)])
-        cfg = mk.ImagesConfig(max_images=40_000, tail_tol=1e-14)
+        cfg = ref.Config(max_images=40_000, tail_tol=1e-14)
         for c1, c2 in PAIRS[:2]:
             c1, c2 = CylCoord(*c1), CylCoord(*c2)
             kr = ref.cusp_kernel_images(s, t, c1, c2, cfg)
             assert rel_diff(mk.cusp_kernel_images(s, t, c1, c2), kr) <= 1e-11
 
     def test_cusp_images_budget_error(self):
-        cfg = mk.ImagesConfig(max_images=10, tail_tol=1e-14)
+        cfg = ref.Config(max_images=10, tail_tol=1e-14)
         msg = "cusp images not below tail_tol=1e-14 within 10 images"
         with pytest.raises(TruncationError, match=re.escape(msg)):
             ref.cusp_kernel_images(2.0 + 0.3j, EXAMPLE, CylCoord(0.2, 1.0), CylCoord(0.9, 2.5), cfg)
@@ -146,6 +147,16 @@ class TestDomain:
     def test_margin(self, s):
         with pytest.raises(DomainError, match="Re s > 0.1"):
             mk.cusp_kernel_images(s, EXAMPLE, CylCoord(0.2, 1.0), CylCoord(0.9, 2.5))
+
+    @pytest.mark.parametrize("c1,c2", [((9.5, 1.0), (9.6, 2.0)), ((709.0, 1.0), (-5.0, 2.0))])
+    def test_image_budget(self, monkeypatch, c1, c2):
+        # high up, or with y + y' near the largest double, the images needed
+        # exceed the budget: TruncationError before any g_s call
+        monkeypatch.setattr(mk, "g_s", None)
+        t0 = time.perf_counter()
+        with pytest.raises(TruncationError, match="more than 10000"):
+            mk.cusp_kernel_images(2.0 + 0.3j, EXAMPLE, CylCoord(*c1), CylCoord(*c2))
+        assert time.perf_counter() - t0 < 0.1
 
     def test_non_unitary_twist(self):
         t = TwistSpec.from_angles([(0.25, 1)], moduli=[0.3])

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import images_reference as ref
 from resonance_lab import model_kernels as mk
 from resonance_lab.errors import DomainError, PoleError, TruncationError
 from resonance_lab.geometry import TWO_PI, CylCoord, HPoint, cyl_to_plane, sigma
@@ -15,7 +16,6 @@ from resonance_lab.twist import TwistSpec
 S_REF = 2.0 + 0.3j
 ELL = 1.0
 TWIST = TwistSpec.from_angles([(0.25, 1), (0.5, 1)])  # diag(i, -1)
-CFG = mk.ImagesConfig(tail_tol=1e-12)
 
 
 def sample_pair(rng, r_lo, r_hi, ell, min_sigma=1.05, min_dr=0.15):
@@ -37,7 +37,7 @@ class TestCylinderKernel:
         for _ in range(8):
             c1, c2 = sample_pair(rng, -2.0, 2.0, ELL)
             ki = mk.cyl_kernel_images(
-                S_REF, ELL, TWIST, cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL), CFG
+                S_REF, ELL, TWIST, cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL)
             )
             kf = mk.cyl_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
             assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-6
@@ -45,66 +45,74 @@ class TestCylinderKernel:
     def test_equivariance(self):
         # raw image sums at z and e^ell z differ by the eigenvalue
         rng = np.random.default_rng(52)
+        lams = np.array([cls.eigenvalue for cls in TWIST.angles])
         for _ in range(5):
             z = HPoint(rng.uniform(-1, 1), rng.uniform(0.8, 2.0))
             w = HPoint(rng.uniform(-1, 1), rng.uniform(2.5, 4.0))
             shifted = HPoint.from_complex(math.exp(ELL) * z.z)
-            for cls in TWIST.angles:
-                lam = cls.eigenvalue
-                a = mk.cyl_class_images(S_REF, ELL, lam, shifted, w, CFG)
-                b = lam * mk.cyl_class_images(S_REF, ELL, lam, z, w, CFG)
-                assert abs(a - b) < 1e-8
+            a = mk.cyl_class_images(S_REF, ELL, TWIST.angles, shifted, w)
+            b = lams * mk.cyl_class_images(S_REF, ELL, TWIST.angles, z, w)
+            assert np.max(np.abs(a - b)) < 1e-8
 
     def test_conjugate_symmetry(self):
         # K_s(z, z')* = K_{s bar}(z', z) per class (unitary twist)
         z, w = HPoint(0.3, 1.1), HPoint(-0.5, 2.2)
-        for cls in TWIST.angles:
-            lam = cls.eigenvalue
-            a = mk.cyl_class_images(S_REF, ELL, lam, z, w, CFG).conjugate()
-            b = mk.cyl_class_images(S_REF.conjugate(), ELL, lam, w, z, CFG)
-            assert abs(a - b) < 1e-8
+        a = np.conj(mk.cyl_class_images(S_REF, ELL, TWIST.angles, z, w))
+        b = mk.cyl_class_images(S_REF.conjugate(), ELL, TWIST.angles, w, z)
+        assert np.max(np.abs(a - b)) < 1e-8
 
     def test_real_s_hermitian(self):
         z, w = HPoint(0.3, 1.1), HPoint(-0.5, 2.2)
-        for cls in TWIST.angles:
-            lam = cls.eigenvalue
-            a = mk.cyl_class_images(2.5, ELL, lam, z, w, CFG).conjugate()
-            b = mk.cyl_class_images(2.5, ELL, lam, w, z, CFG)
-            assert abs(a - b) < 1e-9
+        a = np.conj(mk.cyl_class_images(2.5, ELL, TWIST.angles, z, w))
+        b = mk.cyl_class_images(2.5, ELL, TWIST.angles, w, z)
+        assert np.max(np.abs(a - b)) < 1e-9
 
     def test_fundamental_domain_reduction(self):
         # public kernel is equivariant through the reduction word
         z = HPoint(0.2, 1.4)
         w = HPoint(-0.3, 2.1)
         far = HPoint.from_complex(math.exp(3 * ELL) * z.z)
-        base = mk.cyl_kernel_images(S_REF, ELL, TWIST, z, w, CFG)
-        moved = mk.cyl_kernel_images(S_REF, ELL, TWIST, far, w, CFG)
+        base = mk.cyl_kernel_images(S_REF, ELL, TWIST, z, w)
+        moved = mk.cyl_kernel_images(S_REF, ELL, TWIST, far, w)
         for j, cls in enumerate(TWIST.angles):
             assert abs(moved[j] - cls.eigenvalue**3 * base[j]) < 1e-8
 
     def test_convergence_abscissa(self):
         with pytest.raises(DomainError):
-            mk.cyl_kernel_images(0.05, ELL, TWIST, HPoint(0, 1), HPoint(0, 2), CFG)
+            mk.cyl_kernel_images(0.05, ELL, TWIST, HPoint(0, 1), HPoint(0, 2))
         t_mod = TwistSpec.from_angles([(0.0, 1)], moduli=[2.0])
         with pytest.raises(DomainError):
-            mk.cyl_kernel_images(1.9, ELL, t_mod, HPoint(0, 1), HPoint(0, 2), CFG)
+            mk.cyl_kernel_images(1.9, ELL, t_mod, HPoint(0, 1), HPoint(0, 2))
 
     def test_non_unitary_twist(self):
         # diagonalizable monodromy with modulus e^0.8: kernel finite and
-        # stable under tightening the truncation
+        # equal to the per-image reference loop at a tail far below it
         t = TwistSpec.from_angles([(0.25, 1)], moduli=[0.8])
         z, w = HPoint(0.0, 1.0), HPoint(0.3, 1.8)
-        a = mk.cyl_kernel_images(1.2, ELL, t, z, w, mk.ImagesConfig(tail_tol=1e-9))
-        b = mk.cyl_kernel_images(1.2, ELL, t, z, w, mk.ImagesConfig(tail_tol=1e-13))
+        a = mk.cyl_kernel_images(1.2, ELL, t, z, w)
+        b = ref.cyl_kernel_images(1.2, ELL, t, z, w, ref.Config(tail_tol=1e-20))
         assert np.isfinite(a.view(float)).all()
-        assert np.max(np.abs(a - b)) < 1e-9
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
-    def test_truncation_budget_error(self):
-        with pytest.raises(TruncationError):
-            mk.cyl_kernel_images(
-                0.2, ELL, TwistSpec.trivial(), HPoint(0, 1), HPoint(0, 2),
-                mk.ImagesConfig(max_images=4, tail_tol=1e-14),
-            )
+    def test_truncation_budget_error(self, monkeypatch):
+        # ell = 1e-4 needs about 2e6 images at s = 0.2: TruncationError
+        # before the first g_s call
+        def no_g_s(*args):
+            raise AssertionError("g_s ran before the image budget was checked")
+
+        monkeypatch.setattr(mk, "g_s", no_g_s)
+        t0 = time.perf_counter()
+        with pytest.raises(TruncationError, match="more than 10000"):
+            mk.cyl_kernel_images(0.2, 1e-4, TwistSpec.trivial(), HPoint(0, 1), HPoint(0, 2))
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_no_classes(self):
+        # a twist without classes has an empty kernel on every image route
+        empty = TwistSpec(())
+        c1, c2 = CylCoord(0.2, 1.0), CylCoord(0.9, 2.5)
+        assert mk.cyl_kernel_images(S_REF, ELL, empty, cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL)).size == 0
+        assert mk.funnel_kernel(S_REF, ELL, empty, c1, c2).size == 0
+        assert mk.cusp_kernel_images(S_REF, empty, c1, c2).size == 0
 
     def test_twist_phase(self):
         c1, c2 = CylCoord(-0.4, 2.0), CylCoord(0.8, 1.1)
@@ -125,19 +133,19 @@ class TestCylinderKernel:
             neg = mk.cyl_mode(S_REF, float(-k), r, r2, ELL)
             assert pos == neg
 
-    def test_increase_budget_stability(self):
+    def test_increase_budget_stability(self, monkeypatch):
         # raising k_max by 50% moves the kernel by less than the tail bound
         c1, c2 = CylCoord(0.5, 1.0), CylCoord(1.1, 4.0)
         a = mk.cyl_kernel_fourier(S_REF, ELL, TWIST, c1, c2, k_max=40)
         b = mk.cyl_kernel_fourier(S_REF, ELL, TWIST, c1, c2, k_max=60)
         assert np.max(np.abs(a - b)) < 1e-10
-        # same for the image sum: once the adaptive tail bound is met,
-        # a larger image budget cannot move the value by more than it
+        # same for the image sums: a series bound 100 times tighter moves
+        # no class by more than the looser bound
         z, w = cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL)
-        tol = 1e-9
-        ia = mk.cyl_kernel_images(S_REF, ELL, TWIST, z, w, mk.ImagesConfig(200, tol))
-        ib = mk.cyl_kernel_images(S_REF, ELL, TWIST, z, w, mk.ImagesConfig(300, tol / 1000))
-        assert np.max(np.abs(ia - ib)) < tol
+        ia = mk.cyl_kernel_images(S_REF, ELL, TWIST, z, w)
+        monkeypatch.setattr(mk, "SERIES_TOL", mk.SERIES_TOL / 100.0)
+        ib = mk.cyl_kernel_images(S_REF, ELL, TWIST, z, w)
+        assert np.all(np.abs(ia - ib) <= 1e-15 * np.abs(ib))
 
 
 class TestTruncation:
@@ -230,7 +238,7 @@ class TestFunnelKernel:
         rng = np.random.default_rng(54)
         for _ in range(8):
             c1, c2 = sample_pair(rng, 0.05, 2.2, ELL)
-            ki = mk.funnel_kernel(S_REF, ELL, TWIST, c1, c2, mk.ImagesConfig(tail_tol=1e-13))
+            ki = mk.funnel_kernel(S_REF, ELL, TWIST, c1, c2)
             kf = mk.funnel_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
             assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-6
 
@@ -238,7 +246,7 @@ class TestFunnelKernel:
         # slowly converging mode sum (r ~ r'): needs log-scaled profiles
         c1 = CylCoord(1.1776100337538342, 3.1039609370197336)
         c2 = CylCoord(1.2074494672455192, 6.139203243515375)
-        ki = mk.funnel_kernel(S_REF, ELL, TWIST, c1, c2, mk.ImagesConfig(tail_tol=1e-13))
+        ki = mk.funnel_kernel(S_REF, ELL, TWIST, c1, c2)
         kf = mk.funnel_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
         assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-8
 
@@ -246,13 +254,13 @@ class TestFunnelKernel:
         # funnel kernel = cylinder kernel minus reflected cylinder kernel
         c1, c2 = CylCoord(0.8, 1.2), CylCoord(1.4, 3.0)
         direct = mk.cyl_kernel_images(
-            S_REF, ELL, TWIST, cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL), CFG
+            S_REF, ELL, TWIST, cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL)
         )
         refl = mk.cyl_kernel_images(
             S_REF, ELL, TWIST, cyl_to_plane(c1, ELL),
-            cyl_to_plane(CylCoord(-c2.r, c2.phi), ELL), CFG,
+            cyl_to_plane(CylCoord(-c2.r, c2.phi), ELL),
         )
-        fun = mk.funnel_kernel(S_REF, ELL, TWIST, c1, c2, CFG)
+        fun = mk.funnel_kernel(S_REF, ELL, TWIST, c1, c2)
         assert np.max(np.abs(fun - (direct - refl))) < 1e-12
 
     def test_pole_blowup(self):
@@ -345,6 +353,18 @@ class TestSXi:
                     c = mk.s_xi_continued(xia, s, a, b)
                     assert abs(d - c) / abs(d) < 1e-8
 
+    @pytest.mark.parametrize("s", [12.0 + 0.3j, 20.0 + 0.3j])
+    @pytest.mark.parametrize("xia", [0.0, 0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("a,b", [(0.3, 0.5), (0.3, 4.35)])
+    def test_continued_at_large_s(self, s, xia, a, b):
+        # the integral is about Gamma(s - 1/2), up to 1e17: an absolute
+        # quadrature tolerance ran out of panels or took seconds here
+        t0 = time.perf_counter()
+        c = mk.s_xi_continued(xia, s, a, b)
+        assert time.perf_counter() - t0 < 1.0
+        d = mk.s_xi_direct(xia, s, a, b)
+        assert abs(c - d) <= 1e-12 * abs(d)
+
     def test_pole_witness(self):
         v = mk.s_xi_continued(0.0, 0.5 + 1e-4, 0.2, 1.0)
         assert abs(v) > 1e3
@@ -358,3 +378,78 @@ class TestSXi:
     def test_direct_domain_guard(self):
         with pytest.raises(DomainError):
             mk.s_xi_direct(0.0, 0.55, 0.0, 1.0)
+
+
+#: The per-image loop far past the engine's accuracy: an absolute tail of
+#: 1e-22 against terms of 1e-6 and more.
+REF_CFG = ref.Config(max_images=200_000, tail_tol=1e-22)
+NON_UNITARY = TwistSpec.from_angles([(0.25, 1), (0.6, 1)], moduli=[0.4, -0.2])
+
+
+class TestImagesAgainstReference:
+    """The image engine against the per-image loop, per class, within 1e-11
+    of max(|R|, 1e-4 sum_k |lam^k g_s(sigma_k)|): a class that cancels below
+    1e-4 of its images is not asked for more than they allow."""
+
+    @staticmethod
+    def assert_close(got, want, magnitude):
+        scale = np.maximum(np.abs(want), 1e-4 * magnitude)
+        assert np.all(np.abs(got - want) <= 1e-11 * scale), (got, want, magnitude)
+
+    @staticmethod
+    def reference(s, ell, t, z, w, magnitudes=False):
+        return np.array([
+            ref.cyl_class_images(s, ell, cls.eigenvalue, z, w, REF_CFG, magnitudes)
+            for cls in t.angles
+        ])
+
+    @pytest.mark.parametrize("ell", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("twist", [TwistSpec.trivial(), TWIST, NON_UNITARY], ids=["trivial", "diag", "non-unitary"])
+    def test_grid(self, ell, twist):
+        rng = np.random.default_rng(int(10 * ell) + 100 * len(twist.angles) + 7 * twist.is_unitary)
+        low = twist.log_norm() / ell + 0.15
+        for re_s, im_s in zip(np.linspace(low, 3.0, 3), (-2.7, 0.4, 3.0)):
+            s = complex(re_s, im_s)
+            for _ in range(2):
+                # cyl_to_plane puts every point in the fundamental domain,
+                # so the kernel is the raw class sum
+                c1, c2 = sample_pair(rng, -1.5, 1.5, ell)
+                z, w = cyl_to_plane(c1, ell), cyl_to_plane(c2, ell)
+                got = mk.cyl_kernel_images(s, ell, twist, z, w)
+                self.assert_close(
+                    got, self.reference(s, ell, twist, z, w), self.reference(s, ell, twist, z, w, True)
+                )
+            if twist.is_unitary:
+                c1, c2 = sample_pair(rng, 0.05, 2.0, ell)
+                z = cyl_to_plane(c1, ell)
+                w, w_refl = cyl_to_plane(c2, ell), cyl_to_plane(CylCoord(-c2.r, c2.phi), ell)
+                magnitude = self.reference(s, ell, twist, z, w, True) + self.reference(
+                    s, ell, twist, z, w_refl, True
+                )
+                want = ref.funnel_kernel(s, ell, twist, c1, c2, REF_CFG)
+                self.assert_close(mk.funnel_kernel(s, ell, twist, c1, c2), want, magnitude)
+
+    @pytest.mark.parametrize("s", [S_REF, 0.8 - 1.1j])
+    def test_vanishing_class(self, s):
+        # half a period apart in |z|, images k and -k-1 have the same sigma and
+        # opposite signs at theta = 1/2: that class is zero, which no relative
+        # bound can reach, and must come out at rounding level
+        z = cyl_to_plane(CylCoord(0.3, 1.0), ELL)
+        w = cyl_to_plane(CylCoord(-0.5, 1.0 + math.pi), ELL)
+        quarter, half = mk.cyl_class_images(s, ELL, TWIST.angles, z, w)
+        assert abs(half) <= 1e-15 * abs(quarter)
+
+    @pytest.mark.parametrize(
+        "s,c1,c2",
+        [
+            (2.609274 + 1.920115j, (1.894835, 0.886215), (-1.629364, 5.723137)),
+            (1.280420 - 0.535166j, (0.999706, 1.740449), (-0.861779, 4.856381)),
+        ],
+    )
+    def test_small_class_values(self, s, c1, c2):
+        # |R| ~ 1e-5 of its images, where an absolute tail of 1e-10 left the
+        # image route 3.7e-6 and 8.3e-7 off the Fourier route
+        c1, c2 = CylCoord(*c1), CylCoord(*c2)
+        ki = mk.cyl_kernel_images(s, ELL, TWIST, cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL))
+        kf = mk.cyl_kernel_fourier(s, ELL, TWIST, c1, c2)
+        assert np.max(np.abs(ki - kf) / np.abs(ki)) <= 1e-10

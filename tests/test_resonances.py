@@ -351,6 +351,73 @@ class TestIntervalCensus:
         assert peak < 16e6
 
 
+class TestSparseClasses:
+    """A class whose |Im s| >= omega min(theta, 1 - theta) exceeds the radius
+    has no point, whatever its number of real parts."""
+
+    SPEC = rz.SurfaceSpec(funnels=((1e-9, TwistSpec.from_angles([(0.5, 1)])),))
+
+    @pytest.mark.parametrize("what", ["listing", "census"])
+    def test_tiny_length_is_cheap(self, what):
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            if what == "listing":
+                assert len(rz.surface_resonances(self.SPEC, 1e6)) == 0
+            else:
+                assert rz.census(self.SPEC, 1e6, 8)[-1] == (1e6, 0)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.05
+        assert peak < 1e6
+
+    @staticmethod
+    def brute_count(ell, t, r, real_base, real_step):
+        """N(r) of one lattice, every real part up to r + |shift| tested point by point."""
+        omega, total = 2.0 * math.pi / ell, 0
+        for cls in t.angles:
+            shift = cls.log_abs / ell
+            m_max = int(r / omega) + 2
+            for p in (1, -1):
+                for n in range(real_base, int(r + abs(shift)) + real_base + 2, real_step):
+                    for m in range(-m_max, m_max + 1):
+                        if math.hypot(-n + p * shift, p * omega * (cls.theta + m)) < r:
+                            total += cls.mult
+        return total
+
+    @pytest.mark.parametrize(
+        "ell,twist,base,step",
+        [
+            (0.05, TwistSpec.from_angles([(0.3, 1), (0.5, 2)]), 1, 2),
+            (0.03, TwistSpec.from_angles([(0.1, 1), (0.45, 1)], [0.003, -0.001]), 0, 1),
+        ],
+    )
+    def test_counts_unchanged(self, ell, twist, base, step):
+        # omega min(theta, 1 - theta) is 21 to 94 here, inside the radius, so
+        # the bound drops real parts while points remain on others
+        spec = rz.SurfaceSpec(**{"funnels" if base else "cylinders": ((ell, twist),)})
+        table = rz.census(spec, 140.0, 7)
+        assert table == [(r, self.brute_count(ell, twist, r, base, step)) for r, _ in table]
+        assert rz.surface_resonances(spec, 140.0).total_multiplicity() == table[-1][1]
+
+
+class TestCensusBudget:
+    @pytest.mark.parametrize("r_max,n_samples", [(1e12, 8), (10.0, 10**6)])
+    def test_too_much_work_fails_fast(self, r_max, n_samples):
+        spec = rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),))
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="census would walk"):
+            rz.census(spec, r_max, n_samples)
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_within_budget(self):
+        # 8 radii up to 1e5 walk about 9e5 real parts
+        spec = rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),))
+        assert rz.census(spec, 1e5, 8)[-1][0] == 1e5
+
+
 class TestGrowthFit:
     def test_cylinder_coefficient(self):
         ell = 2.0 * math.pi
