@@ -16,6 +16,7 @@ order, so identical configurations produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re
@@ -54,17 +55,17 @@ _COMPLEX_RE = re.compile(
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 're', 're+imi' or 're-imi' (decimal) into a complex number."""
+    """Parse 're', 're+imi' or 're-imi' (decimal, finite) into a complex number."""
     m = _COMPLEX_RE.match(text)
     if not m:
         raise DomainError(f"cannot parse complex number {text!r}; expected 're+imi'")
-    re_part = float(m.group("re"))
-    im_text = m.group("im")
-    if im_text is None:
-        return complex(re_part, 0.0)
+    im_text = m.group("im") or "0"
     if im_text in ("+", "-"):
         im_text += "1"
-    return complex(re_part, float(im_text))
+    value = complex(float(m.group("re")), float(im_text))
+    if not cmath.isfinite(value):
+        raise DomainError(f"complex number {text!r} is not finite")
+    return value
 
 
 def _fmt(x: float) -> str:

@@ -19,10 +19,16 @@ sums S_xi, whose tails past a direct window `_sxi_tails` evaluates for
 every angle.  Fourier modes (`_mode_sum`) stop on a geometric tail
 estimate, times 10, below FOURIER_TAIL_TOL times the largest term so far.
 
-Mode profiles for the hyperbolic cylinder / funnel are built from the
-regularized hypergeometric function; cusp modes from modified Bessel
-functions of order s - 1/2.  The two routes agree on the common domain,
-which is the module's master cross-check.
+Mode sums evaluate their modes in blocks of k, 8 first and then doubling
+(cut short where the last magnitude ratio says the side ends sooner), and
+apply the stopping rule value by value within a block, so that they stop
+where a mode-by-mode sum would.  Each distinct |kappa| of a kernel is
+evaluated once: for theta = 0 and 1/2 the k > 0 and k < 0 sides share
+them.  Mode profiles for the hyperbolic cylinder / funnel are built from
+the regularized hypergeometric function, one array series per block;
+cusp modes from modified Bessel functions of order s - 1/2, one by one
+from blocks of 2.  The two routes agree on the common domain, which is
+the module's master cross-check.
 
 Evaluation domains (series guard GUARD_DELTA = 1e-3):
   * cylinder profile v(s; r) needs r >= -R_PROFILE_MIN (~ -3.45);
@@ -58,6 +64,12 @@ R0_PROFILE_MAX = math.atanh(math.sqrt(1.0 - specfun.GUARD_DELTA))
 FOURIER_TAIL_TOL = 1e-12
 
 _MAX_FOURIER_MODES = 3000
+
+#: Modes in the first block of a mode sum; each later block doubles.  The
+#: cusp's Bessel modes cost the same one by one as in a block, so its
+#: blocks start from the two that give a first magnitude ratio.
+_FIRST_BLOCK = 8
+_CUSP_FIRST_BLOCK = 2
 
 #: Relative bound on the remainder of every image sum's n-series.
 SERIES_TOL = 1e-15
@@ -112,8 +124,9 @@ def _image_series(s, sigmas, near_weights, far_sums, far_abs, q) -> np.ndarray:
         p = s + n
         # c_{n+1} = c_n (s+n)^2 / ((n+1)(2s+n)); ratio[N] leads on to c_{N+1}
         ratio = p**2 / ((n + 1.0) * (p + s))
-        c = c0 * np.cumprod(np.concatenate([[1.0], ratio[:-1]]))
-        total = near + c @ far_sums(n) / (4.0 * math.pi)
+        with np.errstate(over="ignore", invalid="ignore"):  # a c_n past a double fails the bound
+            c = c0 * np.cumprod(np.concatenate([[1.0], ratio[:-1]]))
+            total = near + c @ far_sums(n) / (4.0 * math.pi)
         # the terms n > N add at most |c_{N+1}| q E_N / (4pi (1 - rho q)),
         # E_N = far_abs(N) and rho >= |c_{m+1}/c_m| for all m > N
         rho = max(1.0, (abs(s) + big_n + 1) ** 2 / ((big_n + 1) * (big_n + 2)))
@@ -249,25 +262,19 @@ def _half_one_minus_tanh(r: float) -> float:
     return 1.0 / (1.0 + math.exp(2.0 * r))
 
 
-def log_a_kappa(s: complex, q: float) -> complex:
-    """log of 2^{-2s} Gamma(s + iq) Gamma(s - iq), q = omega * kappa."""
-    return (
-        -2.0 * s * math.log(2.0)
-        + log_gamma(complex(s.real, s.imag + q))
-        + log_gamma(complex(s.real, s.imag - q))
-    )
+def log_a_kappa(s: complex, q):
+    """log of 2^{-2s} Gamma(s + iq) Gamma(s - iq), q = omega * kappa (one or an array)."""
+    return -2.0 * s * math.log(2.0) + log_gamma(s + 1j * q) + log_gamma(s - 1j * q)
 
 
-def _v_profile_scaled(s: complex, q: float, r: float) -> tuple[complex, float]:
+def _v_profile_scaled(s: complex, q, r: float):
     warg = _half_one_minus_tanh(r)
     if warg > 1.0 - specfun.GUARD_DELTA:
         raise DomainError(
             f"profile argument (1-tanh r)/2 = {warg} outside the series guard; "
             f"needs r >= {-R_PROFILE_MIN:.3f}"
         )
-    m, e = specfun.reg_hyp2f1_scaled(
-        complex(s.real, s.imag + q), complex(s.real, s.imag - q), s + 0.5, warg
-    )
+    m, e = specfun.reg_hyp2f1_scaled(s + 1j * q, s - 1j * q, s + 0.5, warg)
     lc = _log_cosh(r)
     return m * cmath.exp(complex(0.0, -s.imag * lc)), e - s.real * lc
 
@@ -277,21 +284,13 @@ def v_profile(s: complex, q: float, r: float) -> complex:
     return _assemble_mode(0j, _v_profile_scaled(complex(s), q, r), (1.0, 0.0))
 
 
-def _assemble_mode(log_pref: complex, f1: tuple[complex, float], f2: tuple[complex, float]) -> complex:
-    """exp(log_pref) * f1 * f2 with all exponents combined before exp."""
-    m = f1[0] * f2[0]
-    if m == 0.0:
-        return 0.0 + 0.0j
-    x = log_pref.real + f1[1] + f2[1]
-    if x + math.log(abs(m)) < -745.0:
-        return 0.0 + 0.0j
-    if x + math.log(abs(m)) > 709.0:
-        raise specfun.OverflowBudgetError(f"mode value overflows a double ({x:.1f})")
-    return m * cmath.exp(complex(x, log_pref.imag))
+def _assemble_mode(log_pref, f1, f2):
+    """exp(log_pref) * f1 * f2 with all exponents combined before exp, per mode."""
+    return specfun.scaled_value(f1[0] * f2[0], log_pref + f1[1] + f2[1], "mode value")
 
 
-def cyl_mode(s: complex, kappa: float, r: float, r2: float, ell: float) -> complex:
-    """Two-point cylinder mode a_kappa(s) v(s; -min) v(s; max).
+def cyl_mode(s: complex, kappa, r: float, r2: float, ell: float):
+    """Two-point cylinder mode a_kappa(s) v(s; -min) v(s; max), for one kappa or an array.
 
     Symmetric in r <-> r2; poles on the lattice -N0 +- i omega kappa.
     The three factors are combined in log scale, so high frequencies whose
@@ -306,57 +305,87 @@ def cyl_mode(s: complex, kappa: float, r: float, r2: float, ell: float) -> compl
     )
 
 
-def _mode_sum(mode_term, k_max: int | None) -> complex:
-    """Sum mode_term(k) over k in Z, adaptively unless k_max is given.
+def _mode_sum(mode_terms, k_max: int | None, first_block: int = _FIRST_BLOCK) -> complex:
+    """Sum mode_terms(k) over k in Z, adaptively unless k_max is given.
 
-    The adaptive sum adds k = 1, 2, ... and then k = -1, -2, ....  A side's
-    tail is estimated geometrically from the last magnitude ratio with a
-    safety factor of 10 (the ratio still creeps toward its asymptote when
-    r and r' are close), relative to the largest term so far; a side that
-    passes _MAX_FOURIER_MODES raises TruncationError.
+    mode_terms takes an array of k and is called on blocks of them: the
+    first has first_block modes and each next one twice as many.  The
+    adaptive sum adds k = 1, 2, ... and then k = -1, -2, ..., and stops a
+    side at the first value, within its block, whose tail, estimated
+    geometrically from the last magnitude ratio with a safety factor of 10
+    (the ratio still creeps toward its asymptote when r and r' are close),
+    is below FOURIER_TAIL_TOL of the largest term so far, or at the second
+    of two consecutive zeros.  A block after the first is cut short where
+    the last ratio, if it held, would stop the side.  A side that passes
+    _MAX_FOURIER_MODES raises TruncationError.
     """
-    center = mode_term(0)
-    total = center
+    total = complex(mode_terms(np.zeros(1, dtype=int))[0])
     if k_max is not None:
-        for k in range(1, k_max + 1):
-            total += mode_term(k) + mode_term(-k)
+        lo, size = 1, first_block
+        while lo <= k_max:
+            k = np.arange(lo, min(lo + size, k_max + 1))
+            total += complex(np.sum(mode_terms(k) + mode_terms(-k)))
+            lo, size = lo + size, 2 * size
         return total
-    scale = max(abs(center), 1e-30)
+    scale = max(abs(total), 1e-30)
     for side in (1, -1):
-        prev = None
-        for k in range(side, side * (_MAX_FOURIER_MODES + 1), side):
-            cur = mode_term(k)
-            total += cur
-            mag = abs(cur)
-            scale = max(scale, mag)
-            if mag == 0.0 and prev == 0.0:
-                break  # two consecutive true underflows: the tail is gone
-            if prev is not None and 0.0 < mag < prev:
-                ratio = mag / prev
-                tail = mag * ratio / (1.0 - ratio) if ratio < 0.995 else math.inf
-                if 10.0 * tail < FOURIER_TAIL_TOL * scale:
-                    break
-            prev = mag
-        else:
-            raise TruncationError(f"Fourier synthesis needs more than {_MAX_FOURIER_MODES} modes")
+        prev = math.nan
+        lo, size = 1, first_block
+        while True:
+            if lo > _MAX_FOURIER_MODES:
+                raise TruncationError(f"Fourier synthesis needs more than {_MAX_FOURIER_MODES} modes")
+            k = np.arange(lo, min(lo + size, _MAX_FOURIER_MODES + 1))
+            values = mode_terms(side * k)
+            mags = np.abs(values)
+            before = np.concatenate(([prev], mags[:-1]))
+            scales = np.maximum.accumulate(np.concatenate(([scale], mags)))[1:]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = mags / before
+                tail = np.where(
+                    (0.0 < mags) & (mags < before) & (ratio < 0.995),
+                    mags * ratio / (1.0 - ratio), math.inf,
+                )
+            stop = ((mags == 0.0) & (before == 0.0)) | (10.0 * tail < FOURIER_TAIL_TOL * scales)
+            if stop.any():
+                last = int(stop.argmax())
+                total += complex(values[: last + 1].sum())
+                scale = float(scales[last])
+                break
+            total += complex(values.sum())
+            prev, scale = float(mags[-1]), float(scales[-1])
+            lo, size, rho = lo + k.size, 2 * size, float(ratio[-1])
+            if 0.0 < rho < 0.995:
+                ahead = math.log(FOURIER_TAIL_TOL * scale * (1.0 - rho) / (10.0 * rho * prev)) / math.log(rho)
+                size = min(size, max(1, math.ceil(ahead)))
     return total
 
 
 def _fourier_kernel(
-    t: TwistSpec, c1: CylCoord, c2: CylCoord, k_max: int | None, mode_term, ell=None
+    t: TwistSpec, c1: CylCoord, c2: CylCoord, k_max: int | None, profile, w: float,
+    ell=None, first_block: int = _FIRST_BLOCK,
 ) -> np.ndarray:
-    """Per class j: lambda_j^(w - w') sum_k mode_term(k + theta_j), over ell if given.
+    """Per class j: lambda_j^(w1 - w2) sum_k e^{i kappa w} profile(|kappa|), over ell if given.
 
-    mode_term takes the frequency k + theta_j; 2pi windings of the angles
-    enter through the twist phase.
+    kappa = k + theta_j; 2pi windings of the angles enter through the twist
+    phase.  profile takes an array of |kappa| and is evaluated once for
+    each distinct |kappa| of the kernel: for theta = 0 and 1/2 the two
+    sides of a class share them.
     """
     if not t.is_unitary:
         raise DomainError("Fourier synthesis requires a unitary twist")
     if c1.r == c2.r and c1.phi == c2.phi:
         raise DomainError("Fourier synthesis requires distinct points")
+    known: dict[float, complex] = {}
+
+    def mode_terms(kappa: np.ndarray) -> np.ndarray:
+        sizes = np.abs(kappa).tolist()
+        new = list(dict.fromkeys(x for x in sizes if x not in known))
+        if new:
+            known.update(zip(new, profile(np.array(new)).tolist()))
+        return np.exp(1j * kappa * w) * np.array([known[x] for x in sizes])
 
     def class_value(cls) -> complex:
-        total = _mode_sum(lambda k: mode_term(k + cls.theta), k_max)
+        total = _mode_sum(lambda k: mode_terms(k + cls.theta), k_max, first_block)
         return total if ell is None else total / ell
 
     return _classwise(t, c1.winding - c2.winding, [class_value(cls) for cls in t.angles])
@@ -377,11 +406,8 @@ def cyl_kernel_fourier(
     twist phase lambda_j^(w - w').
     """
     s = complex(s)
-    dphi = c1.phi - c2.phi
     return _fourier_kernel(
-        t, c1, c2, k_max,
-        lambda kap: cmath.exp(1j * kap * dphi) * cyl_mode(s, kap, c1.r, c2.r, ell),
-        ell,
+        t, c1, c2, k_max, lambda kap: cyl_mode(s, kap, c1.r, c2.r, ell), c1.phi - c2.phi, ell
     )
 
 
@@ -390,16 +416,12 @@ def cyl_kernel_fourier(
 # ---------------------------------------------------------------------------
 
 
-def log_beta_kappa(s: complex, q: float) -> complex:
-    """log of (1/2) Gamma((s + iq + 1)/2) Gamma((s - iq + 1)/2)."""
-    return (
-        -math.log(2.0)
-        + log_gamma(complex((s.real + 1.0) / 2.0, (s.imag + q) / 2.0))
-        + log_gamma(complex((s.real + 1.0) / 2.0, (s.imag - q) / 2.0))
-    )
+def log_beta_kappa(s: complex, q):
+    """log of (1/2) Gamma((s + iq + 1)/2) Gamma((s - iq + 1)/2), for one q or an array."""
+    return -math.log(2.0) + log_gamma((s + 1.0 + 1j * q) / 2.0) + log_gamma((s + 1.0 - 1j * q) / 2.0)
 
 
-def _v0_profile_scaled(s: complex, q: float, r: float) -> tuple[complex, float]:
+def _v0_profile_scaled(s: complex, q, r: float):
     th = math.tanh(r)
     warg = th * th
     if warg > 1.0 - specfun.GUARD_DELTA:
@@ -407,12 +429,7 @@ def _v0_profile_scaled(s: complex, q: float, r: float) -> tuple[complex, float]:
             f"tanh^2 r = {warg} outside the series guard; needs |r| <= "
             f"{R0_PROFILE_MAX:.3f}"
         )
-    m, e = specfun.reg_hyp2f1_scaled(
-        complex((s.real + 1.0) / 2.0, (s.imag + q) / 2.0),
-        complex((s.real + 1.0) / 2.0, (s.imag - q) / 2.0),
-        1.5,
-        warg,
-    )
+    m, e = specfun.reg_hyp2f1_scaled((s + 1.0 + 1j * q) / 2.0, (s + 1.0 - 1j * q) / 2.0, 1.5, warg)
     lc = _log_cosh(r)
     return th * m * cmath.exp(complex(0.0, -s.imag * lc)), e - s.real * lc
 
@@ -422,8 +439,8 @@ def v0_profile(s: complex, q: float, r: float) -> complex:
     return _assemble_mode(0j, _v0_profile_scaled(complex(s), q, r), (1.0, 0.0))
 
 
-def funnel_mode(s: complex, kappa: float, r: float, r2: float, ell: float) -> complex:
-    """Funnel mode beta_kappa(s) v0(s; min) v(s; max) for r, r2 >= 0.
+def funnel_mode(s: complex, kappa, r: float, r2: float, ell: float):
+    """Funnel mode beta_kappa(s) v0(s; min) v(s; max) for r, r2 >= 0, for one kappa or an array.
 
     Vanishes identically at r = 0 (Dirichlet); poles on -(1+2 N0) +- i omega kappa.
     Factors are combined in log scale as for the cylinder mode.
@@ -474,11 +491,8 @@ def funnel_kernel_fourier(
 ) -> np.ndarray:
     """Funnel resolvent kernel via the mode functions (same 1/ell prefactor)."""
     s = complex(s)
-    dphi = c1.phi - c2.phi
     return _fourier_kernel(
-        t, c1, c2, k_max,
-        lambda kap: cmath.exp(1j * kap * dphi) * funnel_mode(s, kap, c1.r, c2.r, ell),
-        ell,
+        t, c1, c2, k_max, lambda kap: funnel_mode(s, kap, c1.r, c2.r, ell), c1.phi - c2.phi, ell
     )
 
 
@@ -521,15 +535,16 @@ def cusp_kernel(
     """
     s = complex(s)
     p1, p2 = cusp_to_plane(c1), cusp_to_plane(c2)
-    dx = p1.x - p2.x
 
-    def mode_term(freq: float) -> complex:
-        # freq == 0 is the first term of the theta = 0 class, the first class
-        if freq == 0.0 and abs(s - 0.5) < 1e-12:
+    def profile(freq: np.ndarray) -> np.ndarray:
+        # freq == 0 is the first term of the theta = 0 class
+        if abs(s - 0.5) < 1e-12 and np.any(freq == 0.0):
             raise PoleError("resolvent pole at s = 1/2 for the theta = 0 class")
-        return cmath.exp(2j * math.pi * freq * dx) * cusp_mode(s, TWO_PI * freq, p1.y, p2.y)
+        return np.array([cusp_mode(s, TWO_PI * f, p1.y, p2.y) for f in freq.tolist()])
 
-    return _fourier_kernel(t, c1, c2, k_max, mode_term)
+    return _fourier_kernel(
+        t, c1, c2, k_max, profile, TWO_PI * (p1.x - p2.x), first_block=_CUSP_FIRST_BLOCK
+    )
 
 
 def _lattice_window(s: complex, a: float, b: float) -> int:

@@ -170,6 +170,25 @@ class TestCountCommand:
         assert "finite" in capsys.readouterr().err
 
 
+def _mp_cylinder_images(s, r1, phi1, r2, phi2, ell=2.0 * math.pi, reach=3):
+    """The trivially twisted cylinder kernel as a sum of mpmath g_s over images
+    |k| <= reach: at Re s = 200 the next image adds less than 1e-300 of it."""
+    import mpmath as mp
+
+    from resonance_lab.geometry import CylCoord, HPoint, cyl_to_plane, sigma
+
+    z, w = cyl_to_plane(CylCoord(r1, phi1), ell), cyl_to_plane(CylCoord(r2, phi2), ell)
+    with mp.workdps(30):
+        s = mp.mpc(s)
+        total = mp.mpc(0)
+        for k in range(-reach, reach + 1):
+            x = mp.mpf(sigma(z, HPoint.from_complex(math.exp(k * ell) * w.z)))
+            total += mp.exp(
+                2 * mp.loggamma(s) - mp.loggamma(2 * s) - s * mp.log(x)
+            ) * mp.hyp2f1(s, s, 2 * s, 1 / x) / (4 * mp.pi)
+        return complex(total)
+
+
 class TestKernelCommand:
     def test_both_methods_agree(self, spec_file, capsys):
         rc = cli.main(
@@ -253,6 +272,22 @@ class TestKernelCommand:
             assert cli.main(images) == 0
             best = min(best, time.perf_counter() - t0)
         assert best < 0.05
+
+    @pytest.mark.parametrize("s", ["200+1i", "1e5+1i"])
+    def test_large_re_s_exits_0_or_3(self, spec_file, capsys, s):
+        # Gamma(s)^2 overflows a double from Re s ~ 171 on; g_s forms it in
+        # one exponent with the 2F1, so only a value that overflows fails
+        argv = [
+            "kernel", "--spec", spec_file, "--end", "cylinder", "--method", "images",
+            "--s", s, "--coords", "0.2", "1", "0.9", "2", "--output", "csv",
+        ]
+        rc = cli.main(argv)
+        out = capsys.readouterr().out
+        assert rc in (0, 3)
+        if s == "200+1i":
+            assert rc == 0
+            got = complex(*map(float, out.strip().split("\n")[1].split(",")[3:]))
+            assert abs(got - _mp_cylinder_images(200 + 1j, 0.2, 1.0, 0.9, 2.0)) <= 1e-11 * abs(got)
 
     @pytest.mark.parametrize("end", ["cylinder", "funnel", "cusp"])
     def test_coinciding_points_exit_2(self, spec_file, capsys, end):
@@ -374,6 +409,13 @@ _EXIT_2_ARGV = (
     + [["resonances", "--radius", "1e4"], ["resonances", "--radius", "1e16"]]
 )
 
+#: A spectral parameter that is not finite (1e400 overflows to infinity).
+_NONFINITE_S_ARGV = [
+    ["kernel", "--end", "cylinder", "--method", method, "--s", s, "--coords", "0.2", "1", "0.9", "2"]
+    for s in ("1e400", "inf+1i", "1+nani")
+    for method in ("images", "fourier")
+]
+
 
 @pytest.mark.parametrize(
     "spec,argv",
@@ -381,7 +423,8 @@ _EXIT_2_ARGV = (
     + [(doc, argv) for doc in ([1, 2], "x") for argv in (
         ["kernel", "--end", "cusp", "--s", "2+0.3i", "--coords", "0.2", "1", "1", "2"],
         ["count", "--r-max", "5"],
-    )],
+    )]
+    + [(None, argv) for argv in _NONFINITE_S_ARGV],
 )
 def test_malformed_input_exits_2(spec, argv, spec_file, tmp_path, capsys, monkeypatch):
     # non-finite or overflowing coordinates and mode grids, a spec that is not

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import fourier_reference as fref
 import images_reference as ref
 from resonance_lab import model_kernels as mk
 from resonance_lab.errors import DomainError, PoleError, TruncationError
@@ -453,3 +454,60 @@ class TestImagesAgainstReference:
         ki = mk.cyl_kernel_images(s, ELL, TWIST, cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL))
         kf = mk.cyl_kernel_fourier(s, ELL, TWIST, c1, c2)
         assert np.max(np.abs(ki - kf) / np.abs(ki)) <= 1e-10
+
+
+THREE_ANGLES = TwistSpec.from_angles([(0.0, 1), (0.25, 1), (0.5, 1)])
+
+
+class TestFourierAgainstReference:
+    """Block mode sums against the per-mode loop, whose profiles run through
+    the scalar 2F1 loop: the same truncation, values within 1e-12."""
+
+    ROUTES = {
+        "cylinder": (mk.cyl_kernel_fourier, fref.cyl_kernel_fourier, 0.3),
+        "funnel": (mk.funnel_kernel_fourier, fref.funnel_kernel_fourier, 0.6),
+    }
+
+    @pytest.mark.parametrize("route", ["cylinder", "funnel"])
+    @pytest.mark.parametrize("dr", [0.05, 0.2])
+    @pytest.mark.parametrize("k_max", [None, 12])
+    def test_grid(self, route, dr, k_max):
+        fast, slow, r = self.ROUTES[route]
+        for s in (S_REF, 0.9 - 1.2j):
+            c1, c2 = CylCoord(r, 1.0), CylCoord(r + dr, 2.5)
+            got = fast(s, ELL, THREE_ANGLES, c1, c2, k_max)
+            want = slow(s, ELL, THREE_ANGLES, c1, c2, k_max)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (got, want)
+
+    @pytest.mark.parametrize("route", ["cylinder", "funnel"])
+    def test_modes_of_an_array(self, route):
+        # an array of kappa gives, mode by mode, the scalar call's value, up
+        # to the rounding of chunks that the rows share
+        mode = mk.cyl_mode if route == "cylinder" else mk.funnel_mode
+        kappa = np.array([0.0, -0.25, 0.5, 3.0, 40.0, 400.0])
+        got = mode(S_REF, kappa, 0.4, 1.1, ELL)
+        want = [mode(S_REF, float(k), 0.4, 1.1, ELL) for k in kappa]
+        assert all(isinstance(w, complex) for w in want)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        assert got[-1] == 0.0
+
+    @pytest.mark.parametrize("route", ["cylinder", "funnel"])
+    def test_each_size_once(self, monkeypatch, route):
+        # for theta = 0 and 1/2 the two sides share their |kappa|: one
+        # profile evaluation each, and no mode twice
+        name = "cyl_mode" if route == "cylinder" else "funnel_mode"
+        seen = []
+        original = getattr(mk, name)
+
+        def recording(s, kappa, *args):
+            seen.extend(np.abs(kappa).tolist())
+            return original(s, kappa, *args)
+
+        monkeypatch.setattr(mk, name, recording)
+        fast = self.ROUTES[route][0]
+        c1, c2 = CylCoord(0.3, 1.0), CylCoord(0.5, 2.5)
+        for theta in (0.0, 0.5):
+            seen.clear()
+            fast(S_REF, ELL, TwistSpec.from_angles([(theta, 1)]), c1, c2)
+            # both sides on one grid theta + j, each point once
+            assert len(seen) == len(set(seen)) == max(seen) - min(seen) + 1

@@ -8,6 +8,7 @@ import pytest
 
 from resonance_lab import specfun as sf
 from resonance_lab.errors import DomainError, OverflowBudgetError, PoleError
+from resonance_lab.geometry import TWO_PI
 
 # Frozen oracle values (40-digit arbitrary-precision evaluation, offline).
 LOG_GAMMA_REF = complex(-21.27641356440721648795825, 23.29343145091939958486749)  # z = 0.5 + 14.13i
@@ -141,6 +142,124 @@ class TestRegHyp2F1:
     def test_scaled_variant_consistency(self):
         m, e = sf.reg_hyp2f1_scaled(1.5, 2.5, 0.7, 0.4)
         assert abs(m * math.exp(e) - sf.reg_hyp2f1(1.5, 2.5, 0.7, 0.4)) < 1e-13
+
+
+def _rel_err(m, e, want_m, want_e):
+    """|m e^e - w| / |w| for w = want_m e^want_e, without leaving the double range."""
+    return abs(m * cmath.exp(e - want_e) - want_m) / abs(want_m)
+
+
+def _mp_reg_hyp2f1_log(a, b, c, z):
+    """log F~(a, b; c; z) by mpmath at 30 digits; for c = -m in -N0 through
+    F~(a, b; -m; z) = (a)_{m+1} (b)_{m+1} z^{m+1} / (m+1)! 2F1(a+m+1, b+m+1; m+2; z)."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        a, b, z = mp.mpc(a), mp.mpc(b), mp.mpf(z)
+        n = sf._is_nonpositive_integer(complex(c))
+        if n is None:
+            return complex(mp.log(mp.hyp2f1(a, b, mp.mpc(c), z)) - mp.loggamma(mp.mpc(c)))
+        k = n + 1
+        return complex(
+            mp.log(mp.rf(a, k) * mp.rf(b, k) * z**k / mp.factorial(k))
+            + mp.log(mp.hyp2f1(a + k, b + k, k + 1, z))
+        )
+
+
+def _envelope(z, log_value):
+    """What the series can reach: rounding that grows with its 37/(1 - |z|) terms,
+    and one ulp of the exponent log|F|, which e^E turns into relative error."""
+    return 5e-16 / (1.0 - abs(z)) + 1e-14 + 4.0 * 2.2e-16 * abs(log_value)
+
+
+class TestArrayEngine:
+    """The array 2F1 engine against the scalar series loop and mpmath.
+
+    Rows are the cylinder profile's a, b = s +- iq; q = 2 pi 400 runs for
+    thousands of terms and renormalises across chunks, and past
+    q = 2 pi 3000 a first chunk of terms overflows and is taken again.
+    """
+
+    S = 2.0 + 0.3j
+
+    @pytest.mark.parametrize("z", [0.01, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("c", [0.0, -1.0, -2.0, 2.5 + 0.3j, 1.5])
+    def test_rows_against_scalar_loop(self, z, c):
+        import hyp2f1_reference as ref
+
+        q = TWO_PI * np.array([0.0, 0.25, 1.0, 10.0, 50.0, 400.0, 3000.0])
+        if z > 0.99:
+            q = q[:4]  # longer rows need more than the 100,000-term cap
+        a, b = self.S + 1j * q, self.S - 1j * q
+        m, e = sf.reg_hyp2f1_scaled(a, b, c, z)
+        assert m.shape == e.shape == q.shape
+        for j in range(q.size):
+            want_m, want_e = ref.reg_hyp2f1_scaled(a[j], b[j], c, z)
+            log_value = want_e + math.log(abs(want_m))
+            # the scalar loop's rounding grows with its terms too: 8e-11 at 2 pi 3000
+            assert _rel_err(m[j], e[j], want_m, want_e) <= 4.0 * _envelope(z, log_value)
+
+    @pytest.mark.parametrize("z", [0.01, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("c", [0.0, -1.0, -2.0, 2.5 + 0.3j])
+    def test_rows_against_mpmath(self, z, c):
+        q = TWO_PI * np.array([0.0, 1.0, 10.0])
+        a, b = self.S + 1j * q, self.S - 1j * q
+        m, e = sf.reg_hyp2f1_scaled(a, b, c, z)
+        for j in range(q.size):
+            want = _mp_reg_hyp2f1_log(a[j], b[j], c, z)
+            assert _rel_err(m[j], e[j], 1.0, want) <= _envelope(z, want.real)
+
+    def test_long_row_against_mpmath(self):
+        # 5,000 terms, renormalised across chunks, against a 30-digit sum
+        import mpmath as mp
+
+        a, b, c, z = self.S + 2513.2741228718346j, self.S - 2513.2741228718346j, 0.0, 0.9
+        m, e = sf.reg_hyp2f1_scaled(np.array([a]), np.array([b]), c, z)
+        with mp.workdps(30):
+            a_, b_, z_ = mp.mpc(a), mp.mpc(b), mp.mpf(z)
+            term, total, n = a_ * b_ * z_, mp.mpc(0), 1
+            while abs(term) > mp.mpf(10) ** -30 * abs(total):
+                total += term
+                term *= (a_ + n) * (b_ + n) / ((c + n) * (n + 1)) * z_
+                n += 1
+            want = complex(mp.log(total))
+        assert n > 4000
+        assert _rel_err(m[0], e[0], 1.0, want) <= _envelope(z, want.real)
+
+    @pytest.mark.parametrize("x", [1.05, 1.5, 4.0, 20.0])
+    def test_large_c(self, x):
+        # g_s at s = 200: Gamma(c) = Gamma(400+2i) overflows, so 1/Gamma(c)
+        # lives in the exponent; the scalar loop returned 0 here
+        s = 200.0 + 1.0j
+        m, e = sf.reg_hyp2f1_scaled(s, s, 2.0 * s, 1.0 / x)
+        assert isinstance(m, complex) and isinstance(e, float)
+        want = _mp_reg_hyp2f1_log(s, s, 2.0 * s, 1.0 / x)
+        assert _rel_err(m, e, 1.0, want) <= _envelope(1.0 / x, want.real)
+
+    def test_scalar_rows_match_array_rows(self):
+        q = TWO_PI * np.array([0.5, 7.0, 80.0])
+        a, b = self.S + 1j * q, self.S - 1j * q
+        m, e = sf.reg_hyp2f1_scaled(a, b, self.S + 0.5, 0.6)
+        for j in range(q.size):
+            mj, ej = sf.reg_hyp2f1_scaled(complex(a[j]), complex(b[j]), self.S + 0.5, 0.6)
+            assert _rel_err(m[j], e[j], mj, ej) <= 1e-14
+        m, e = sf.reg_hyp2f1_scaled(a[:0], b[:0], self.S + 0.5, 0.6)
+        assert m.size == e.size == 0
+
+    def test_log_gamma_array_matches_scalar(self):
+        z = np.array([0.5 + 14.13j, 2.0 - 0.3j, -1.5 + 0.5j, -7.25 - 3.0j, 40.0 + 100.0j])
+        got = sf.log_gamma(z)
+        for j in range(z.size):
+            assert abs(got[j] - sf.log_gamma(complex(z[j]))) <= 1e-14 * max(1.0, abs(got[j]))
+        with pytest.raises(PoleError):
+            sf.log_gamma(np.array([1.5, -2.0]))
+
+    def test_term_budget(self):
+        # the 100,000-term cap holds for every row
+        from resonance_lab.errors import NonConvergenceError
+
+        with pytest.raises(NonConvergenceError, match="100000 terms"):
+            sf.reg_hyp2f1_scaled(np.array([2.0, 2.0 + 2513.0j]), np.array([2.0, 2.0 - 2513.0j]), 0.0, 0.999)
 
 
 class TestBessel:
