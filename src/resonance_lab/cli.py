@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import re
@@ -311,9 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: One parser per process: building it costs about ten times a parse.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:

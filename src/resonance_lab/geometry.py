@@ -78,15 +78,18 @@ def _exp(x: float) -> float:
 def cyl_to_plane(c: CylCoord, ell: float) -> HPoint:
     """Geodesic coordinates of the hyperbolic cylinder to the half-plane.
 
-    z = e^(phi/omega) (e^r + i)/(e^r - i) with omega = 2 pi / ell; the
-    closed geodesic {r = 0} maps onto the imaginary axis and |z| = e^(phi/omega).
+    z = e^(phi/omega) (e^r + i)/(e^r - i) with omega = 2 pi / ell, for the
+    raw angle phi + 2 pi winding: the closed geodesic {r = 0} maps onto the
+    imaginary axis, and each winding is one step of the deck group
+    z -> e^ell z, so the point lies in the fundamental domain
+    1 <= |z| < e^ell only for winding 0.
     """
     if not ell > 0.0:
         raise DomainError(f"cylinder length must be positive, got {ell}")
     omega = TWO_PI / ell
     er = _exp(c.r)
     w = complex(er, 1.0) / complex(er, -1.0)
-    z = _exp(c.phi / omega) * w
+    z = _exp((c.phi + TWO_PI * c.winding) / omega) * w
     return HPoint(z.real, z.imag)
 
 

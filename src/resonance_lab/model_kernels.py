@@ -327,7 +327,7 @@ def _mode_sum(mode_terms, k_max: int | None, first_block: int = _FIRST_BLOCK) ->
             total += complex(np.sum(mode_terms(k) + mode_terms(-k)))
             lo, size = lo + size, 2 * size
         return total
-    scale = max(abs(total), 1e-30)
+    scale = abs(total)
     for side in (1, -1):
         prev = math.nan
         lo, size = 1, first_block
@@ -465,20 +465,16 @@ def funnel_kernel(
 ) -> np.ndarray:
     """Funnel resolvent kernel by images: R_C(z, z') - R_C(z, reflected z').
 
-    The reflection r -> -r is z -> -conj(z) on the half-plane; the
-    reflected term carries the same per-class twist weights.
+    The reflection r -> -r is z -> -conj(z) on the half-plane, with the
+    winding of z' kept; the windings enter through the reduction of
+    `cyl_kernel_images`.
     """
     if c1.r < 0.0 or c2.r < 0.0:
         raise DomainError("funnel points need r >= 0")
     z = cyl_to_plane(c1, ell)
-    w = cyl_to_plane(c2, ell)
-    w_refl = cyl_to_plane(CylCoord(-c2.r, c2.phi), ell)
-    direct = cyl_kernel_images(s, ell, t, z, w)
-    image = cyl_kernel_images(s, ell, t, z, w_refl)
-    phases = np.array(
-        [cls.eigenvalue ** (c1.winding - c2.winding) for cls in t.angles]
-    )
-    return phases * (direct - image)
+    direct = cyl_kernel_images(s, ell, t, z, cyl_to_plane(c2, ell))
+    w_refl = cyl_to_plane(CylCoord(-c2.r, c2.phi, c2.winding), ell)
+    return direct - cyl_kernel_images(s, ell, t, z, w_refl)
 
 
 def funnel_kernel_fourier(
@@ -514,7 +510,8 @@ def cusp_mode(s: complex, kappa: float, y: float, y2: float) -> complex:
     if kappa == 0.0:
         if abs(s - 0.5) < 1e-12:
             raise PoleError("cusp zero mode has its pole at s = 1/2")
-        return lo**s * hi ** (1.0 - s) / (2.0 * s - 1.0)
+        log_value = s * math.log(lo) + (1.0 - s) * math.log(hi)
+        return specfun.scaled_value(1.0 / (2.0 * s - 1.0), log_value, "cusp zero mode")
     nu = s - 0.5
     ak = abs(kappa)
     scaled = bessel_i(nu, ak * lo, scaled=True) * bessel_k(nu, ak * hi, scaled=True)

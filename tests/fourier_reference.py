@@ -127,7 +127,7 @@ def _mode_sum(mode_term, k_max: int | None) -> complex:
         for k in range(1, k_max + 1):
             total += mode_term(k) + mode_term(-k)
         return total
-    scale = max(abs(center), 1e-30)
+    scale = abs(center)
     for side in (1, -1):
         prev = None
         for k in range(side, side * (_MAX_FOURIER_MODES + 1), side):

@@ -274,7 +274,7 @@ class TestKernelCommand:
         assert best < 0.05
 
     @pytest.mark.parametrize("s", ["200+1i", "1e5+1i"])
-    def test_large_re_s_exits_0_or_3(self, spec_file, capsys, s):
+    def test_large_re_s_exits_0_or_3(self, spec_file, tmp_path, capsys, s):
         # Gamma(s)^2 overflows a double from Re s ~ 171 on; g_s forms it in
         # one exponent with the 2F1, so only a value that overflows fails
         argv = [
@@ -288,6 +288,56 @@ class TestKernelCommand:
             assert rc == 0
             got = complex(*map(float, out.strip().split("\n")[1].split(",")[3:]))
             assert abs(got - _mp_cylinder_images(200 + 1j, 0.2, 1.0, 0.9, 2.0)) <= 1e-11 * abs(got)
+        # the cusp Fourier route: I_nu and the zero mode carry their scale in
+        # one exponent, so only a K_nu or a value that overflows fails; at
+        # 200+1i the theta = 0 class is about 1e-63 and agrees with the images
+        for angles in ([(0.0, 2)], [(0.25, 1), (0.5, 1)]):
+            path = tmp_path / "cusp.json"
+            tw = {"angles": [{"theta": th, "mult": m} for th, m in angles]}
+            path.write_text(json.dumps({"cusps": [{"twist": tw}]}))
+            values = {}
+            for method in ("fourier", "images"):
+                argv = [
+                    "kernel", "--spec", str(path), "--end", "cusp", "--method", method,
+                    "--s", s, "--coords", "0.2", "1", "0.9", "2", "--output", "csv",
+                ]
+                rc = cli.main(argv)
+                out = capsys.readouterr().out
+                assert rc in (0, 3)
+                if rc == 0:
+                    values[method] = [complex(*map(float, row.split(",")[3:])) for row in out.split()[1:]]
+            if s == "200+1i" and angles == [(0.0, 2)]:
+                (f,), (i,) = values["fourier"], values["images"]
+                assert abs(f - i) <= 1e-10 * abs(i)
+
+    @pytest.mark.parametrize("end", ["cylinder", "funnel", "cusp"])
+    def test_winding_twist_phase(self, tmp_path, capsys, end):
+        # phi1 = 1 +- 2 pi winds once around the end: both routes must apply
+        # the twist phase lambda^(+-1) of that winding to the phi1 = 1 values
+        tw = {"angles": [{"theta": 0.25, "mult": 1}, {"theta": 0.5, "mult": 1}]}
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps({"cylinders": [{"ell": 1.0, "twist": tw}],
+                                    "funnels": [{"ell": 1.0, "twist": tw}],
+                                    "cusps": [{"twist": tw}]}))
+
+        def kernel(phi1: float) -> dict:
+            argv = [
+                "kernel", "--spec", str(path), "--end", end, "--s", "2+0.3i",
+                "--coords", "0.3", repr(phi1), "0.9", "2.5",
+            ]
+            assert cli.main(argv) == 0
+            return json.loads(capsys.readouterr().out)
+
+        base = kernel(1.0)
+        for winding in (1, -1):
+            doc = kernel(1.0 + winding * 2.0 * math.pi)
+            assert doc["max_rel_diff"] <= 1e-12
+            for method in ("images", "fourier"):
+                pairs = zip((0.25, 0.5), doc["values"][method], base["values"][method])
+                for theta, got, want in pairs:
+                    angle = 2.0 * math.pi * theta * winding
+                    got, want = complex(got["re"], got["im"]), complex(want["re"], want["im"])
+                    assert abs(got - complex(math.cos(angle), math.sin(angle)) * want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("end", ["cylinder", "funnel", "cusp"])
     def test_coinciding_points_exit_2(self, spec_file, capsys, end):

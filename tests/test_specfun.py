@@ -312,7 +312,8 @@ class TestBessel:
             assert abs(below - above) / abs(below) < 1e-8
 
     def test_integer_order(self):
-        # integer orders route through the logarithmic series
+        # integer orders route through the quadrature, where sin(pi nu) = 0
+        # leaves the reflection formula without a value
         import mpmath as mp
 
         for n, x in [(0, 0.4), (3, 1.2), (5, 1.9)]:
@@ -320,12 +321,45 @@ class TestBessel:
             assert abs(sf.bessel_k(n, x) - want) / abs(want) < 1e-12
 
     def test_negative_integer_order_i(self):
-        # I_{-n} = I_n: the vanishing leading 1/Gamma terms are skipped
+        # I_{-n} = I_n: a negative integer order is summed as n, where
+        # 1/Gamma(nu + 1) vanishes
         import mpmath as mp
 
         for n, x in [(-2, 1.3), (-7, 0.9), (-40, 2.0)]:
             want = complex(mp.besseli(n, x))
             assert abs(sf.bessel_i(n, x) - want) / abs(want) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30])
+    def test_k_near_integer_orders(self, n):
+        # nu = n + delta e^{i phi}: the quadrature inside _K_NEAR_INTEGER,
+        # outside it the reflection formula, which divides by sin(pi nu)
+        import mpmath as mp
+
+        radius = sf._K_NEAR_INTEGER
+        for delta in (0.0, 1e-12, 1e-8, 1e-4, 0.5 * radius, 0.99 * radius, 1.01 * radius, 2.0 * radius):
+            for phi in (0.0, 1.1, 0.5 * math.pi, math.pi):
+                nu = n + delta * cmath.exp(1j * phi)
+                for x in (1e-3, 0.05, 0.4, 1.2, 1.99):
+                    want = complex(mp.besselk(nu, x))
+                    assert abs(sf.bessel_k(nu, x) - want) <= 1e-12 * abs(want), (nu, x)
+
+    def test_i_against_mpmath(self):
+        # large orders, where Gamma(nu + 1) overflows a double, negative
+        # orders, integer or not, and the whole accepted range of x
+        import mpmath as mp
+
+        orders = [0.3, 2.5 + 7j, -0.5 - 3j, -5.5, -3 + 0.02j, -29.7 + 1j, 30 - 10j,
+                  171, 171.5 + 2j, 200, 200 - 3j, -2, -7, -40]
+        for nu in orders:
+            for x in (1e-3, 0.05, 0.4, 1.2, 1.99, 5.0, 30.0, 100.0, 600.0):
+                # at negative integers mpmath fails on tiny values such as
+                # I_{-40}(1e-3); the oracle takes I_{-n} = I_n
+                want = mp.besseli(-nu if nu in (-2, -7, -40) else nu, x)
+                got = sf.bessel_i(nu, x)
+                if abs(want) < 1e-290:  # below the double range
+                    assert abs(got) < 1e-290, (nu, x)
+                else:
+                    assert abs(got - complex(want)) <= 1e-12 * abs(complex(want)), (nu, x)
 
     def test_domain_and_budget(self):
         with pytest.raises(DomainError):
