@@ -9,6 +9,7 @@ import numpy as np
 from .errors import QuadratureError
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_MAX_PANELS = 4000
 
 
 def _nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -48,7 +49,6 @@ def gauss_legendre_adaptive(
     a: float,
     b: float,
     tol: float,
-    max_panels: int = 4000,
 ) -> complex:
     """Adaptive bisecting Gauss-Legendre integration of f over [a, b].
 
@@ -67,7 +67,7 @@ def gauss_legendre_adaptive(
         used += 1
         if used == 1:
             tol *= max(1.0, abs(fine))
-        if used > max_panels:
+        if used > _MAX_PANELS:
             raise QuadratureError("adaptive quadrature exhausted its panel budget")
         err = abs(fine - coarse)
         if err <= tol * max(1.0, (hi - lo) / (b - a)) or (hi - lo) < 1e-14 * (b - a):

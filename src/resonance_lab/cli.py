@@ -28,26 +28,8 @@ import numpy as np
 from . import model_kernels as mk
 from . import resonances as rz
 from . import verify as vf
-from .errors import (
-    DomainError,
-    NonConvergenceError,
-    OverflowBudgetError,
-    PoleError,
-    QuadratureError,
-    RadiusExceededError,
-    ResonanceLabError,
-    TruncationError,
-)
-from .geometry import CylCoord, _exp, cyl_to_plane
-
-_NUMERICAL_ERRORS = (
-    PoleError,
-    TruncationError,
-    QuadratureError,
-    NonConvergenceError,
-    OverflowBudgetError,
-    RadiusExceededError,
-)
+from .errors import DomainError, NumericalError, ResonanceLabError
+from .geometry import CylCoord, _exp
 
 _COMPLEX_RE = re.compile(
     r"^\s*(?P<re>[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
@@ -97,8 +79,7 @@ def _select_end(spec: rz.SurfaceSpec, end: str, index: int):
         raise DomainError(f"spec has {len(pool)} {end} end(s); index {index} invalid")
     if end == "cusp":
         return None, pool[index]
-    ell, t = pool[index]
-    return ell, t
+    return pool[index]
 
 
 def _cmd_resonances(args) -> int:
@@ -157,32 +138,16 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _kernel_values(args, spec):
-    end = args.end
+def _cmd_kernel(args) -> int:
+    spec = _load_spec(args.spec)
     s = parse_complex(args.s)
     r1, phi1, r2, phi2 = args.coords
     c1, c2 = CylCoord(r1, phi1), CylCoord(r2, phi2)
-    ell, t = _select_end(spec, end, args.index)
+    ell, t = _select_end(spec, args.end, args.index)
     if not t.angles:
-        raise DomainError(f"the twist of {end} {args.index} has no eigenvalue classes")
-    if args.k_max is not None and args.k_max < 0:
-        raise DomainError(f"--k-max must be at least 0, got {args.k_max}")
-    if end == "cylinder":
-        images = lambda: mk.cyl_kernel_images(s, ell, t, cyl_to_plane(c1, ell), cyl_to_plane(c2, ell))
-        fourier = lambda: mk.cyl_kernel_fourier(s, ell, t, c1, c2, args.k_max)
-    elif end == "funnel":
-        images = lambda: mk.funnel_kernel(s, ell, t, c1, c2)
-        fourier = lambda: mk.funnel_kernel_fourier(s, ell, t, c1, c2, args.k_max)
-    else:
-        images = lambda: mk.cusp_kernel_images(s, t, c1, c2)
-        fourier = lambda: mk.cusp_kernel(s, t, c1, c2, args.k_max)
+        raise DomainError(f"the twist of {args.end} {args.index} has no eigenvalue classes")
     methods = ("images", "fourier") if args.method == "both" else (args.method,)
-    return t, {m: {"images": images, "fourier": fourier}[m]() for m in methods}
-
-
-def _cmd_kernel(args) -> int:
-    spec = _load_spec(args.spec)
-    t, results = _kernel_values(args, spec)
+    results = {m: mk.kernel(args.end, m, s, ell, t, c1, c2) for m in methods}
     if args.output == "csv":
         lines = ["method,theta,mult,re,im"]
         for method in sorted(results):
@@ -254,9 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, spec=True):
-        if spec:
-            sp.add_argument("--spec", required=True, help="surface spec JSON file")
+    def add_common(sp):
+        sp.add_argument("--spec", required=True, help="surface spec JSON file")
         sp.add_argument("--output", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
 
@@ -282,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--coords", type=float, nargs=4, metavar=("R1", "PHI1", "R2", "PHI2"),
         required=True,
     )
-    sp.add_argument("--k-max", type=int, default=None)
     sp.set_defaults(func=_cmd_kernel)
 
     sp = sub.add_parser("modes", help="tabulate a mode function along r")
@@ -320,10 +283,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-    except (DomainError, ResonanceLabError) as exc:
+    except ResonanceLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

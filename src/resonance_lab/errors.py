@@ -1,11 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types of the package; the CLI exits 3 on a NumericalError, 2 on any other."""
 
 
 class ResonanceLabError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class PoleError(ResonanceLabError):
+class NumericalError(ResonanceLabError):
+    """A computation failed on valid input: a pole, a truncation, quadrature or overflow."""
+
+
+class PoleError(NumericalError):
     """Evaluation requested at (or indistinguishably close to) a pole."""
 
 
@@ -17,19 +21,19 @@ class DomainError(ResonanceLabError):
     """Argument outside the validity region of a formula."""
 
 
-class NonConvergenceError(ResonanceLabError):
+class NonConvergenceError(NumericalError):
     """A series did not reach its tolerance within the term budget."""
 
 
-class TruncationError(ResonanceLabError):
+class TruncationError(NumericalError):
     """An image/mode sum could not be truncated below the requested tail."""
 
 
-class QuadratureError(ResonanceLabError):
+class QuadratureError(NumericalError):
     """Adaptive quadrature failed to reach its tolerance."""
 
 
-class OverflowBudgetError(ResonanceLabError):
+class OverflowBudgetError(NumericalError):
     """Argument exceeds the documented exponent budget."""
 
 
@@ -41,5 +45,5 @@ class InsufficientDataError(ResonanceLabError):
     """Not enough samples for a fit."""
 
 
-class RadiusExceededError(ResonanceLabError):
+class RadiusExceededError(NumericalError):
     """Counting radius exceeds the enumeration radius of a resonance set."""

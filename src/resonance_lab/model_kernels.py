@@ -9,6 +9,7 @@ diagonalized once and for all; kernels are diagonal in that basis, and
   * a Fourier-mode synthesis from closed-form mode functions, valid for all
     s off the mode pole lattices.
 
+`kernel` is the one dispatch from an end and a method to its route.
 All three image routes run through one engine, `_image_series`: the near
 images go through g_s and the far ones through the n-series of g_s in
 1/sigma, stopped on a bound relative to the smallest class value.  The
@@ -305,28 +306,21 @@ def cyl_mode(s: complex, kappa, r: float, r2: float, ell: float):
     )
 
 
-def _mode_sum(mode_terms, k_max: int | None, first_block: int = _FIRST_BLOCK) -> complex:
-    """Sum mode_terms(k) over k in Z, adaptively unless k_max is given.
+def _mode_sum(mode_terms, first_block: int) -> complex:
+    """Sum mode_terms(k) over k in Z, adaptively.
 
     mode_terms takes an array of k and is called on blocks of them: the
-    first has first_block modes and each next one twice as many.  The
-    adaptive sum adds k = 1, 2, ... and then k = -1, -2, ..., and stops a
-    side at the first value, within its block, whose tail, estimated
-    geometrically from the last magnitude ratio with a safety factor of 10
-    (the ratio still creeps toward its asymptote when r and r' are close),
-    is below FOURIER_TAIL_TOL of the largest term so far, or at the second
-    of two consecutive zeros.  A block after the first is cut short where
-    the last ratio, if it held, would stop the side.  A side that passes
+    first has first_block modes and each next one twice as many.  The sum
+    adds k = 1, 2, ... and then k = -1, -2, ..., and stops a side at the
+    first value, within its block, whose tail, estimated geometrically
+    from the last magnitude ratio with a safety factor of 10 (the ratio
+    still creeps toward its asymptote when r and r' are close), is below
+    FOURIER_TAIL_TOL of the largest term so far, or at the second of two
+    consecutive zeros.  A block after the first is cut short where the
+    last ratio, if it held, would stop the side.  A side that passes
     _MAX_FOURIER_MODES raises TruncationError.
     """
     total = complex(mode_terms(np.zeros(1, dtype=int))[0])
-    if k_max is not None:
-        lo, size = 1, first_block
-        while lo <= k_max:
-            k = np.arange(lo, min(lo + size, k_max + 1))
-            total += complex(np.sum(mode_terms(k) + mode_terms(-k)))
-            lo, size = lo + size, 2 * size
-        return total
     scale = abs(total)
     for side in (1, -1):
         prev = math.nan
@@ -361,10 +355,10 @@ def _mode_sum(mode_terms, k_max: int | None, first_block: int = _FIRST_BLOCK) ->
 
 
 def _fourier_kernel(
-    t: TwistSpec, c1: CylCoord, c2: CylCoord, k_max: int | None, profile, w: float,
-    ell=None, first_block: int = _FIRST_BLOCK,
+    t: TwistSpec, c1: CylCoord, c2: CylCoord, profile, w: float, ell: float,
+    first_block: int = _FIRST_BLOCK,
 ) -> np.ndarray:
-    """Per class j: lambda_j^(w1 - w2) sum_k e^{i kappa w} profile(|kappa|), over ell if given.
+    """Per class j: lambda_j^(w1 - w2) sum_k e^{i kappa w} profile(|kappa|) / ell.
 
     kappa = k + theta_j; 2pi windings of the angles enter through the twist
     phase.  profile takes an array of |kappa| and is evaluated once for
@@ -384,11 +378,8 @@ def _fourier_kernel(
             known.update(zip(new, profile(np.array(new)).tolist()))
         return np.exp(1j * kappa * w) * np.array([known[x] for x in sizes])
 
-    def class_value(cls) -> complex:
-        total = _mode_sum(lambda k: mode_terms(k + cls.theta), k_max, first_block)
-        return total if ell is None else total / ell
-
-    return _classwise(t, c1.winding - c2.winding, [class_value(cls) for cls in t.angles])
+    values = [_mode_sum(lambda k: mode_terms(k + cls.theta), first_block) / ell for cls in t.angles]
+    return _classwise(t, c1.winding - c2.winding, values)
 
 
 def cyl_kernel_fourier(
@@ -397,7 +388,6 @@ def cyl_kernel_fourier(
     t: TwistSpec,
     c1: CylCoord,
     c2: CylCoord,
-    k_max: int | None = None,
 ) -> np.ndarray:
     """Twisted cylinder resolvent kernel via Fourier-mode synthesis.
 
@@ -405,9 +395,8 @@ def cyl_kernel_fourier(
     with kappa = k + theta_j; 2pi windings of the angles enter through the
     twist phase lambda_j^(w - w').
     """
-    s = complex(s)
     return _fourier_kernel(
-        t, c1, c2, k_max, lambda kap: cyl_mode(s, kap, c1.r, c2.r, ell), c1.phi - c2.phi, ell
+        t, c1, c2, lambda kap: cyl_mode(s, kap, c1.r, c2.r, ell), c1.phi - c2.phi, ell
     )
 
 
@@ -483,12 +472,10 @@ def funnel_kernel_fourier(
     t: TwistSpec,
     c1: CylCoord,
     c2: CylCoord,
-    k_max: int | None = None,
 ) -> np.ndarray:
     """Funnel resolvent kernel via the mode functions (same 1/ell prefactor)."""
-    s = complex(s)
     return _fourier_kernel(
-        t, c1, c2, k_max, lambda kap: funnel_mode(s, kap, c1.r, c2.r, ell), c1.phi - c2.phi, ell
+        t, c1, c2, lambda kap: funnel_mode(s, kap, c1.r, c2.r, ell), c1.phi - c2.phi, ell
     )
 
 
@@ -523,24 +510,20 @@ def cusp_kernel(
     t: TwistSpec,
     c1: CylCoord,
     c2: CylCoord,
-    k_max: int | None = None,
 ) -> np.ndarray:
     """Cusp resolvent kernel via Fourier modes (prefactor 1).
 
     Per class j: sum_k e^{2 pi i (k+theta_j)(x - x')} u_{2 pi (k+theta_j)}(s; y, y')
     with x = phi/(2 pi), y = e^r.
     """
-    s = complex(s)
     p1, p2 = cusp_to_plane(c1), cusp_to_plane(c2)
 
     def profile(freq: np.ndarray) -> np.ndarray:
-        # freq == 0 is the first term of the theta = 0 class
-        if abs(s - 0.5) < 1e-12 and np.any(freq == 0.0):
-            raise PoleError("resolvent pole at s = 1/2 for the theta = 0 class")
+        # at s = 1/2, cusp_mode raises PoleError on the first term of a theta = 0 class
         return np.array([cusp_mode(s, TWO_PI * f, p1.y, p2.y) for f in freq.tolist()])
 
     return _fourier_kernel(
-        t, c1, c2, k_max, profile, TWO_PI * (p1.x - p2.x), first_block=_CUSP_FIRST_BLOCK
+        t, c1, c2, profile, TWO_PI * (p1.x - p2.x), 1.0, _CUSP_FIRST_BLOCK
     )
 
 
@@ -601,18 +584,33 @@ def cusp_class_images(s: complex, thetas, z: HPoint, z2: HPoint) -> np.ndarray:
 
 
 def cusp_kernel_images(s: complex, t: TwistSpec, c1: CylCoord, c2: CylCoord) -> np.ndarray:
-    """Cusp resolvent kernel by images, reduced to Re z in [0, 1)."""
-    s = complex(s)
+    """Cusp resolvent kernel by images (CylCoord already puts Re z in [0, 1))."""
     if not t.is_unitary:
         raise DomainError("cusp image sums require a unitary twist")
-    p1, p2 = cusp_to_plane(c1), cusp_to_plane(c2)
-    m1, x1 = divmod(p1.x, 1.0)
-    m2, x2 = divmod(p2.x, 1.0)
-    z = HPoint(x1, p1.y)
-    w = HPoint(x2, p2.y)
     thetas = [cls.theta for cls in t.angles]
-    sums = cusp_class_images(s, thetas, z, w) if thetas else []
-    return _classwise(t, int(m1) - int(m2) + c1.winding - c2.winding, sums)
+    sums = cusp_class_images(s, thetas, cusp_to_plane(c1), cusp_to_plane(c2)) if thetas else []
+    return _classwise(t, c1.winding - c2.winding, sums)
+
+
+def kernel(
+    end: str, method: str, s: complex, ell, t: TwistSpec, c1: CylCoord, c2: CylCoord
+) -> np.ndarray:
+    """One end's kernel by one method, one complex value per eigenvalue class of t.
+
+    end is "cylinder", "funnel" or "cusp" (which ignores ell); method is
+    "images" or "fourier".  The one dispatch from an end and a method to its
+    route: routes are looked up as module globals when called, so a rebound one runs.
+    """
+    if end not in ("cylinder", "funnel", "cusp") or method not in ("images", "fourier"):
+        raise DomainError(f"no kernel route for end {end!r} and method {method!r}")
+    images = method == "images"
+    if end == "cusp":
+        return (cusp_kernel_images if images else cusp_kernel)(s, t, c1, c2)
+    if end == "funnel":
+        return (funnel_kernel if images else funnel_kernel_fourier)(s, ell, t, c1, c2)
+    if images:
+        return cyl_kernel_images(s, ell, t, cyl_to_plane(c1, ell), cyl_to_plane(c2, ell))
+    return cyl_kernel_fourier(s, ell, t, c1, c2)
 
 
 # ---------------------------------------------------------------------------

@@ -360,5 +360,9 @@ def bessel_k(nu: complex, x: float, scaled: bool = False) -> complex:
         return _bessel_k_quadrature(nu, x, shift)
     # reflection: K_nu = pi/2 (I_{-nu} - I_nu) / sin(pi nu)
     diff = _bessel_i_series(-nu, x, shift) - _bessel_i_series(nu, x, shift)
-    return 0.5 * math.pi * diff / cmath.sin(math.pi * nu)
+    try:
+        sine = cmath.sin(math.pi * nu)
+    except OverflowError:
+        raise OverflowBudgetError(f"sin(pi nu) overflows a double for nu={nu}") from None
+    return 0.5 * math.pi * diff / sine
 

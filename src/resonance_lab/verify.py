@@ -3,7 +3,8 @@
 Every check pits one computational route against an independent one
 (images vs Fourier synthesis, direct sums vs continued integrals, finite
 differences vs closed forms) and reports a named pass/fail result.  The
-CLI `verify` command runs all of them.
+three two-representation checks share one body, which takes both routes
+through `model_kernels.kernel`.  The CLI `verify` command runs all of them.
 """
 
 from __future__ import annotations
@@ -32,59 +33,49 @@ class CheckResult:
     detail: str
 
 
-def _sample_cylinder_pairs(rng, n, r_range=(-2.0, 2.0), min_dr=0.15):
+def _two_representation(end: str, seed: int, r_range, separated, s_values) -> CheckResult:
+    """Images against Fourier modes on one end, ell = 1 and diag(i, -1), to 1e-6 relative.
+
+    One point pair per value of s: r uniform in r_range and phi in
+    [0, 2pi), drawn again until separated(c1, c2) holds.
+    """
+    rng = np.random.default_rng(seed)
+
+    def rel_err(s) -> float:
+        while True:
+            c1 = CylCoord(rng.uniform(*r_range), rng.uniform(0.0, TWO_PI))
+            c2 = CylCoord(rng.uniform(*r_range), rng.uniform(0.0, TWO_PI))
+            if separated(c1, c2):
+                break
+        ki = mk.kernel(end, "images", s, 1.0, _TWIST_EXAMPLE, c1, c2)
+        kf = mk.kernel(end, "fourier", s, 1.0, _TWIST_EXAMPLE, c1, c2)
+        return float(np.max(np.abs(ki - kf) / np.abs(ki)))
+
+    worst = max(rel_err(s) for s in s_values)
+    return CheckResult(f"two_representation_{end}", worst <= 1e-6, f"max rel err {worst:.3e}")
+
+
+def _cylinder_separated(c1: CylCoord, c2: CylCoord) -> bool:
     # near-diagonal evaluation is out of scope; keep radial separation so
     # the mode sums converge at their generic geometric rate
-    out = []
-    while len(out) < n:
-        c1 = CylCoord(rng.uniform(*r_range), rng.uniform(0.0, TWO_PI))
-        c2 = CylCoord(rng.uniform(*r_range), rng.uniform(0.0, TWO_PI))
-        if abs(c1.r - c2.r) < min_dr:
-            continue
-        if sigma(cyl_to_plane(c1, 1.0), cyl_to_plane(c2, 1.0)) > 1.05:
-            out.append((c1, c2))
-    return out
+    return abs(c1.r - c2.r) >= 0.15 and sigma(cyl_to_plane(c1, 1.0), cyl_to_plane(c2, 1.0)) > 1.05
 
 
-def _max_rel_err(pairs) -> float:
-    """Largest relative images-vs-Fourier difference over (images, fourier) pairs."""
-    return max(float(np.max(np.abs(ki - kf) / np.abs(ki))) for ki, kf in pairs)
+def check_two_representation_cylinder() -> CheckResult:
+    return _two_representation("cylinder", 101, (-2.0, 2.0), _cylinder_separated, [_S_REF] * 20)
 
 
-def check_two_representation_cylinder(n_pairs: int = 20, tol: float = 1e-6) -> CheckResult:
-    ell, t = 1.0, _TWIST_EXAMPLE
-    worst = _max_rel_err(
-        (mk.cyl_kernel_images(_S_REF, ell, t, cyl_to_plane(c1, ell), cyl_to_plane(c2, ell)),
-         mk.cyl_kernel_fourier(_S_REF, ell, t, c1, c2))
-        for c1, c2 in _sample_cylinder_pairs(np.random.default_rng(101), n_pairs)
-    )
-    return CheckResult("two_representation_cylinder", worst <= tol, f"max rel err {worst:.3e}")
+def check_two_representation_funnel() -> CheckResult:
+    return _two_representation("funnel", 102, (0.05, 2.2), _cylinder_separated, [_S_REF] * 20)
 
 
-def check_two_representation_funnel(n_pairs: int = 20, tol: float = 1e-6) -> CheckResult:
-    ell, t = 1.0, _TWIST_EXAMPLE
-    worst = _max_rel_err(
-        (mk.funnel_kernel(_S_REF, ell, t, c1, c2), mk.funnel_kernel_fourier(_S_REF, ell, t, c1, c2))
-        for c1, c2 in _sample_cylinder_pairs(np.random.default_rng(102), n_pairs, (0.05, 2.2))
-    )
-    return CheckResult("two_representation_funnel", worst <= tol, f"max rel err {worst:.3e}")
-
-
-def check_two_representation_cusp(n_pairs: int = 20, tol: float = 1e-6) -> CheckResult:
-    rng = np.random.default_rng(103)
-    t = _TWIST_EXAMPLE
-    pairs = []
+def check_two_representation_cusp() -> CheckResult:
     # the last pairs lie below Re s = 1/2 + MARGIN, where the image sum is
     # continued through the S_xi tails
-    for s in [_S_REF] * n_pairs + [0.3 + 1.2j] * 4:
-        while True:
-            c1 = CylCoord(rng.uniform(-0.5, 1.2), rng.uniform(0.0, TWO_PI))
-            c2 = CylCoord(rng.uniform(-0.5, 1.2), rng.uniform(0.0, TWO_PI))
-            if abs(math.exp(c1.r) - math.exp(c2.r)) >= 0.15:
-                break
-        pairs.append((mk.cusp_kernel_images(s, t, c1, c2), mk.cusp_kernel(s, t, c1, c2)))
-    worst = _max_rel_err(pairs)
-    return CheckResult("two_representation_cusp", worst <= tol, f"max rel err {worst:.3e}")
+    return _two_representation(
+        "cusp", 103, (-0.5, 1.2), lambda c1, c2: abs(math.exp(c1.r) - math.exp(c2.r)) >= 0.15,
+        [_S_REF] * 20 + [0.3 + 1.2j] * 4,
+    )
 
 
 def _ode_residual(mode, s, kap, r, r2, ell, h=1e-3):
@@ -100,11 +91,11 @@ def _ode_residual(mode, s, kap, r, r2, ell, h=1e-3):
     )
 
 
-def check_mode_ode(n_samples: int = 50, tol: float = 1e-4) -> CheckResult:
+def check_mode_ode() -> CheckResult:
     rng = np.random.default_rng(104)
     ell = 1.0
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(50):
         kap = rng.uniform(-2.0, 2.0)
         r2 = rng.uniform(-1.5, 2.5)
         r = r2 + rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.2)
@@ -114,10 +105,10 @@ def check_mode_ode(n_samples: int = 50, tol: float = 1e-4) -> CheckResult:
         if rf < 0.02:
             rf = rf2 + 0.4
         worst = max(worst, _ode_residual(mk.funnel_mode, _S_REF, kap, rf, rf2, ell))
-    return CheckResult("mode_ode_residual", worst <= tol, f"max residual {worst:.3e}")
+    return CheckResult("mode_ode_residual", worst <= 1e-4, f"max residual {worst:.3e}")
 
 
-def check_sxi_dual(tol: float = 1e-8) -> CheckResult:
+def check_sxi_dual() -> CheckResult:
     worst = 0.0
     for s in (0.75, 1.5, 2.0 + 2.0j):
         for xia in (0.0, 0.1, 1.0 / 3.0, 0.5):
@@ -125,10 +116,10 @@ def check_sxi_dual(tol: float = 1e-8) -> CheckResult:
                 d = mk.s_xi_direct(xia, s, a, b)
                 c = mk.s_xi_continued(xia, s, a, b)
                 worst = max(worst, abs(d - c) / max(abs(d), 1e-30))
-    return CheckResult("sxi_dual_representation", worst <= tol, f"max rel err {worst:.3e}")
+    return CheckResult("sxi_dual_representation", worst <= 1e-8, f"max rel err {worst:.3e}")
 
 
-def check_scattering(tol_inv: float = 1e-10, tol_feq: float = 1e-6) -> CheckResult:
+def check_scattering() -> CheckResult:
     rng = np.random.default_rng(105)
     ell = 1.0
     worst_inv = 0.0
@@ -151,7 +142,7 @@ def check_scattering(tol_inv: float = 1e-10, tol_feq: float = 1e-6) -> CheckResu
                 worst_feq = max(
                     worst_feq, sc.functional_equation_residual(s, kap, r, r2, ell)
                 )
-    ok = worst_inv <= tol_inv and worst_feq <= tol_feq
+    ok = worst_inv <= 1e-10 and worst_feq <= 1e-6
     return CheckResult(
         "scattering_identities",
         ok,
@@ -159,14 +150,14 @@ def check_scattering(tol_inv: float = 1e-10, tol_feq: float = 1e-6) -> CheckResu
     )
 
 
-def check_free_kernel_pde(n_points: int = 30, tol: float = 1e-4) -> CheckResult:
+def check_free_kernel_pde() -> CheckResult:
     rng = np.random.default_rng(106)
     s = _S_REF
     z2 = HPoint(0.3, 1.2)
     h = 1e-3
     worst = 0.0
     done = 0
-    while done < n_points:
+    while done < 30:
         z = HPoint(rng.uniform(-2.0, 2.0), rng.uniform(0.4, 3.0))
         if sigma(z, z2) < math.cosh(0.25) ** 2:
             continue
@@ -176,10 +167,10 @@ def check_free_kernel_pde(n_points: int = 30, tol: float = 1e-4) -> CheckResult:
         uyy = (u(z.x, z.y + h) - 2.0 * u(z.x, z.y) + u(z.x, z.y - h)) / (h * h)
         resid = abs(-z.y * z.y * (uxx + uyy) - s * (1.0 - s) * u(z.x, z.y))
         worst = max(worst, resid)
-    return CheckResult("free_kernel_pde", worst <= tol, f"max residual {worst:.3e}")
+    return CheckResult("free_kernel_pde", worst <= 1e-4, f"max residual {worst:.3e}")
 
 
-def check_kernel_symmetries(tol: float = 1e-8) -> CheckResult:
+def check_kernel_symmetries() -> CheckResult:
     rng = np.random.default_rng(107)
     ell, t = 1.0, _TWIST_EXAMPLE
     lams = np.array([cls.eigenvalue for cls in t.angles])
@@ -194,13 +185,13 @@ def check_kernel_symmetries(tol: float = 1e-8) -> CheckResult:
         worst_eq = max(worst_eq, float(np.max(np.abs(a - lams * base))))
         d = mk.cyl_class_images(_S_REF.conjugate(), ell, t.angles, w, z)
         worst_sym = max(worst_sym, float(np.max(np.abs(np.conj(base) - d))))
-    ok = worst_eq <= tol and worst_sym <= tol
+    ok = worst_eq <= 1e-8 and worst_sym <= 1e-8
     return CheckResult(
         "kernel_symmetries", ok, f"equivariance {worst_eq:.3e}, conj-symmetry {worst_sym:.3e}"
     )
 
 
-def check_twist_phase(tol: float = 1e-12) -> CheckResult:
+def check_twist_phase() -> CheckResult:
     ell, t = 1.0, _TWIST_EXAMPLE
     c2 = CylCoord(0.8, 1.1)
     worst = 0.0
@@ -210,10 +201,10 @@ def check_twist_phase(tol: float = 1e-12) -> CheckResult:
         for j, cls in enumerate(t.angles):
             phase = cmath.exp(2j * math.pi * cls.theta)
             worst = max(worst, abs(shifted[j] - phase * base[j]) / abs(base[j]))
-    return CheckResult("twist_phase", worst <= tol, f"max rel err {worst:.3e}")
+    return CheckResult("twist_phase", worst <= 1e-12, f"max rel err {worst:.3e}")
 
 
-def check_resonance_example(tol: float = 1e-12) -> CheckResult:
+def check_resonance_example() -> CheckResult:
     ell = 1.0
     rs = rz.cylinder_resonances(ell, _TWIST_EXAMPLE, 8.0)
     step = math.pi / (2.0 * ell)
@@ -227,7 +218,7 @@ def check_resonance_example(tol: float = 1e-12) -> CheckResult:
     got: dict[tuple[int, int], int] = {}
     for p in rs:
         key = (round(-p.location.real), round(p.location.imag / step))
-        if abs(p.location - complex(-key[0], key[1] * step)) > tol:
+        if abs(p.location - complex(-key[0], key[1] * step)) > 1e-12:
             return CheckResult("resonance_example", False, f"off-lattice point {p}")
         got[key] = p.mult
     ok = got == expected
@@ -238,7 +229,7 @@ def check_resonance_example(tol: float = 1e-12) -> CheckResult:
     )
 
 
-def check_counting(tol_coeff: float = 0.1) -> CheckResult:
+def check_counting() -> CheckResult:
     ell = 2.0 * math.pi
     t0 = TwistSpec.trivial()
     rs = rz.cylinder_resonances(ell, t0, 5.0)
@@ -246,7 +237,7 @@ def check_counting(tol_coeff: float = 0.1) -> CheckResult:
     spec = rz.SurfaceSpec(cylinders=((ell, t0),))
     table = [row for row in rz.census(spec, 400.0, 8) if row[0] >= 100.0]
     coeff, spread = rz.growth_fit(table)
-    ok = n5 == 78 and abs(coeff - ell / 2.0) / (ell / 2.0) <= tol_coeff
+    ok = n5 == 78 and abs(coeff - ell / 2.0) / (ell / 2.0) <= 0.1
     return CheckResult(
         "counting_and_growth", ok, f"N(5) = {n5}, growth coeff {coeff:.4f} (ell/2 = {ell/2:.4f})"
     )

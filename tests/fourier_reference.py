@@ -119,14 +119,10 @@ def funnel_mode(s: complex, kappa: float, r: float, r2: float, ell: float) -> co
     )
 
 
-def _mode_sum(mode_term, k_max: int | None) -> complex:
-    """Sum mode_term(k) over k in Z, adaptively unless k_max is given."""
+def _mode_sum(mode_term) -> complex:
+    """Sum mode_term(k) over k in Z, adaptively."""
     center = mode_term(0)
     total = center
-    if k_max is not None:
-        for k in range(1, k_max + 1):
-            total += mode_term(k) + mode_term(-k)
-        return total
     scale = abs(center)
     for side in (1, -1):
         prev = None
@@ -148,31 +144,31 @@ def _mode_sum(mode_term, k_max: int | None) -> complex:
     return total
 
 
-def _fourier_kernel(t: TwistSpec, c1: CylCoord, c2: CylCoord, k_max, mode_term, ell) -> np.ndarray:
+def _fourier_kernel(t: TwistSpec, c1: CylCoord, c2: CylCoord, mode_term, ell) -> np.ndarray:
     """Per class j: lambda_j^(w - w') sum_k mode_term(k + theta_j) / ell."""
     if not t.is_unitary:
         raise DomainError("Fourier synthesis requires a unitary twist")
     if c1.r == c2.r and c1.phi == c2.phi:
         raise DomainError("Fourier synthesis requires distinct points")
-    values = [_mode_sum(lambda k: mode_term(k + cls.theta), k_max) / ell for cls in t.angles]
+    values = [_mode_sum(lambda k: mode_term(k + cls.theta)) / ell for cls in t.angles]
     return _classwise(t, c1.winding - c2.winding, values)
 
 
-def cyl_kernel_fourier(s, ell, t, c1, c2, k_max=None) -> np.ndarray:
+def cyl_kernel_fourier(s, ell, t, c1, c2) -> np.ndarray:
     """Twisted cylinder kernel, one scalar mode at a time."""
     s = complex(s)
     dphi = c1.phi - c2.phi
     return _fourier_kernel(
-        t, c1, c2, k_max,
+        t, c1, c2,
         lambda kap: cmath.exp(1j * kap * dphi) * cyl_mode(s, kap, c1.r, c2.r, ell), ell,
     )
 
 
-def funnel_kernel_fourier(s, ell, t, c1, c2, k_max=None) -> np.ndarray:
+def funnel_kernel_fourier(s, ell, t, c1, c2) -> np.ndarray:
     """Funnel kernel, one scalar mode at a time."""
     s = complex(s)
     dphi = c1.phi - c2.phi
     return _fourier_kernel(
-        t, c1, c2, k_max,
+        t, c1, c2,
         lambda kap: cmath.exp(1j * kap * dphi) * funnel_mode(s, kap, c1.r, c2.r, ell), ell,
     )

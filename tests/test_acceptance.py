@@ -42,7 +42,7 @@ def test_criterion_1_example_twist_lattice():
     t0 = time.time()
     report_checks(
         1, "diag(i,-1) cylinder multiset |s| < 8",
-        [vf.check_resonance_example(tol=1e-12)], t0, 1.0,
+        [vf.check_resonance_example()], t0, 1.0,
     )
 
 
@@ -52,7 +52,7 @@ def test_criterion_2_untwisted_count_and_growth():
     brute = 2 * sum(1 for n in range(6) for m in range(-5, 6) if n * n + m * m < 25)
     report_checks(
         2, "N(5) = 78 and growth ~ ell/2 on [100, 400]",
-        [vf.check_counting(tol_coeff=0.10)], t0, 10.0,
+        [vf.check_counting()], t0, 10.0,
         extra_ok=brute == 78, extra=f"brute-force oracle N(5) = {brute}",
     )
 
@@ -80,18 +80,16 @@ def test_criterion_3_cusp_resonance():
 def test_criterion_4_two_representation_agreement():
     t0 = time.time()
     results = [
-        vf.check_two_representation_cylinder(n_pairs=20, tol=1e-6),
-        vf.check_two_representation_funnel(n_pairs=20, tol=1e-6),
-        vf.check_two_representation_cusp(n_pairs=20, tol=1e-6),
+        vf.check_two_representation_cylinder(),
+        vf.check_two_representation_funnel(),
+        vf.check_two_representation_cusp(),
     ]
     report_checks(4, "images vs Fourier on 3 ends, 20 pairs each", results, t0, 30.0)
 
 
 def test_criterion_5_mode_ode_residuals():
     t0 = time.time()
-    report_checks(
-        5, "mode ODE residuals (h = 1e-3)", [vf.check_mode_ode(n_samples=50, tol=1e-4)], t0, 5.0
-    )
+    report_checks(5, "mode ODE residuals (h = 1e-3)", [vf.check_mode_ode()], t0, 5.0)
 
 
 def test_criterion_6_sxi_dual_and_pole():
@@ -99,7 +97,7 @@ def test_criterion_6_sxi_dual_and_pole():
     pole_mag = abs(mk.s_xi_continued(0.0, 0.5 + 1e-4, 0.2, 1.0))
     report_checks(
         6, "S_xi dual representation (36 points) + pole witness",
-        [vf.check_sxi_dual(tol=1e-8)], t0, 10.0,
+        [vf.check_sxi_dual()], t0, 10.0,
         extra_ok=pole_mag >= 1e3, extra=f"|S| at 1e-4 from pole = {pole_mag:.1f}",
     )
 
@@ -117,14 +115,14 @@ def test_criterion_7_scattering_identities():
                 worst_rel = max(worst_rel, abs(lhs - rhs) / abs(rhs))
     report_checks(
         7, "scattering inversion + functional equation",
-        [vf.check_scattering(tol_inv=1e-10, tol_feq=1e-6)], t0, 10.0,
+        [vf.check_scattering()], t0, 10.0,
         extra_ok=worst_rel <= 1e-6, extra=f"relative residual {worst_rel:.2e}",
     )
 
 
 def test_criterion_8_pde_and_symmetries():
     t0 = time.time()
-    results = [vf.check_free_kernel_pde(n_points=30, tol=1e-4), vf.check_kernel_symmetries(tol=1e-8)]
+    results = [vf.check_free_kernel_pde(), vf.check_kernel_symmetries()]
     report_checks(8, "free-kernel PDE + cylinder kernel symmetries", results, t0, 10.0)
 
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from resonance_lab import cli
+from resonance_lab import cli, errors
 from resonance_lab.errors import DomainError
 
 
@@ -215,7 +215,20 @@ class TestKernelCommand:
         assert rc == 3
         assert "more than 10000" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [("--tail-tol", "1e-12"), ("--max-images", "100")])
+    def test_bessel_sine_overflow_exit_3(self, tmp_path, capsys):
+        # sin(pi nu) in the reflection formula for K_nu overflows at Im s = 300
+        path = tmp_path / "cusp.json"
+        path.write_text(json.dumps({"cusps": [{"twist": {"angles": [{"theta": 0.25, "mult": 1}]}}]}))
+        argv = [
+            "kernel", "--spec", str(path), "--end", "cusp", "--method", "fourier",
+            "--s", "2+300i", "--coords", "-1", "1", "-0.9", "2",
+        ]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--tail-tol", "1e-12"), ("--max-images", "100"), ("--k-max", "40")]
+    )
     def test_retired_truncation_flags_exit_2(self, spec_file, flag, value):
         argv = [
             "kernel", "--spec", spec_file, "--end", "cylinder", "--s", "2+0.3i",
@@ -237,17 +250,6 @@ class TestKernelCommand:
         )
         assert rc == 2
         assert "no eigenvalue classes" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("method", ["images", "fourier", "both"])
-    def test_negative_k_max_exit_2(self, spec_file, capsys, method):
-        rc = cli.main(
-            [
-                "kernel", "--spec", spec_file, "--end", "cylinder", "--method", method,
-                "--s", "2+0.3i", "--coords", "0.2", "1.0", "1.0", "2.0", "--k-max", "-3",
-            ]
-        )
-        assert rc == 2
-        assert "--k-max" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "angles,s,coords",
@@ -488,3 +490,31 @@ def test_malformed_input_exits_2(spec, argv, spec_file, tmp_path, capsys, monkey
         spec_file.write_text(json.dumps(spec))
     assert cli.main([argv[0], "--spec", str(spec_file), *argv[1:]]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_EXIT_CODES = {
+    errors.ResonanceLabError: 2,
+    errors.DiagonalError: 2,
+    errors.DomainError: 2,
+    errors.NonUnitaryError: 2,
+    errors.InsufficientDataError: 2,
+    errors.NumericalError: 3,
+    errors.PoleError: 3,
+    errors.NonConvergenceError: 3,
+    errors.TruncationError: 3,
+    errors.QuadratureError: 3,
+    errors.OverflowBudgetError: 3,
+    errors.RadiusExceededError: 3,
+}
+
+
+@pytest.mark.parametrize(
+    "error,code", list(_EXIT_CODES.items()), ids=lambda v: getattr(v, "__name__", str(v))
+)
+def test_error_class_exit_code(monkeypatch, capsys, error, code):
+    def fail():
+        raise error("boom")
+
+    monkeypatch.setattr(cli.vf, "run_all", fail)
+    assert cli.main(["verify"]) == code
+    assert capsys.readouterr().err == ("numerical failure: " if code == 3 else "error: ") + "boom\n"

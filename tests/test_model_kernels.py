@@ -135,11 +135,15 @@ class TestCylinderKernel:
             assert pos == neg
 
     def test_increase_budget_stability(self, monkeypatch):
-        # raising k_max by 50% moves the kernel by less than the tail bound
+        # a mode tail tolerance 100 times tighter moves no class of any
+        # end's Fourier synthesis by more than 10 times the looser one
         c1, c2 = CylCoord(0.5, 1.0), CylCoord(1.1, 4.0)
-        a = mk.cyl_kernel_fourier(S_REF, ELL, TWIST, c1, c2, k_max=40)
-        b = mk.cyl_kernel_fourier(S_REF, ELL, TWIST, c1, c2, k_max=60)
-        assert np.max(np.abs(a - b)) < 1e-10
+        ends = ("cylinder", "funnel", "cusp")
+        fa = [mk.kernel(end, "fourier", S_REF, ELL, TWIST, c1, c2) for end in ends]
+        monkeypatch.setattr(mk, "FOURIER_TAIL_TOL", mk.FOURIER_TAIL_TOL / 100.0)
+        for end, a in zip(ends, fa):
+            b = mk.kernel(end, "fourier", S_REF, ELL, TWIST, c1, c2)
+            assert np.all(np.abs(a - b) <= 1e-11 * np.abs(b)), end
         # same for the image sums: a series bound 100 times tighter moves
         # no class by more than the looser bound
         z, w = cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL)
@@ -163,6 +167,11 @@ class TestTruncation:
                 mk.funnel_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
             else:
                 mk.cyl_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
+
+    @pytest.mark.parametrize("end,method", [("disc", "images"), ("cusp", "both")])
+    def test_kernel_without_route(self, end, method):
+        with pytest.raises(DomainError, match="no kernel route"):
+            mk.kernel(end, method, S_REF, ELL, TWIST, CylCoord(0.6, 1.0), CylCoord(0.9, 2.5))
 
     @pytest.mark.parametrize("route", ["cylinder", "funnel", "cusp"])
     @pytest.mark.parametrize("phi2", [1.0, 1.0 + TWO_PI])
@@ -470,13 +479,12 @@ class TestFourierAgainstReference:
 
     @pytest.mark.parametrize("route", ["cylinder", "funnel"])
     @pytest.mark.parametrize("dr", [0.05, 0.2])
-    @pytest.mark.parametrize("k_max", [None, 12])
-    def test_grid(self, route, dr, k_max):
+    def test_grid(self, route, dr):
         fast, slow, r = self.ROUTES[route]
         for s in (S_REF, 0.9 - 1.2j):
             c1, c2 = CylCoord(r, 1.0), CylCoord(r + dr, 2.5)
-            got = fast(s, ELL, THREE_ANGLES, c1, c2, k_max)
-            want = slow(s, ELL, THREE_ANGLES, c1, c2, k_max)
+            got = fast(s, ELL, THREE_ANGLES, c1, c2)
+            want = slow(s, ELL, THREE_ANGLES, c1, c2)
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (got, want)
 
     @pytest.mark.parametrize("route", ["cylinder", "funnel"])

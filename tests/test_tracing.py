@@ -44,8 +44,8 @@ def test_traced_commands_complete(tmp_path, capsys):
     assert codes == [0, 0, 0, 0]
     assert (mk.cyl_mode, mk.funnel_mode, specfun.reg_hyp2f1_scaled, free_resolvent.g_s) == originals
     calls = snap["calls"]
-    for name in ("model_kernels.cyl_mode", "model_kernels.funnel_mode", "model_kernels.cusp_mode"):
-        assert calls[name] > 0
+    for name in ("cyl_mode", "funnel_mode", "cusp_mode") + tracing.IMAGE_ROUTES + tracing.FOURIER_ROUTES:
+        assert calls["model_kernels." + name] > 0, name
     assert sum(v for k, v in calls.items() if k.startswith("specfun.reg_hyp2f1.")) > 0
     assert sum(v for k, v in calls.items() if k.startswith("free_resolvent.g_s.")) > 0
     assert snap["counts"]["fourier.evals"] == 3
