@@ -25,11 +25,13 @@ Mode sums evaluate their modes in blocks of k, 8 first and then doubling
 apply the stopping rule value by value within a block, so that they stop
 where a mode-by-mode sum would.  Each distinct |kappa| of a kernel is
 evaluated once: for theta = 0 and 1/2 the k > 0 and k < 0 sides share
-them.  Mode profiles for the hyperbolic cylinder / funnel are built from
-the regularized hypergeometric function, one array series per block;
-cusp modes from modified Bessel functions of order s - 1/2, one by one
-from blocks of 2.  The two routes agree on the common domain, which is
-the module's master cross-check.
+them, and k = 0 and the first block of each side, which every sum takes,
+are evaluated for all classes in one call.  Mode profiles for the
+hyperbolic cylinder / funnel are built from the regularized
+hypergeometric function, one array series per call; cusp modes from
+modified Bessel functions of order s - 1/2, one by one, with blocks of 2.
+The two routes agree on the common domain, which is the module's master
+cross-check.
 
 Evaluation domains (series guard GUARD_DELTA = 1e-3):
   * cylinder profile v(s; r) needs r >= -R_PROFILE_MIN (~ -3.45);
@@ -47,7 +49,7 @@ import numpy as np
 from . import specfun
 from .errors import DomainError, PoleError, TruncationError
 from .free_resolvent import g_s
-from .geometry import TWO_PI, CylCoord, HPoint, cusp_to_plane, cyl_to_plane, sigma
+from .geometry import TWO_PI, CylCoord, HPoint, cusp_to_plane, cyl_to_plane
 from .specfun import bessel_i, bessel_k, log_gamma
 from .twist import TwistSpec
 
@@ -162,9 +164,10 @@ def cyl_class_images(s: complex, ell: float, classes, z: HPoint, z2: HPoint) -> 
         sigma_k = A (cosh x_k - cos(alpha + beta))
                 = 2A (sinh^2(x_k/2) + sin^2((alpha + beta)/2)).
 
-    The near images, sigma_k < 4 and the two around x = 0, go through g_s;
-    the far ones through `_image_series`.  Their window ends on each side
-    where the rest, which shrinks by at least
+    The near images, sigma_k < 4 and the two around x = 0, go through g_s
+    at sigma_k by the second form, so that images at mirrored x_k get the
+    same sigma; the far ones through `_image_series`.  Their window ends on
+    each side where the rest, which shrinks by at least
     |lam| e^{-Re s (ell - 2 log(1 + e^{-|x|}))} per image, is below
     e^-_WINDOW_CUT of the largest far image.  lam^k and sigma_k^-s share
     one exponent, so that neither overflows alone.  No fundamental-domain
@@ -213,9 +216,9 @@ def cyl_class_images(s: complex, ell: float, classes, z: HPoint, z2: HPoint) -> 
     log_sig = log_sigma(k)
     weights = np.exp(log_weights(k) - s * log_sig[:, None])
     k_near = np.arange(lo, hi + 1)
-    sigmas = [sigma(z, HPoint.from_complex(math.exp(j * ell) * z2.z)) for j in k_near.tolist()]
+    sigmas = 2.0 * big_a * (np.sinh(0.5 * (k_near * ell + big_l)) ** 2 + sin2)
     return _image_series(
-        s, sigmas, np.exp(log_weights(k_near)).T,
+        s, sigmas.tolist(), np.exp(log_weights(k_near)).T,
         lambda n: np.exp(-np.multiply.outer(n, log_sig)) @ weights,
         lambda big_n: np.exp(-big_n * log_sig) @ np.abs(weights),
         math.exp(-float(log_sig.min())),
@@ -363,7 +366,9 @@ def _fourier_kernel(
     kappa = k + theta_j; 2pi windings of the angles enter through the twist
     phase.  profile takes an array of |kappa| and is evaluated once for
     each distinct |kappa| of the kernel: for theta = 0 and 1/2 the two
-    sides of a class share them.
+    sides of a class share them.  Every sum takes k = 0 and its first
+    block on each side, so one profile call evaluates those of every class
+    before the sums start; a later block calls it for the |kappa| it adds.
     """
     if not t.is_unitary:
         raise DomainError("Fourier synthesis requires a unitary twist")
@@ -378,6 +383,11 @@ def _fourier_kernel(
             known.update(zip(new, profile(np.array(new)).tolist()))
         return np.exp(1j * kappa * w) * np.array([known[x] for x in sizes])
 
+    # in the order the sums reach them: k = 0, 1, ..., first_block, -1, ..., -first_block
+    first = np.arange(first_block + 1)
+    first = np.concatenate([first, -first[1:]])
+    if t.angles:
+        mode_terms(np.concatenate([first + cls.theta for cls in t.angles]))
     values = [_mode_sum(lambda k: mode_terms(k + cls.theta), first_block) / ell for cls in t.angles]
     return _classwise(t, c1.winding - c2.winding, values)
 
@@ -537,7 +547,7 @@ def cusp_class_images(s: complex, thetas, z: HPoint, z2: HPoint) -> np.ndarray:
 
     With a = x' - x, b = y + y' and L = 4yy', sigma_k = ((k+a)^2 + b^2)/L.
     The near images |k| <= K, K >= 3 the least with sigma_k >= 4 beyond it,
-    go through g_s, once for all classes; the far ones through
+    go through g_s at that sigma_k, once for all classes; the far ones through
     `_image_series`, whose inner sums are the S_xi lattice sums without
     their near terms: a numpy window up to `_lattice_window`, then
     `_sxi_tails`.  The tails carry the continuation of the sum below
@@ -556,7 +566,7 @@ def cusp_class_images(s: complex, thetas, z: HPoint, z2: HPoint) -> np.ndarray:
     window = _lattice_window(s, a, b)
     _check_budget(2 * k_near + 1, 2 * (window - k_near))
     k = np.arange(-k_near, k_near + 1)
-    sigmas = [sigma(z, HPoint(z2.x + j, z2.y)) for j in k.tolist()]
+    sigmas = (((k + a) ** 2 + b * b) / big_l).tolist()
     near_weights = np.exp(2j * math.pi * (np.multiply.outer(thetas, k) % 1.0))
 
     k = np.concatenate([np.arange(k_near + 1, window + 1), np.arange(-window, -k_near)])
@@ -618,9 +628,6 @@ def kernel(
 # ---------------------------------------------------------------------------
 
 
-#: B_2, B_4, ..., B_16: the Euler-Maclaurin corrections of the theta = 0 tail.
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
-
 #: Trapezoid step in x and weight cutoff (e^-_TAIL_CUT) of the contour tail.
 _TAIL_STEP = 0.15
 _TAIL_CUT = 42.0
@@ -649,9 +656,9 @@ def _sum_tail(p: np.ndarray, a: float, b: float, start: int, log_scale: float) -
     alpha, beta = 2.0 * v0 / q0, 1.0 / q0
     e_prev, e = np.ones_like(p), -p * alpha
     corr = np.zeros_like(p)
-    for j in range(1, 2 * len(_BERNOULLI)):
+    for j in range(1, 2 * len(specfun.BERNOULLI)):
         if j % 2:
-            corr += _BERNOULLI[j // 2] / (j + 1) * e
+            corr += specfun.BERNOULLI[j // 2] / (j + 1) * e
         e_prev, e = e, -(alpha * (p + j) * e + beta * (2.0 * p + j - 1.0) * e_prev) / (j + 1)
     return integral + np.exp(-p * (math.log(q0) - log_scale)) * (0.5 - corr)
 

@@ -60,6 +60,9 @@ _LANCZOS_COEFFS = (
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
+#: Bernoulli numbers B_2, B_4, ..., B_16.
+BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+
 #: Guard band for the hypergeometric series domain |z| < 1.
 GUARD_DELTA = 1e-3
 

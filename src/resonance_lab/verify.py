@@ -18,12 +18,16 @@ import numpy as np
 from . import model_kernels as mk
 from . import resonances as rz
 from . import scattering as sc
+from .errors import PoleError
 from .free_resolvent import free_kernel
 from .geometry import TWO_PI, CylCoord, HPoint, cyl_to_plane, sigma
 from .twist import TwistSpec
 
 _TWIST_EXAMPLE = TwistSpec.from_angles([(0.25, 1), (0.5, 1)])  # diag(i, -1)
 _S_REF = 2.0 + 0.3j
+
+#: Draws of (s, kappa) in which check_scattering must form its 200 products.
+_SCATTERING_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -123,18 +127,25 @@ def check_scattering() -> CheckResult:
     rng = np.random.default_rng(105)
     ell = 1.0
     worst_inv = 0.0
-    n = 0
-    while n < 200:
+    n = draws = 0
+    while n < 200 and draws < _SCATTERING_DRAWS:
+        draws += 1
         s = complex(rng.uniform(-2.0, 3.0), rng.uniform(-3.0, 3.0))
         kap = rng.uniform(-3.0, 3.0)
         try:
             v = sc.scattering_coeff(s, kap, ell) * sc.scattering_coeff(1.0 - s, kap, ell)
-        except Exception:
+        except PoleError:
             continue
         if v == 0.0:
             continue
         n += 1
         worst_inv = max(worst_inv, abs(v - 1.0))
+    if n < 200:
+        return CheckResult(
+            "scattering_identities",
+            False,
+            f"only {n} of 200 products S(s) S(1-s) formed in {_SCATTERING_DRAWS} draws",
+        )
     worst_feq = 0.0
     for s in (0.7 + 0.4j, 0.3 - 0.6j, 0.55 + 1.2j, 0.8 + 0.15j, 0.42 - 1.1j):
         for kap in (0.25, 0.5, 1.0, 1.75, 2.5):

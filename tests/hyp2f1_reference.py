@@ -2,16 +2,18 @@
 
 This is `specfun.reg_hyp2f1_scaled` as it was written before the array
 engine: one Python loop over the terms, rescaled by 1e-150 whenever the
-running sum passes 1e150, started from rgamma(c), and stopped on the same
-geometric tail rule, |term| |z| / (1 - |z|) <= 1e-16 |sum|.
+running sum passes 1e150, started from 1/Gamma(c) (its phase, with
+-Re log Gamma(c) in the exponent), and stopped on the same geometric tail
+rule, |term| |z| / (1 - |z|) <= 1e-16 |sum|.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from resonance_lab.errors import DomainError, NonConvergenceError
-from resonance_lab.specfun import GUARD_DELTA, _is_nonpositive_integer, rgamma
+from resonance_lab.specfun import GUARD_DELTA, _is_nonpositive_integer, log_gamma
 
 _SERIES_CAP = 100_000
 
@@ -44,12 +46,15 @@ def reg_hyp2f1_scaled(
         term = z**n0 / math.factorial(n0)
         for j in range(n0):
             term *= (a + j) * (b + j)
+        exponent = 0.0
     else:
+        # 1/Gamma(c) as a phase and an exponent, so that Re c > 171 evaluates
         n0 = 0
-        term = rgamma(c)
+        lg = log_gamma(c)
+        term = cmath.exp(complex(0.0, -lg.imag))
+        exponent = -lg.real
 
     total = term
-    exponent = 0.0
     n = n0
     while n < _SERIES_CAP:
         term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * z

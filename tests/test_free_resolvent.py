@@ -6,11 +6,15 @@ import math
 import numpy as np
 import pytest
 
+import free_resolvent_reference as ref
 from resonance_lab import free_resolvent as fr
 from resonance_lab import specfun as sf
 from resonance_lab.errors import DiagonalError, PoleError
 from resonance_lab.geometry import HPoint, sigma
 from sl2_action import act, dilation
+
+S_GRID = [0.15, 0.8 + 1.4j, 2 + 0.3j, 3 + 15j, 5 + 10j, 20 - 3j, 60 + 40j, 200 + 1j, -0.5, -1.5, -2.3 + 0.4j]
+SIGMA_GRID = [1 + 1.1e-3, 1.01, 1.05, 1.2, 1.5, 2.0, 4.0, 10.0, 1e3, 1e6]
 
 
 def g_series_oracle(s, x, n_terms=400):
@@ -52,6 +56,46 @@ class TestGs:
             fr.g_s(-3.0, 2.0)
         with pytest.raises(DiagonalError):
             fr.g_s(2.0, 1.0005)
+
+
+class TestGsGrid:
+    """g_s against mpmath and against its former formula, on a grid that
+    reaches the diagonal guard, Re s = 200 and s + 1/2 in -N0."""
+
+    @staticmethod
+    def mp_g(s, x):
+        """Q_{s-1}(cosh d) / (2 pi), cosh^2(d/2) = x, at 40 digits."""
+        import mpmath as mp
+
+        with mp.workdps(40):
+            cosh_d = 2 * mp.mpf(x) - 1
+            return complex(mp.legenq(mp.mpc(s) - 1, 0, cosh_d, type=3) / (2 * mp.pi))
+
+    @pytest.mark.parametrize("s", S_GRID)
+    def test_against_mpmath_and_slow_path(self, s):
+        worst = worst_slow = 0.0
+        for x in SIGMA_GRID:
+            want, got, slow = self.mp_g(s, x), fr.g_s(s, x), ref.g_s(s, x)
+            if abs(want) < 1e-290:  # below the normal range, as at s = 200+1i, x >= 10
+                assert abs(got - want) <= 1e-300
+                continue
+            worst = max(worst, abs(got - want) / abs(want))
+            worst_slow = max(worst_slow, abs(slow - want) / abs(want))
+            assert abs(got - slow) <= 1e-12 * abs(slow)
+        # past |s| = 20 the rounding grows with |s|: no worse than the former formula there
+        assert worst <= (1e-14 if abs(s) <= 20 else worst_slow)
+
+    def test_without_the_2f1_engine(self, monkeypatch):
+        # g_s sums its own scalar series: the array 2F1 engine is not called
+        points = [(s, x) for s in (0.15, 2 + 0.3j, 60 + 40j) for x in (1.0011, 1.5, 1e3)]
+        want = [fr.g_s(s, x) for s, x in points]
+
+        def unused(*args):
+            raise AssertionError("g_s called reg_hyp2f1_scaled")
+
+        monkeypatch.setattr(sf, "reg_hyp2f1_scaled", unused)
+        fr._series_start.cache_clear()
+        assert [fr.g_s(s, x) for s, x in points] == want
 
 
 class TestFreeKernel:

@@ -439,7 +439,7 @@ class TestImagesAgainstReference:
                 want = ref.funnel_kernel(s, ell, twist, c1, c2, REF_CFG)
                 self.assert_close(mk.funnel_kernel(s, ell, twist, c1, c2), want, magnitude)
 
-    @pytest.mark.parametrize("s", [S_REF, 0.8 - 1.1j])
+    @pytest.mark.parametrize("s", [S_REF, 0.8 - 1.1j, 3.0 + 2.0j, 5.0 + 4.0j])
     def test_vanishing_class(self, s):
         # half a period apart in |z|, images k and -k-1 have the same sigma and
         # opposite signs at theta = 1/2: that class is zero, which no relative
@@ -519,3 +519,21 @@ class TestFourierAgainstReference:
             fast(S_REF, ELL, TwistSpec.from_angles([(theta, 1)]), c1, c2)
             # both sides on one grid theta + j, each point once
             assert len(seen) == len(set(seen)) == max(seen) - min(seen) + 1
+
+    def test_first_blocks_in_one_call(self, monkeypatch):
+        # r and r' 1.5 apart: every side of both classes ends inside its
+        # first block, so one profile call evaluates every mode the sums take
+        sizes = []
+        original = mk.cyl_mode
+
+        def recording(s, kappa, *args):
+            sizes.append(np.size(kappa))
+            return original(s, kappa, *args)
+
+        monkeypatch.setattr(mk, "cyl_mode", recording)
+        c1, c2 = CylCoord(-0.6, 1.0), CylCoord(0.9, 2.5)
+        got = mk.cyl_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
+        # |k + 1/4| for |k| <= 8 are 17 sizes, |k + 1/2| only 9
+        assert sizes == [26]
+        want = fref.cyl_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))

@@ -8,6 +8,7 @@ import pytest
 
 from resonance_lab import model_kernels as mk
 from resonance_lab import scattering as sc
+from resonance_lab import verify as vf
 from resonance_lab.errors import PoleError
 
 ELL = 1.0
@@ -116,3 +117,24 @@ class TestFunctionalEquation:
             for kap in (0.5, 1.75):
                 for r, r2 in ((0.5, 1.5), (2.0, 0.7)):
                     assert sc.functional_equation_residual(s, kap, r, r2, ELL) < 1e-6
+
+
+class TestScatteringCheck:
+    """verify's check_scattering skips pole draws only, and a bounded number of them."""
+
+    def test_poles_on_every_draw_fail(self, monkeypatch):
+        def pole(*args):
+            raise PoleError("pole")
+
+        monkeypatch.setattr(sc, "scattering_coeff", pole)
+        result = vf.check_scattering()
+        assert not result.passed
+        assert result.detail == "only 0 of 200 products S(s) S(1-s) formed in 1000 draws"
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(sc, "scattering_coeff", broken)
+        with pytest.raises(TypeError):
+            vf.check_scattering()
