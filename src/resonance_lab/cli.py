@@ -261,10 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_modes)
 
     sp = sub.add_parser("verify", help="run the cross-oracle verification suite")
-    sp.add_argument(
-        "--serial", action="store_true",
-        help="accepted for compatibility; the checks always run serially",
-    )
     sp.set_defaults(func=_cmd_verify)
 
     # argparse reads only plain decimals such as "-1.5" as negative values;

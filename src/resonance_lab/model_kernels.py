@@ -632,6 +632,9 @@ def kernel(
 _TAIL_STEP = 0.15
 _TAIL_CUT = 42.0
 
+#: Frequencies per block of the continued S_xi's dual sum (31 nodes x 4096: 1 MB).
+_FREQ_BLOCK = 4096
+
 
 def _sum_tail(p: np.ndarray, a: float, b: float, start: int, log_scale: float) -> np.ndarray:
     """sum_{k >= start} f_p(k), f_p(k) = (((k+a)^2 + b^2) e^-log_scale)^-p, per p.
@@ -732,8 +735,9 @@ def s_xi_continued(xi_angle: float, s: complex, a: float, b: float) -> complex:
 
     S_xi(s; a, b) = sqrt(pi) b^{1-2s} / Gamma(s) * [ I(s) + [xi = 1] Gamma(s - 1/2) ],
 
-    where I(s) integrates e^{-u} u^{s-3/2} against the dual theta sum with
-    the zero-frequency term removed.  Valid for all s; for xi = 1 the poles
+    where I(s) integrates e^{-u} u^{s-1/2} against the dual theta sum, less
+    its zero frequency, over t = log u: there the sum's rise at u ~ pi^2 b^2
+    is as wide as its decay at u ~ 1.  Valid for all s; for xi = 1 the poles
     sit at s in 1/2 - N0 (from the separated Gamma(s - 1/2) term).
     """
     from ._quad import gauss_legendre_adaptive
@@ -750,23 +754,28 @@ def s_xi_continued(xi_angle: float, s: complex, a: float, b: float) -> complex:
     pib2 = math.pi * math.pi * b * b
     m_min = 1.0 if lam == 0.0 else min(lam, 1.0 - lam)
 
-    def integrand(u: float) -> complex:
-        kmax = int(math.sqrt(u * 700.0 / pib2)) + 2
+    def integrand(t: np.ndarray) -> np.ndarray:
+        u = np.exp(t)
+        # frequencies past kmax are below e^-700 at every node
+        kmax = int(math.sqrt(float(u.max()) * 700.0 / pib2)) + 2
         freq = np.arange(-kmax, kmax + 1) + lam
-        ex = -pib2 * freq * freq / u
-        # the dual sum leaves out the zero frequency and terms below e^-700;
-        # its phase is e^{-2 pi i a (k+lam)}: the sign is pinned by the
-        # index-shift identity S(s; a+1, b) = xi^{-1} S(s; a, b)
-        keep = (freq != 0.0) & (ex >= -700.0)
-        dual = complex(np.exp(ex[keep] - 2j * math.pi * a * freq[keep]).sum())
-        return cmath.exp(-u + (s - 1.5) * math.log(u)) * dual
+        freq = freq[freq != 0.0]
+        # the dual sum leaves out the zero frequency; its phase is
+        # e^{-2 pi i a (k+lam)}: the sign is pinned by the index-shift
+        # identity S(s; a+1, b) = xi^{-1} S(s; a, b)
+        dual = sum(
+            np.exp(np.multiply.outer(-pib2 / u, f * f)) @ np.exp(-2j * math.pi * a * f)
+            for f in np.split(freq, range(_FREQ_BLOCK, freq.size, _FREQ_BLOCK))
+        )
+        return np.exp(-u + (s - 0.5) * t) * dual
 
     # upper limit: e^{-U} U^{Re s - 1/2} < 1e-16
     U = 45.0
     while U - max(s.real - 0.5, 0.0) * math.log(U) < 37.0:
         U += 5.0
-    u_min = pib2 * m_min * m_min / 700.0
-    integral = gauss_legendre_adaptive(integrand, u_min, U, 1e-12)
+    # lower limit: below u = (pi b m_min)^2 / 700 every dual term is under e^-700
+    t_min = 2.0 * math.log(math.pi * b * m_min) - math.log(700.0)
+    integral = gauss_legendre_adaptive(integrand, t_min, math.log(U), 1e-12)
     if lam == 0.0:
         integral += cmath.exp(log_gamma(s - 0.5))
     pref = cmath.exp(

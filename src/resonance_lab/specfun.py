@@ -200,12 +200,17 @@ def reg_hyp2f1_scaled(a, b, c: complex, z: complex):
     m = _is_nonpositive_integer(c)
     if m is not None:
         # Gamma(c+n) is singular for n <= m, so those terms vanish; start
-        # at n = m+1 where Gamma(c+n) = Gamma(n-m) is regular.
+        # at n = m+1 where Gamma(c+n) = Gamma(n-m) = 1, as the product of
+        # the ratios (a+j)(b+j) z / (j+1), kept in [1/2, 1) by exact powers of 2
         n0 = m + 1
-        term = np.full(rows, z**n0 / math.factorial(n0))
-        for j in range(n0):
-            term = term * ((a[:, 0] + j) * (b[:, 0] + j))
-        exponent = np.zeros(rows)
+        term = np.ones(rows, dtype=complex)
+        twos = np.zeros(rows, dtype=int)
+        for j in range(min(n0, _SERIES_CAP)):
+            term = term * ((a[:, 0] + j) * (b[:, 0] + j) * (z / (j + 1.0)))
+            k = np.frexp(np.abs(term))[1]
+            term = np.ldexp(term.real, -k) + 1j * np.ldexp(term.imag, -k)
+            twos += k
+        exponent = twos * math.log(2.0)
     else:
         n0 = 0
         lg = log_gamma(c)

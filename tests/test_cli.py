@@ -238,6 +238,15 @@ class TestKernelCommand:
             cli.main(argv)
         assert exc.value.code == 2
 
+    def test_pole_start_beyond_factorial_range_exits_0_or_3(self, spec_file):
+        # c = s + 1/2 = -171 starts the profile's 2F1 at n0 = 172, where
+        # z^n0 / n0! took a factorial beyond the double range (exit 1)
+        argv = [
+            "kernel", "--spec", spec_file, "--end", "cylinder", "--method", "fourier",
+            "--s", "-171.5", "--coords", "0.3", "1", "0.9", "2",
+        ]
+        assert cli.main(argv) in (0, 3)
+
     @pytest.mark.parametrize("method", ["images", "fourier", "both"])
     def test_twist_without_classes_exit_2(self, tmp_path, capsys, method):
         path = tmp_path / "empty.json"
@@ -374,9 +383,10 @@ class TestVerifyCommand:
         assert "verification passed" in out
         assert out.count("PASS") >= 10 and "FAIL" not in out
 
-    def test_serial_flag_still_accepted(self):
-        args = cli.build_parser().parse_args(["verify", "--serial"])
-        assert args.func is cli._cmd_verify
+    def test_retired_serial_flag_exit_2(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--serial"])
+        assert exc.value.code == 2
 
 
 class TestModesCommand:

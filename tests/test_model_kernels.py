@@ -3,12 +3,14 @@
 import cmath
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fourier_reference as fref
 import images_reference as ref
+import sxi_reference
 from resonance_lab import model_kernels as mk
 from resonance_lab.errors import DomainError, PoleError, TruncationError
 from resonance_lab.geometry import TWO_PI, CylCoord, HPoint, cyl_to_plane, sigma
@@ -374,6 +376,32 @@ class TestSXi:
         assert time.perf_counter() - t0 < 1.0
         d = mk.s_xi_direct(xia, s, a, b)
         assert abs(c - d) <= 1e-12 * abs(d)
+
+    @pytest.mark.parametrize("xia", [0.0, 0.1, 1.0 / 3.0, 0.5, 0.9])
+    def test_against_per_node_reference(self, xia):
+        # the former u-variable integrand, one node at a time, on a grid
+        # where its first panel sees the whole integrand
+        for s in (0.15 + 0.3j, 0.75, 1.5, 2.0 + 2.0j, -0.7 + 0.4j, -2.3 + 1.0j, 12.0 + 0.3j):
+            for a, b in ((0.0, 1.0), (0.3, 0.5), (-1.7, 2.5)):
+                want = sxi_reference.s_xi_continued(xia, s, a, b)
+                assert abs(mk.s_xi_continued(xia, s, a, b) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("b,bound", [(0.01, 1e-10), (2e-3, 1e-8)])
+    def test_small_b(self, b, bound):
+        # the dual sum rises at u ~ pi^2 b^2: integrated in u, no node of
+        # the first panel saw it and b = 0.01 read 1.3e-10 in place of 37
+        d = mk.s_xi_direct(0.25, 1.5, 0.3, b)
+        assert abs(mk.s_xi_continued(0.25, 1.5, 0.3, b) - d) <= bound * abs(d)
+
+    def test_memory_bounded_at_small_b(self):
+        # 56,000 frequencies at the first panel's nodes, summed in blocks
+        tracemalloc.start()
+        try:
+            mk.s_xi_continued(0.25, 1.5, 0.3, 2e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_pole_witness(self):
         v = mk.s_xi_continued(0.0, 0.5 + 1e-4, 0.2, 1.0)

@@ -254,6 +254,32 @@ class TestArrayEngine:
         with pytest.raises(PoleError):
             sf.log_gamma(np.array([1.5, -2.0]))
 
+    @pytest.mark.parametrize(
+        "c,z", [(-20, 0.5), (-20, -0.9), (-20, 0.3 + 0.4j), (-169, 0.998), (-169, -0.998)]
+    )
+    def test_pole_start_matches_factorial_start(self, c, z):
+        # with a = -n0 the series is its start term alone; the former start
+        # z^n0 / n0! times the Pochhammer products stays a normal double
+        # for these n0 <= 170, where the new one must give the same value
+        n0 = 1 - c
+        b = np.array([0.5, 0.3 + 0.2j, -0.4 + 0.7j] + ([2.0 + 0.3j] if n0 < 170 else []))
+        m, e = sf.reg_hyp2f1_scaled(np.full(b.size, -float(n0)), b, c, z)
+        for j in range(b.size):
+            old = z**n0 / math.factorial(n0)
+            for i in range(n0):
+                old *= (i - n0) * (b[j] + i)
+            assert _rel_err(m[j], e[j], old / abs(old), math.log(abs(old))) <= 1e-13
+
+    @pytest.mark.parametrize("c", [-171.0, -250.0])
+    def test_pole_start_beyond_factorial_range(self, c):
+        # n0! overflows a double here; the start is a product of ratios
+        q = TWO_PI * np.array([0.0, 1.0, 10.0])
+        a, b = self.S + 1j * q, self.S - 1j * q
+        m, e = sf.reg_hyp2f1_scaled(a, b, c, 0.5)
+        for j in range(q.size):
+            want = _mp_reg_hyp2f1_log(a[j], b[j], c, 0.5)
+            assert _rel_err(m[j], e[j], 1.0, want) <= _envelope(0.5, want.real)
+
     def test_term_budget(self):
         # the 100,000-term cap holds for every row
         from resonance_lab.errors import NonConvergenceError
