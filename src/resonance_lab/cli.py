@@ -7,10 +7,12 @@ Commands:
   modes       tabulate a mode function along an r-grid
   verify      run the cross-oracle verification suite
 
-Exit codes: 0 success, 1 verification failure, 2 malformed spec/arguments,
-3 numerical failure (truncation, quadrature, pole or overflow).
-All numeric output is formatted with 17 significant digits and fixed sort
-order, so identical configurations produce byte-identical artifacts.
+Exit codes: 0 success, 1 verification failure, 2 malformed spec/arguments
+or an unwritable --out, 3 numerical failure (truncation, quadrature, pole
+or overflow).
+CSV writes each float as "%.17g"; JSON writes Python's shortest repr, which
+json.dumps also uses.  Both read back to the same double, and with fixed sort
+order identical configurations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -66,8 +68,11 @@ def _load_spec(path: str) -> rz.SurfaceSpec:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -82,14 +87,37 @@ def _select_end(spec: rz.SurfaceSpec, end: str, index: int):
     return pool[index]
 
 
+#: One JSON listing row as json.dumps(indent=2, sort_keys=True) lays it out:
+#: im, mult, re.  Its encoder is pure Python once indent is set.
+_JSON_ROW = '    {\n      "im": %s,\n      "mult": %d,\n      "re": %s\n    }'
+
+
+def _listing_rows(rs: rz.ResonanceSet, conv: str, row: str, order: tuple, sep: str = "") -> str:
+    """The rows of a listing, joined by `sep`, with each coordinate as `conv % x`.
+
+    A lattice listing repeats its coordinates (43,008 rows may hold 449
+    distinct real parts), so each distinct value is formatted once and
+    gathered back by index.  Values are keyed by bit pattern, never by
+    float equality, which would merge -0.0 with 0.0.  `order` names the
+    columns that `row` takes, in turn: "re", "im" and "mult".
+    """
+    cols = {"mult": rs.mult.tolist()}
+    for name in ("re", "im"):
+        keys, inverse = np.unique(getattr(rs, name).view(np.int64), return_inverse=True)
+        text = np.array([conv % x for x in keys.view(np.float64).tolist()], dtype=object)
+        cols[name] = text[inverse].tolist()
+    flat = [None] * (len(order) * len(rs))
+    for i, name in enumerate(order):
+        flat[i::len(order)] = cols[name]
+    return sep.join([row] * len(rs)) % tuple(flat)
+
+
 def _cmd_resonances(args) -> int:
     spec = _load_spec(args.spec)
     rs = rz.surface_resonances(spec, args.radius)
-    rows = list(zip(rs.re.tolist(), rs.im.tolist(), rs.mult.tolist()))
     if args.output == "csv":
-        lines = ["re,im,mult"]
-        lines += [f"{re_:.17g},{im_:.17g},{m}" for re_, im_, m in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = _listing_rows(rs, "%.17g", "%s,%s,%d\n", ("re", "im", "mult"))
+        _emit("re,im,mult\n" + rows, args.out)
     else:
         doc = {
             "spec": spec.to_json_dict(),
@@ -98,13 +126,8 @@ def _cmd_resonances(args) -> int:
             "resonances": [],
         }
         text = json.dumps(doc, indent=2, sort_keys=True)
-        if rows:
-            # the rows as json.dumps(indent=2, sort_keys=True) lays them out,
-            # written directly: its encoder is pure Python once indent is set
-            items = ",\n".join(
-                f'    {{\n      "im": {im_!r},\n      "mult": {m},\n      "re": {re_!r}\n    }}'
-                for re_, im_, m in rows
-            )
+        if len(rs):
+            items = _listing_rows(rs, "%r", _JSON_ROW, ("im", "mult", "re"), ",\n")
             text = text.replace('"resonances": []', f'"resonances": [\n{items}\n  ]', 1)
         _emit(text + "\n", args.out)
     return 0

@@ -502,6 +502,25 @@ def test_malformed_input_exits_2(spec, argv, spec_file, tmp_path, capsys, monkey
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_OUT_ARGV = {
+    "resonances": ["resonances", "--radius", "5"],
+    "count": ["count", "--r-max", "5"],
+    "kernel": ["kernel", "--end", "cylinder", "--s", "2+0.3i", "--coords", "0.2", "1", "0.9", "2"],
+    "modes": _MODES + ["--end", "cylinder"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", list(_OUT_ARGV))
+def test_unwritable_out_exits_2(command, target, spec_file, tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "x.csv" if target == "missing-dir" else tmp_path
+    argv = _OUT_ARGV[command]
+    assert cli.main([argv[0], "--spec", spec_file, *argv[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+
+
 _EXIT_CODES = {
     errors.ResonanceLabError: 2,
     errors.DiagonalError: 2,

@@ -156,35 +156,68 @@ CLI_CASES = [
 ]
 
 
+def cli_reference(spec, radius, rows):
+    """The listing's CSV and JSON text, formatted row by row."""
+    return {
+        "csv": "re,im,mult\n" + "".join(f"{a:.17g},{b:.17g},{m}\n" for a, b, m in rows),
+        "json": json.dumps(
+            {
+                "spec": spec.to_json_dict(),
+                "radius": radius,
+                "total_multiplicity": sum(m for _, _, m in rows),
+                "resonances": [{"re": a, "im": b, "mult": m} for a, b, m in rows],
+            },
+            indent=2,
+            sort_keys=True,
+        ) + "\n",
+    }
+
+
+def assert_cli_writes(tmp_path, spec, radius, want):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_json_dict()))
+    for fmt, text in want.items():
+        out = tmp_path / f"out.{fmt}"
+        rc = cli.main([
+            "resonances", "--spec", str(path), "--radius", repr(radius),
+            "--output", fmt, "--out", str(out),
+        ])
+        assert rc == 0
+        assert out.read_text(encoding="utf-8") == text
+
+
 class TestCliOutput:
     @pytest.mark.parametrize("spec,radius", CLI_CASES, ids=["mixed", "benchmark-like", "empty"])
     def test_byte_identical_to_reference(self, tmp_path, spec, radius):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec.to_json_dict()))
         rows = reference_rows(spec, radius)
-        want = {
-            "csv": "re,im,mult\n" + "".join(f"{a:.17g},{b:.17g},{m}\n" for a, b, m in rows),
-            "json": json.dumps(
-                {
-                    "spec": spec.to_json_dict(),
-                    "radius": radius,
-                    "total_multiplicity": sum(m for _, _, m in rows),
-                    "resonances": [{"re": a, "im": b, "mult": m} for a, b, m in rows],
-                },
-                indent=2,
-                sort_keys=True,
-            ) + "\n",
-        }
+        want = cli_reference(spec, radius, rows)
         if not rows:
             assert '"resonances": []' in want["json"]
-        for fmt, text in want.items():
-            out = tmp_path / f"out.{fmt}"
-            rc = cli.main([
-                "resonances", "--spec", str(path), "--radius", repr(radius),
-                "--output", fmt, "--out", str(out),
-            ])
-            assert rc == 0
-            assert out.read_text(encoding="utf-8") == text
+        assert_cli_writes(tmp_path, spec, radius, want)
+
+    def test_coordinates_keyed_by_bit_pattern(self, tmp_path, monkeypatch):
+        # signed zeros, values one ulp apart, the smallest subnormal and the
+        # largest doubles, repeated in both columns: a writer that looked
+        # values up by float equality would print 0.0 and -0.0 alike
+        big, tiny, up = 1.7976931348623157e308, 5e-324, float(np.nextafter(1.0, 2.0))
+        rows = [
+            (-big, 0.0, 1), (-big, -0.0, 2), (-0.0, big, 1), (-0.0, 0.0, 2**40),
+            (0.0, -0.0, 3), (0.0, tiny, 1), (tiny, -0.0, 1), (1.0, up, 1),
+            (up, 1.0, 2), (up, -big, 1), (big, tiny, 1), (big, -0.0, 1), (big, 0.0, 5),
+        ]
+        re, im, mult = zip(*rows)
+        crafted = rz.ResonanceSet(re, im, mult, 5.0)
+        monkeypatch.setattr(rz, "surface_resonances", lambda spec, radius: crafted)
+        spec = rz.SurfaceSpec(cusps=(TwistSpec.trivial(2),))
+        assert_cli_writes(tmp_path, spec, 5.0, cli_reference(spec, 5.0, rows))
+
+    def test_byte_identical_at_benchmark_scale(self, tmp_path):
+        # about 21,000 rows over 303 real and 479 imaginary parts; the listing
+        # itself is held to the per-point reference by TestAgainstReference
+        spec = mixed_spec(np.random.default_rng(5))
+        rows = listing_rows(rz.surface_resonances(spec, 60.0))
+        assert len(rows) > 20_000
+        assert_cli_writes(tmp_path, spec, 60.0, cli_reference(spec, 60.0, rows))
 
 
 class TestListingAtScale:
