@@ -95,8 +95,11 @@ def g_s(s: complex, x: float) -> complex:
     tail bound |term| z / (1 - z) is at most 1e-16 of the sum.  s log u
     goes to scaled_value as its rounded product, and the product's rounding
     error joins log P in the mantissa: the rounding of an exponent as large
-    as |s log u| would otherwise cost |s log u| ulps.  A value raises
-    OverflowBudgetError only when it overflows a double itself.
+    as |s log u| would otherwise cost |s log u| ulps.  Past |s log u| = 2^53
+    the real part of that error can exceed 1 (and e^709 from 2^62 on); it
+    then goes into the exponent, so that a value below the double range is
+    0.  A value raises OverflowBudgetError only when it overflows a double
+    itself.
     """
     s = complex(s)
     if specfun._is_nonpositive_integer(s) is not None:
@@ -122,6 +125,11 @@ def g_s(s: complex, x: float) -> complex:
             raise NonConvergenceError(f"g_s series did not converge within {n} terms (sigma = {x})")
     re, re_err = _product_with_error(s.real, log_u)
     im, im_err = _product_with_error(s.imag, log_u)
+    if abs(re_err) > 1.0:
+        # |s log u| is past 2^53, where e^re_err may leave the double range:
+        # the error joins the exponent, whose range scaled_value checks, and
+        # rounds away there (re + re_err rounds to re)
+        re_err = 0.0
     return specfun.scaled_value(
         total * cmath.exp(log_pref + complex(re_err, im_err)), complex(re, im), "g_s"
     )

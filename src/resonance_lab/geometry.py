@@ -84,8 +84,8 @@ def cyl_to_plane(c: CylCoord, ell: float) -> HPoint:
     z -> e^ell z, so the point lies in the fundamental domain
     1 <= |z| < e^ell only for winding 0.
     """
-    if not ell > 0.0:
-        raise DomainError(f"cylinder length must be positive, got {ell}")
+    if not 0.0 < ell < math.inf:
+        raise DomainError(f"cylinder length must be positive and finite, got {ell}")
     omega = TWO_PI / ell
     er = _exp(c.r)
     w = complex(er, 1.0) / complex(er, -1.0)

@@ -30,6 +30,11 @@ are evaluated for all classes in one call.  Mode profiles for the
 hyperbolic cylinder / funnel are built from the regularized
 hypergeometric function, one array series per call; cusp modes from
 modified Bessel functions of order s - 1/2, one by one, with blocks of 2.
+`cyl_mode`, `funnel_mode` and the profiles take kappa, r and r' as
+scalars or numpy arrays that broadcast: the Fourier routes pass an array
+of kappa at one scalar pair (r, r'), which keeps math and cmath for the
+geometry, and `verify` passes arrays of all three, which sum as one 2F1
+block with z per row; `cusp_mode` takes scalars.
 The two routes agree on the common domain, which is the module's master
 cross-check.
 
@@ -125,14 +130,17 @@ def _image_series(s, sigmas, near_weights, far_sums, far_abs, q) -> np.ndarray:
     while big_n <= _MAX_SERIES_TERMS:
         n = np.arange(big_n + 1)
         p = s + n
-        # c_{n+1} = c_n (s+n)^2 / ((n+1)(2s+n)); ratio[N] leads on to c_{N+1}
-        ratio = p**2 / ((n + 1.0) * (p + s))
         with np.errstate(over="ignore", invalid="ignore"):  # a c_n past a double fails the bound
+            # c_{n+1} = c_n (s+n)^2 / ((n+1)(2s+n)); ratio[N] leads on to c_{N+1}
+            ratio = p**2 / ((n + 1.0) * (p + s))
             c = c0 * np.cumprod(np.concatenate([[1.0], ratio[:-1]]))
             total = near + c @ far_sums(n) / (4.0 * math.pi)
         # the terms n > N add at most |c_{N+1}| q E_N / (4pi (1 - rho q)),
         # E_N = far_abs(N) and rho >= |c_{m+1}/c_m| for all m > N
-        rho = max(1.0, (abs(s) + big_n + 1) ** 2 / ((big_n + 1) * (big_n + 2)))
+        try:
+            rho = max(1.0, (abs(s) + big_n + 1) ** 2 / ((big_n + 1) * (big_n + 2)))
+        except OverflowError:  # |s| past 1e154: no bound
+            rho = math.inf
         if rho * q < 1.0:
             bound = abs(c[-1] * ratio[-1]) * q * far_abs(big_n) / (4.0 * math.pi * (1.0 - rho * q))
             if np.all(bound <= SERIES_TOL * np.maximum(np.abs(total), floor)):
@@ -241,8 +249,8 @@ def cyl_kernel_images(s: complex, ell: float, t: TwistSpec, z: HPoint, z2: HPoin
     for the reduction word.
     """
     s = complex(s)
-    if not ell > 0.0:
-        raise DomainError(f"cylinder length must be positive, got {ell}")
+    if not 0.0 < ell < math.inf:
+        raise DomainError(f"cylinder length must be positive and finite, got {ell}")
     abscissa = t.log_norm() / ell
     if s.real <= abscissa + MARGIN:
         raise DomainError(
@@ -253,17 +261,52 @@ def cyl_kernel_images(s: complex, ell: float, t: TwistSpec, z: HPoint, z2: HPoin
     return _classwise(t, m1 - m2, cyl_class_images(s, ell, t.angles, zf, wf))
 
 
-def _log_cosh(r: float) -> float:
+def _is_array(x) -> bool:
+    """True for a numpy array of at least one dimension; scalars take math and cmath."""
+    return getattr(x, "ndim", 0) > 0
+
+
+def _log_cosh(r):
+    """log cosh r, for a scalar r (math) or an array."""
+    if _is_array(r):
+        a = np.abs(r)
+        return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
     a = abs(r)
     return a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)
 
 
-def _half_one_minus_tanh(r: float) -> float:
-    """(1 - tanh r)/2 = 1/(1 + e^{2r}), computed without cancellation."""
+def _half_one_minus_tanh(r):
+    """(1 - tanh r)/2 = 1/(1 + e^{2r}), computed without cancellation; r a scalar or an array."""
+    if _is_array(r):
+        e = np.exp(-2.0 * np.abs(r))
+        return np.where(r > 0, e, 1.0) / (1.0 + e)
     if r > 0:
         e = math.exp(-2.0 * r)
         return e / (1.0 + e)
     return 1.0 / (1.0 + math.exp(2.0 * r))
+
+
+def _phase(x):
+    """e^{ix} for a real scalar x (cmath) or an array of them."""
+    return np.exp(1j * x) if _is_array(x) else cmath.exp(complex(0.0, x))
+
+
+def _min_max(r, r2):
+    """(min, max) of r and r2: Python's for two scalars, elementwise where either is an array."""
+    if _is_array(r) or _is_array(r2):
+        return np.minimum(r, r2), np.maximum(r, r2)
+    return min(r, r2), max(r, r2)
+
+
+def _hyp2f1(warg):
+    """(2F1 entry, largest argument) for a profile's 2F1 argument warg.
+
+    A scalar goes through `reg_hyp2f1_scaled`, an array (one z per row)
+    to the engine itself, so that the traced entry always sees a scalar z.
+    """
+    if _is_array(warg):
+        return specfun._hyp2f1_rows, float(warg.max(initial=0.0))
+    return specfun.reg_hyp2f1_scaled, warg
 
 
 def log_a_kappa(s: complex, q):
@@ -271,16 +314,18 @@ def log_a_kappa(s: complex, q):
     return -2.0 * s * math.log(2.0) + log_gamma(s + 1j * q) + log_gamma(s - 1j * q)
 
 
-def _v_profile_scaled(s: complex, q, r: float):
+def _v_profile_scaled(s: complex, q, r):
+    """(m, E) with v(s; r) = m e^E, per element of q and r (scalars or arrays that broadcast)."""
     warg = _half_one_minus_tanh(r)
-    if warg > 1.0 - specfun.GUARD_DELTA:
+    hyp2f1, top = _hyp2f1(warg)
+    if top > 1.0 - specfun.GUARD_DELTA:
         raise DomainError(
-            f"profile argument (1-tanh r)/2 = {warg} outside the series guard; "
+            f"profile argument (1-tanh r)/2 = {top} outside the series guard; "
             f"needs r >= {-R_PROFILE_MIN:.3f}"
         )
-    m, e = specfun.reg_hyp2f1_scaled(s + 1j * q, s - 1j * q, s + 0.5, warg)
+    m, e = hyp2f1(s + 1j * q, s - 1j * q, s + 0.5, warg)
     lc = _log_cosh(r)
-    return m * cmath.exp(complex(0.0, -s.imag * lc)), e - s.real * lc
+    return m * _phase(-s.imag * lc), e - s.real * lc
 
 
 def v_profile(s: complex, q: float, r: float) -> complex:
@@ -293,9 +338,12 @@ def _assemble_mode(log_pref, f1, f2):
     return specfun.scaled_value(f1[0] * f2[0], log_pref + f1[1] + f2[1], "mode value")
 
 
-def cyl_mode(s: complex, kappa, r: float, r2: float, ell: float):
-    """Two-point cylinder mode a_kappa(s) v(s; -min) v(s; max), for one kappa or an array.
+def cyl_mode(s: complex, kappa, r, r2, ell: float):
+    """Two-point cylinder mode a_kappa(s) v(s; -min) v(s; max).
 
+    kappa, r and r2 are scalars or arrays that broadcast, with min and max
+    taken elementwise: an array of r or r2 takes one 2F1 engine call per
+    profile, with z per row, while scalar r and r2 keep scalar arithmetic.
     Symmetric in r <-> r2; poles on the lattice -N0 +- i omega kappa.
     The three factors are combined in log scale, so high frequencies whose
     individual factors over/underflow still evaluate.
@@ -303,7 +351,7 @@ def cyl_mode(s: complex, kappa, r: float, r2: float, ell: float):
     s = complex(s)
     omega = TWO_PI / ell
     q = omega * abs(kappa)  # formulas are even in kappa; canonicalize for bit-equal values
-    lo, hi = min(r, r2), max(r, r2)
+    lo, hi = _min_max(r, r2)
     return _assemble_mode(
         log_a_kappa(s, q), _v_profile_scaled(s, q, -lo), _v_profile_scaled(s, q, hi)
     )
@@ -420,36 +468,39 @@ def log_beta_kappa(s: complex, q):
     return -math.log(2.0) + log_gamma((s + 1.0 + 1j * q) / 2.0) + log_gamma((s + 1.0 - 1j * q) / 2.0)
 
 
-def _v0_profile_scaled(s: complex, q, r: float):
-    th = math.tanh(r)
+def _v0_profile_scaled(s: complex, q, r):
+    """(m, E) with v0(s; r) = m e^E, per element of q and r (scalars or arrays that broadcast)."""
+    th = np.tanh(r) if _is_array(r) else math.tanh(r)
     warg = th * th
-    if warg > 1.0 - specfun.GUARD_DELTA:
+    hyp2f1, top = _hyp2f1(warg)
+    if top > 1.0 - specfun.GUARD_DELTA:
         raise DomainError(
-            f"tanh^2 r = {warg} outside the series guard; needs |r| <= "
+            f"tanh^2 r = {top} outside the series guard; needs |r| <= "
             f"{R0_PROFILE_MAX:.3f}"
         )
-    m, e = specfun.reg_hyp2f1_scaled((s + 1.0 + 1j * q) / 2.0, (s + 1.0 - 1j * q) / 2.0, 1.5, warg)
+    m, e = hyp2f1((s + 1.0 + 1j * q) / 2.0, (s + 1.0 - 1j * q) / 2.0, 1.5, warg)
     lc = _log_cosh(r)
-    return th * m * cmath.exp(complex(0.0, -s.imag * lc)), e - s.real * lc
+    return th * m * _phase(-s.imag * lc), e - s.real * lc
 
 
-def v0_profile(s: complex, q: float, r: float) -> complex:
-    """Dirichlet profile tanh(r) (cosh r)^{-s} F~(.., ..; 3/2; tanh^2 r)."""
+def v0_profile(s: complex, q, r):
+    """Dirichlet profile tanh(r) (cosh r)^{-s} F~(.., ..; 3/2; tanh^2 r), per element of q and r."""
     return _assemble_mode(0j, _v0_profile_scaled(complex(s), q, r), (1.0, 0.0))
 
 
-def funnel_mode(s: complex, kappa, r: float, r2: float, ell: float):
-    """Funnel mode beta_kappa(s) v0(s; min) v(s; max) for r, r2 >= 0, for one kappa or an array.
+def funnel_mode(s: complex, kappa, r, r2, ell: float):
+    """Funnel mode beta_kappa(s) v0(s; min) v(s; max) for r, r2 >= 0.
 
+    kappa, r and r2 are scalars or arrays that broadcast, as for `cyl_mode`.
     Vanishes identically at r = 0 (Dirichlet); poles on -(1+2 N0) +- i omega kappa.
     Factors are combined in log scale as for the cylinder mode.
     """
     s = complex(s)
-    if r < 0.0 or r2 < 0.0:
+    lo, hi = _min_max(r, r2)
+    if np.any(lo < 0.0) if _is_array(lo) else (r < 0.0 or r2 < 0.0):
         raise DomainError(f"funnel coordinates must satisfy r >= 0, got {r}, {r2}")
     omega = TWO_PI / ell
     q = omega * abs(kappa)  # even in kappa
-    lo, hi = min(r, r2), max(r, r2)
     return _assemble_mode(
         log_beta_kappa(s, q), _v0_profile_scaled(s, q, lo), _v_profile_scaled(s, q, hi)
     )

@@ -111,8 +111,8 @@ class SurfaceSpec:
             self, "cylinders", tuple((float(e), t) for e, t in self.cylinders)
         )
         for ell, t in self.funnels + self.cylinders:
-            if not ell > 0.0:
-                raise DomainError(f"end length must be positive, got {ell}")
+            if not 0.0 < ell < math.inf:
+                raise DomainError(f"end length must be positive and finite, got {ell}")
         for ell, t in self.funnels:
             if not t.is_unitary:
                 raise DomainError("funnel twists must be unitary")
@@ -423,7 +423,10 @@ def census(spec: SurfaceSpec, r_max: float, n_samples: int) -> list[tuple[float,
 def growth_fit(table: list[tuple[float, int]]) -> tuple[float, float]:
     """Least-squares coefficient c of N(r) ~ c r^2 and its relative spread.
 
-    Needs at least 5 radii spanning a factor >= 4.
+    Needs at least 5 radii spanning a factor >= 4, and raises
+    InsufficientDataError where c or the spread is not a positive finite
+    number: no resonance inside the radii (c = 0), or radii so small that
+    r^2 underflows.
     """
     rs = np.array([r for r, _ in table], dtype=float)
     ns = np.array([n for _, n in table], dtype=float)
@@ -432,7 +435,10 @@ def growth_fit(table: list[tuple[float, int]]) -> tuple[float, float]:
             "growth fit needs >= 5 radii spanning a factor >= 4"
         )
     r2 = rs * rs
-    coeff = float((ns * r2).sum() / (r2 * r2).sum())
-    ratios = ns / r2
-    spread = float((ratios.max() - ratios.min()) / coeff) if coeff else math.inf
+    with np.errstate(all="ignore"):
+        coeff = float((ns * r2).sum() / (r2 * r2).sum())
+        ratios = ns / r2
+        spread = float((ratios.max() - ratios.min()) / coeff)
+    if not (0.0 < coeff < math.inf and math.isfinite(spread)):
+        raise InsufficientDataError(f"growth fit has no finite coefficient (c = {coeff}, spread = {spread})")
     return coeff, spread

@@ -6,9 +6,10 @@ non-positive integers), and modified Bessel functions I_nu, K_nu of complex
 order and positive real argument.
 
 log_gamma and the 2F1 take arrays: `reg_hyp2f1_scaled` is one numpy engine
-that sums a block of series, one row per (a_j, b_j) with c and z shared, in
-column chunks, each row stopped on its own tail rule.  A single series is a
-block of one row.
+that sums a block of series, one row per (a_j, b_j, z_j) with c shared, in
+column chunks, each row stopped on its own tail rule.  z is a scalar shared
+by every row or one value per row; a single series is a block of one row,
+bit for bit the same as a call with scalar a, b and z.
 
 Accuracy envelope (documented, tested):
   * log_gamma: ~1e-13 relative on |z| <= 50 away from the poles -N0.
@@ -107,7 +108,7 @@ def log_gamma(z):
 
     Raises PoleError at the poles z in {0, -1, -2, ...}.
     """
-    if np.ndim(z) == 0:
+    if isinstance(z, (int, float, complex)) or np.ndim(z) == 0:  # np.ndim costs 1.7 us
         z = complex(z)
         if _is_nonpositive_integer(z) is not None:
             raise PoleError(f"log_gamma pole at z = {z}")
@@ -163,38 +164,70 @@ def scaled_value(m, x, what: str):
         return np.where(inside, m, 1.0) * np.exp(np.where(inside, x, np.log(m) + x))
 
 
-def reg_hyp2f1_scaled(a, b, c: complex, z: complex):
+def reg_hyp2f1_scaled(a, b, c: complex, z):
     """Regularized Gauss hypergeometric function, scaled, on one row or many.
 
-    a and b are scalars or 1-d arrays of one length, one series per row j;
-    c and z are scalars.  Returns (m, E) with F~(a_j, b_j; c; z) =
-    m_j e^{E_j}, as arrays (scalars for scalar a and b).  Requires
-    |z| <= 1 - GUARD_DELTA.
+    a, b and z are scalars or 1-d arrays that broadcast to one length, one
+    series per row j; c is a scalar.  Returns (m, E) with
+    F~(a_j, b_j; c; z_j) = m_j e^{E_j}, as arrays (scalars when a, b and z
+    are all scalars).  Requires |z_j| <= 1 - GUARD_DELTA on every row.
+
+    The engine is `_hyp2f1_rows`; this entry only forwards to it.  The
+    package passes z per row to the engine itself, and a scalar z here,
+    which the benchmark's tracer bins by |z|.
+    """
+    return _hyp2f1_rows(a, b, c, z)
+
+
+def _real_quotient(z, d: float):
+    """z / d for complex z per row and a real d, as Python divides one complex by d.
+
+    numpy divides a complex by a real as by a complex (multiplying by the
+    reciprocal), Python part by part; this keeps a one-row call bit-equal
+    to a scalar one.
+    """
+    out = np.empty_like(z)
+    out.real = z.real / d
+    out.imag = z.imag / d
+    return out
+
+
+def _hyp2f1_rows(a, b, c: complex, z):
+    """The 2F1 engine of `reg_hyp2f1_scaled`: F~(a_j, b_j; c; z_j) = m_j e^{E_j} per row j.
 
     The series sum_n (a)_n (b)_n / Gamma(c+n) z^n / n! is summed in
     chunks of columns, each by a cumulative product of the term ratios and
-    a cumulative sum.  The first chunk is as long as |z|^n takes to fall
-    by 1e-16, at least _FIRST_CHUNK columns; each later one doubles, and no
-    chunk holds more than _CHUNK_CELLS rows x columns.  Between chunks
-    each row is renormalised into its exponent E, which also carries
-    -log Gamma(c), so that large parameters (for which the value itself
-    overflows a double) are exact up to E.  A chunk whose terms would
-    overflow is taken again a quarter as wide.  A row stops at the first
-    term n > n0 + 2 whose geometric tail bound |term| |z| / (1 - |z|) is at
-    most 1e-16 of its sum, or that is 0, and leaves the chunks.  For c in
-    -N0 the terms with a Gamma pole vanish and the series starts at
-    n0 = 1 - c.
+    a cumulative sum.  The first chunk is as long as the largest |z_j|^n
+    takes to fall by 1e-16, at least _FIRST_CHUNK columns; each later one
+    doubles, and no chunk holds more than _CHUNK_CELLS rows x columns.
+    Between chunks each row is renormalised into its exponent E, which
+    also carries -log Gamma(c), so that large parameters (for which the
+    value itself overflows a double) are exact up to E.  A chunk whose
+    terms would overflow is taken again a quarter as wide.  A row stops at
+    the first term n > n0 + 2 whose geometric tail bound
+    |term| |z_j| / (1 - |z_j|) is at most 1e-16 of its sum, or that is 0,
+    and leaves the chunks.  For c in -N0 the terms with a Gamma pole
+    vanish and the series starts at n0 = 1 - c, from each row's z_j.
+
+    A scalar z stays a Python complex throughout, so that a scalar-z call
+    takes the arithmetic it always has; z per row is a column of the block.
     """
-    scalar = not (getattr(a, "ndim", 0) or getattr(b, "ndim", 0))
+    per_row = getattr(z, "ndim", 0) > 0
+    scalar = not (getattr(a, "ndim", 0) or getattr(b, "ndim", 0) or per_row)
     a = np.asarray(a, dtype=complex).reshape(-1, 1)
     b = np.asarray(b, dtype=complex).reshape(-1, 1)
-    if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
+    if per_row:
+        a, b, z = np.broadcast_arrays(a, b, np.asarray(z, dtype=complex).reshape(-1, 1))
+        az = np.abs(z)
+        top = float(az.max(initial=0.0))
+    else:
+        if a.shape != b.shape:
+            a, b = np.broadcast_arrays(a, b)
+        z = complex(z)
+        top = az = abs(z)
     c = complex(c)
-    z = complex(z)
-    az = abs(z)
-    if az > 1.0 - GUARD_DELTA:
-        raise DomainError(f"|z| = {az} exceeds the series guard {1.0 - GUARD_DELTA}")
+    if top > 1.0 - GUARD_DELTA:
+        raise DomainError(f"|z| = {top} exceeds the series guard {1.0 - GUARD_DELTA}")
 
     rows = a.shape[0]
     m = _is_nonpositive_integer(c)
@@ -206,7 +239,8 @@ def reg_hyp2f1_scaled(a, b, c: complex, z: complex):
         term = np.ones(rows, dtype=complex)
         twos = np.zeros(rows, dtype=int)
         for j in range(min(n0, _SERIES_CAP)):
-            term = term * ((a[:, 0] + j) * (b[:, 0] + j) * (z / (j + 1.0)))
+            zj = _real_quotient(z[:, 0], j + 1.0) if per_row else z / (j + 1.0)
+            term = term * ((a[:, 0] + j) * (b[:, 0] + j) * zj)
             k = np.frexp(np.abs(term))[1]
             term = np.ldexp(term.real, -k) + 1j * np.ldexp(term.imag, -k)
             twos += k
@@ -220,15 +254,15 @@ def reg_hyp2f1_scaled(a, b, c: complex, z: complex):
     mant = np.empty(rows, dtype=complex)
     live = np.arange(rows)
     total = term
-    tail_factor = az / (1.0 - az)
-    geometric = 37.0 / -math.log(az) if 0.0 < az < 1.0 else 0.0
+    tail_factor = az / (1.0 - az)  # one per row, a column, for z per row
+    geometric = 37.0 / -math.log(top) if 0.0 < top < 1.0 else 0.0
     width = max(1, min(max(_FIRST_CHUNK, math.ceil(geometric)), _CHUNK_CELLS // max(rows, 1)))
     n = n0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live.size:
             if n >= _SERIES_CAP:
                 raise NonConvergenceError(
-                    f"hypergeometric series did not converge within {_SERIES_CAP} terms (|z| = {az})"
+                    f"hypergeometric series did not converge within {_SERIES_CAP} terms (|z| = {top})"
                 )
             k = np.arange(n, min(n + width, _SERIES_CAP), dtype=float)
             # term n+1 = term n * (a+n)(b+n) z / ((c+n)(n+1))
@@ -257,6 +291,8 @@ def reg_hyp2f1_scaled(a, b, c: complex, z: complex):
                 mant[live[hit]] = sums[hit, stop[hit].argmax(axis=1)]
                 keep = ~hit
                 live, a, b, term, total = live[keep], a[keep], b[keep], term[keep], total[keep]
+                if per_row:
+                    z, tail_factor = z[keep], tail_factor[keep]
             scale = np.maximum(np.abs(term), np.abs(total))
             scale[scale == 0.0] = 1.0
             term /= scale

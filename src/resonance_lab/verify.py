@@ -29,6 +29,17 @@ _S_REF = 2.0 + 0.3j
 #: Draws of (s, kappa) in which check_scattering must form its 200 products.
 _SCATTERING_DRAWS = 1000
 
+#: The functional-equation grid of check_scattering: each s against every
+#: (kappa, r, r2) of _FEQ_GRID, kappa outermost, in one call per s.
+_FEQ_S = (0.7 + 0.4j, 0.3 - 0.6j, 0.55 + 1.2j, 0.8 + 0.15j, 0.42 - 1.1j)
+_FEQ_GRID = np.array(
+    [
+        (kap, r, r2)
+        for kap in (0.25, 0.5, 1.0, 1.75, 2.5)
+        for r, r2 in ((0.5, 1.5), (1.0, 2.0), (2.0, 0.7), (1.3, 1.3), (0.4, 2.6))
+    ]
+).T
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -82,33 +93,53 @@ def check_two_representation_cusp() -> CheckResult:
     )
 
 
-def _ode_residual(mode, s, kap, r, r2, ell, h=1e-3):
-    """Central-difference residual of the radial mode ODE of mode(s, kap, ., r2, ell) at r."""
-    om = TWO_PI / ell
-    f = lambda rr: mode(s, kap, rr, r2, ell)
-    fp, f0, fm = f(r + h), f(r), f(r - h)
-    d2 = (fp - 2.0 * f0 + fm) / (h * h)
-    d1 = (fp - fm) / (2.0 * h)
-    return abs(
-        -d2 - math.tanh(r) * d1 - s * (1.0 - s) * f0
-        + om * om * kap * kap / math.cosh(r) ** 2 * f0
-    )
+#: Step of the central differences in check_mode_ode.
+_ODE_STEP = 1e-3
 
 
-def check_mode_ode() -> CheckResult:
+def _mode_ode_samples():
+    """The 50 draws of check_mode_ode: arrays (kappa, r, r2) for the cylinder, and for the funnel."""
     rng = np.random.default_rng(104)
-    ell = 1.0
-    worst = 0.0
+    cylinder, funnel = [], []
     for _ in range(50):
         kap = rng.uniform(-2.0, 2.0)
         r2 = rng.uniform(-1.5, 2.5)
         r = r2 + rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.2)
-        worst = max(worst, _ode_residual(mk.cyl_mode, _S_REF, kap, r, r2, ell))
+        cylinder.append((kap, r, r2))
         rf2 = rng.uniform(0.5, 2.8)
         rf = rf2 + rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.0)
         if rf < 0.02:
             rf = rf2 + 0.4
-        worst = max(worst, _ode_residual(mk.funnel_mode, _S_REF, kap, rf, rf2, ell))
+        funnel.append((kap, rf, rf2))
+    return np.array(cylinder).T, np.array(funnel).T
+
+
+def _stencil(mode, kap, r, r2, ell):
+    """mode(s, kap, ., r2, ell) at r + h, r and r - h of every sample, in one call: three rows."""
+    h = _ODE_STEP
+    rr = np.concatenate([r + h, r, r - h])
+    return mode(_S_REF, np.tile(kap, 3), rr, np.tile(r2, 3), ell).reshape(3, -1)
+
+
+def _ode_residual(kap, r, f, ell):
+    """Central-difference residuals of the radial mode ODE at each r, from the stencil rows f."""
+    s, h, om = _S_REF, _ODE_STEP, TWO_PI / ell
+    fp, f0, fm = f
+    d2 = (fp - 2.0 * f0 + fm) / (h * h)
+    d1 = (fp - fm) / (2.0 * h)
+    return np.abs(
+        -d2 - np.tanh(r) * d1 - s * (1.0 - s) * f0
+        + om * om * kap * kap / np.cosh(r) ** 2 * f0
+    )
+
+
+def check_mode_ode() -> CheckResult:
+    ell = 1.0
+    residuals = [
+        _ode_residual(kap, r, _stencil(mode, kap, r, r2, ell), ell)
+        for mode, (kap, r, r2) in zip((mk.cyl_mode, mk.funnel_mode), _mode_ode_samples())
+    ]
+    worst = float(np.max(residuals))  # a NaN residual fails the check
     return CheckResult("mode_ode_residual", worst <= 1e-4, f"max residual {worst:.3e}")
 
 
@@ -146,13 +177,8 @@ def check_scattering() -> CheckResult:
             False,
             f"only {n} of 200 products S(s) S(1-s) formed in {_SCATTERING_DRAWS} draws",
         )
-    worst_feq = 0.0
-    for s in (0.7 + 0.4j, 0.3 - 0.6j, 0.55 + 1.2j, 0.8 + 0.15j, 0.42 - 1.1j):
-        for kap in (0.25, 0.5, 1.0, 1.75, 2.5):
-            for r, r2 in ((0.5, 1.5), (1.0, 2.0), (2.0, 0.7), (1.3, 1.3), (0.4, 2.6)):
-                worst_feq = max(
-                    worst_feq, sc.functional_equation_residual(s, kap, r, r2, ell)
-                )
+    kap, r, r2 = _FEQ_GRID
+    worst_feq = float(np.max([sc.functional_equation_residual(s, kap, r, r2, ell) for s in _FEQ_S]))
     ok = worst_inv <= 1e-10 and worst_feq <= 1e-6
     return CheckResult(
         "scattering_identities",

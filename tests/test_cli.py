@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import warnings
 
 import pytest
 
@@ -168,6 +169,26 @@ class TestCountCommand:
         rc = cli.main(["count", "--spec", spec_file, "--r-max", "inf", "--samples", "4"])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    @pytest.mark.parametrize("case", ["no-resonance", "r-max-1e-300"])
+    def test_fit_without_finite_coefficient(self, case, output, spec_file, tmp_path, capsys):
+        # no point inside r_max (c = 0), or r^2 underflowing to 0: no fit,
+        # printed as null in JSON and left out of the CSV's stderr
+        if case == "no-resonance":
+            spec_file = tmp_path / "cusp.json"
+            spec_file.write_text(json.dumps({"cusps": [{"twist": {"angles": [{"theta": 0.5, "mult": 1}]}}]}))
+        r_max = "40" if case == "no-resonance" else "1e-300"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["count", "--spec", str(spec_file), "--r-max", r_max, "--output", output])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        if output == "json":
+            doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"{token} in JSON"))
+            assert doc["growth_fit"] is None and len(doc["table"]) == 8
+        else:
+            assert out.startswith("r,N\n") and len(out.splitlines()) == 9
 
 
 def _mp_cylinder_images(s, r1, phi1, r2, phi2, ell=2.0 * math.pi, reach=3):

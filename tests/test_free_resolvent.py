@@ -58,6 +58,13 @@ class TestGs:
             fr.g_s(2.0, 1.0005)
 
 
+@pytest.mark.parametrize("s", [1e20, 1e20 + 5j, 1e300])
+def test_gs_below_the_double_range_is_zero(s):
+    # past |s log u| = 2^62 the Dekker error alone passed e^709 (OverflowError)
+    for x in (1.01, 1.5, 2.0, 10.0, 1e6):
+        assert fr.g_s(s, x) == 0.0
+
+
 class TestGsGrid:
     """g_s against mpmath and against its former formula, on a grid that
     reaches the diagonal guard, Re s = 200 and s + 1/2 in -N0."""

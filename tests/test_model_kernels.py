@@ -11,6 +11,7 @@ import pytest
 import fourier_reference as fref
 import images_reference as ref
 import sxi_reference
+from verify_reference import mode_tolerance
 from resonance_lab import model_kernels as mk
 from resonance_lab.errors import DomainError, PoleError, TruncationError
 from resonance_lab.geometry import TWO_PI, CylCoord, HPoint, cyl_to_plane, sigma
@@ -239,6 +240,62 @@ class TestCylinderModes:
         # far above the decay scale the mode is a true zero, not garbage
         v = mk.cyl_mode(S_REF, 400.0, 0.5, 1.5, ELL)
         assert v == 0.0
+
+
+class TestModeArrays:
+    """Mode functions over arrays of (kappa, r, r'), against one scalar call per element."""
+
+    N = 120
+
+    def _arrays(self, funnel):
+        rng = np.random.default_rng(57)
+        lo, hi = (0.0, 3.8) if funnel else (-2.7, 3.7)  # profile arguments up to 0.998
+        r, r2 = rng.uniform(lo, hi, self.N), rng.uniform(lo, hi, self.N)
+        if funnel:
+            r[:4] = 0.0
+            r2[4:6] = 0.0
+        return rng.uniform(-2.5, 2.5, self.N), r, r2
+
+    @pytest.mark.parametrize("name", ["cyl_mode", "funnel_mode", "poisson_mode"])
+    @pytest.mark.parametrize("s", [S_REF, 0.3 - 0.6j])
+    @pytest.mark.parametrize("shared_kappa", [False, True])
+    def test_against_scalar_calls(self, name, s, shared_kappa):
+        from resonance_lab import scattering as sc
+
+        mode = getattr(sc if name == "poisson_mode" else mk, name)
+        kappa, r, r2 = self._arrays(name != "cyl_mode")
+        if shared_kappa:
+            kappa = 1.75
+        coords = (r,) if name == "poisson_mode" else (r, r2)
+        got = mode(s, kappa, *coords, ELL)
+        assert got.shape == r.shape
+        for j in range(self.N):
+            kj = float(np.broadcast_to(kappa, r.shape)[j])
+            cj = [float(c[j]) for c in coords]
+            want = mode(s, kj, *cj, ELL)
+            assert isinstance(want, complex)
+            if name != "cyl_mode" and min(cj) == 0.0:
+                assert want == 0.0 and got[j] == 0.0
+                continue
+            assert abs(got[j] - want) <= mode_tolerance(name, s, kj, *cj) * abs(want), (j, cj)
+
+    def test_scalar_r_against_array_r2(self):
+        r2 = np.array([0.2, 1.4, 2.9])
+        got = mk.cyl_mode(S_REF, 0.75, 0.9, r2, ELL)
+        want = [mk.cyl_mode(S_REF, 0.75, 0.9, float(x), ELL) for x in r2]
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_domain_checks_read_every_element(self):
+        from resonance_lab import scattering as sc
+
+        with pytest.raises(DomainError, match="r >= 0"):
+            mk.funnel_mode(S_REF, 1.0, np.array([0.5, -0.1]), 1.0, ELL)
+        with pytest.raises(DomainError, match="r >= 0"):
+            sc.poisson_mode(S_REF, 1.0, np.array([0.5, -0.1]), ELL)
+        with pytest.raises(DomainError, match="series guard"):
+            mk.cyl_mode(S_REF, 1.0, np.array([0.5, 3.6]), 3.7, ELL)
+        with pytest.raises(DomainError, match="series guard"):
+            mk.funnel_mode(S_REF, 1.0, 4.3, np.array([1.0, 4.2]), ELL)
 
 
 class TestFunnelKernel:

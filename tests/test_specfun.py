@@ -288,6 +288,65 @@ class TestArrayEngine:
             sf.reg_hyp2f1_scaled(np.array([2.0, 2.0 + 2513.0j]), np.array([2.0, 2.0 - 2513.0j]), 0.0, 0.999)
 
 
+class TestPerRowZ:
+    """z per row against one scalar-z call per row, which is the oracle.
+
+    Rows that end inside the first chunk of both calls take the same
+    arithmetic; past it the rows share chunk boundaries, so products and the
+    exponent round differently, within the series' own 5e-16 / (1 - |z|).
+    """
+
+    S = 2.0 + 0.3j
+
+    @staticmethod
+    def _rows(c, rotate):
+        # a, b = s' +- iq with s' = c - 1/2, as in the cylinder profile: for
+        # c in -N0 every term has one sign, so no row cancels
+        z = np.linspace(0.05, 0.99, 25)
+        if rotate:
+            z = z * np.exp(1j * np.linspace(-0.3, 0.3, z.size))
+        q = np.linspace(0.0, 3.0, z.size)[::-1]
+        return (c - 0.5) + 1j * q, (c - 0.5) - 1j * q, z
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    @pytest.mark.parametrize("c", [1.5, 2.5 + 0.3j, 0.7, 0.0, -1.0, -3.0])
+    def test_rows_against_scalar_calls(self, c, rotate):
+        a, b, z = self._rows(c, rotate)
+        m, e = sf._hyp2f1_rows(a, b, c, z)
+        assert m.shape == e.shape == z.shape
+        for j in range(z.size):
+            want_m, want_e = sf.reg_hyp2f1_scaled(complex(a[j]), complex(b[j]), c, complex(z[j]))
+            az = abs(z[j])
+            assert _rel_err(m[j], e[j], want_m, want_e) <= 1e-15 + 5e-16 * az / (1.0 - az), az
+
+    @pytest.mark.parametrize("c", [2.5 + 0.3j, 0.0, -3.0, -171.0])
+    def test_one_row_is_bit_identical(self, c):
+        a, b, z = self._rows(c, True)
+        for j in (0, 12, 24):
+            got = sf._hyp2f1_rows(a[j : j + 1], b[j : j + 1], c, z[j : j + 1])
+            want = sf.reg_hyp2f1_scaled(complex(a[j]), complex(b[j]), c, complex(z[j]))
+            assert (complex(got[0][0]), float(got[1][0])) == want
+
+    @pytest.mark.parametrize("c", [2.5 + 0.3j, -3.0])
+    def test_shared_z_per_row_is_bit_identical(self, c):
+        # the same z on every row takes the arithmetic of a scalar z
+        a, b, _ = self._rows(c, False)
+        for z in (0.3, -0.85 + 0.2j, 0.97):
+            got = sf._hyp2f1_rows(a, b, c, np.full(a.size, z))
+            want = sf.reg_hyp2f1_scaled(a, b, c, z)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_broadcast_and_guard(self):
+        # a and b scalars against z per row; the guard reads each row's |z|
+        m, e = sf.reg_hyp2f1_scaled(self.S, self.S, self.S + 0.5, np.array([0.2, 0.6]))
+        for j, z in enumerate((0.2, 0.6)):
+            assert _rel_err(m[j], e[j], *sf.reg_hyp2f1_scaled(self.S, self.S, self.S + 0.5, z)) <= 1e-15
+        with pytest.raises(DomainError, match="0.9995"):
+            sf.reg_hyp2f1_scaled(self.S, self.S, 1.5, np.array([0.2, 0.9995]))
+        m, e = sf._hyp2f1_rows(np.array([], dtype=complex), self.S, 1.5, np.array([]))
+        assert m.size == e.size == 0
+
+
 class TestBessel:
     def test_half_integer_closed_forms(self):
         assert abs(sf.bessel_k(0.5, 1.0) - math.sqrt(math.pi / 2) * math.exp(-1)) < 1e-14

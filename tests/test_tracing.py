@@ -1,8 +1,9 @@
 """The benchmark's tracer wraps the package's functions from outside.
 
 Its binners call abs() on the 2F1 argument z and on g_s's sigma, so both
-must stay scalars while the mode functions take arrays of kappa; a traced
-run of each command kind must still complete.
+must stay scalars while the mode functions take arrays of kappa, r and r'
+(an array of r goes to the 2F1 engine past the traced entry); a traced run
+of each command kind must still complete.
 """
 
 import json
@@ -49,3 +50,17 @@ def test_traced_commands_complete(tmp_path, capsys):
     assert sum(v for k, v in calls.items() if k.startswith("specfun.reg_hyp2f1.")) > 0
     assert sum(v for k, v in calls.items() if k.startswith("free_resolvent.g_s.")) > 0
     assert snap["counts"]["fourier.evals"] == 3
+
+
+def test_traced_verify_completes(capsys):
+    # verify's batched checks pass arrays of r to the mode functions
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["verify"])
+        snap = tracer.snapshot()
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr().out
+    assert snap["calls"]["model_kernels.cyl_mode"] > 0
+    assert all(k.startswith("specfun.reg_hyp2f1.z-") for k in snap["calls"] if k.startswith("specfun.reg_hyp2f1"))
