@@ -211,15 +211,13 @@ def _cmd_modes(args) -> int:
     rs = [args.r_min + (args.r_max - args.r_min) * i / (n - 1) for i in range(n)]
     if not all(map(math.isfinite, (args.kappa, args.r2, *rs))):
         raise DomainError("--kappa, --r2 and the grid from --r-min to --r-max must be finite")
+    if args.end == "cusp":
+        values = [mk.cusp_mode(s, args.kappa, _exp(r), _exp(args.r2)) for r in rs]
+    else:
+        mode = mk.cyl_mode if args.end == "cylinder" else mk.funnel_mode
+        values = mode(s, args.kappa, np.array(rs), args.r2, ell).tolist()
     lines = ["r,re,im"]
-    for r in rs:
-        if args.end == "cylinder":
-            v = mk.cyl_mode(s, args.kappa, r, args.r2, ell)
-        elif args.end == "funnel":
-            v = mk.funnel_mode(s, args.kappa, r, args.r2, ell)
-        else:
-            v = mk.cusp_mode(s, args.kappa, _exp(r), _exp(args.r2))
-        lines.append(f"{_fmt(r)},{_fmt(v.real)},{_fmt(v.imag)}")
+    lines += [f"{_fmt(r)},{_fmt(v.real)},{_fmt(v.imag)}" for r, v in zip(rs, values)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -30,11 +30,9 @@ are evaluated for all classes in one call.  Mode profiles for the
 hyperbolic cylinder / funnel are built from the regularized
 hypergeometric function, one array series per call; cusp modes from
 modified Bessel functions of order s - 1/2, one by one, with blocks of 2.
-`cyl_mode`, `funnel_mode` and the profiles take kappa, r and r' as
-scalars or numpy arrays that broadcast: the Fourier routes pass an array
-of kappa at one scalar pair (r, r'), which keeps math and cmath for the
-geometry, and `verify` passes arrays of all three, which sum as one 2F1
-block with z per row; `cusp_mode` takes scalars.
+`cyl_mode`, `funnel_mode` and the profiles take kappa, r and r' as scalars
+or numpy arrays that broadcast, in numpy arithmetic either way (an array of
+r or r' is one 2F1 block with z per row); `cusp_mode` takes scalars.
 The two routes agree on the common domain, which is the module's master
 cross-check.
 
@@ -261,52 +259,25 @@ def cyl_kernel_images(s: complex, ell: float, t: TwistSpec, z: HPoint, z2: HPoin
     return _classwise(t, m1 - m2, cyl_class_images(s, ell, t.angles, zf, wf))
 
 
-def _is_array(x) -> bool:
-    """True for a numpy array of at least one dimension; scalars take math and cmath."""
-    return getattr(x, "ndim", 0) > 0
-
-
 def _log_cosh(r):
-    """log cosh r, for a scalar r (math) or an array."""
-    if _is_array(r):
-        a = np.abs(r)
-        return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
-    a = abs(r)
-    return a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)
+    """log cosh r, per element of r."""
+    a = np.abs(r)
+    return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
 
 def _half_one_minus_tanh(r):
-    """(1 - tanh r)/2 = 1/(1 + e^{2r}), computed without cancellation; r a scalar or an array."""
-    if _is_array(r):
-        e = np.exp(-2.0 * np.abs(r))
-        return np.where(r > 0, e, 1.0) / (1.0 + e)
-    if r > 0:
-        e = math.exp(-2.0 * r)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + math.exp(2.0 * r))
-
-
-def _phase(x):
-    """e^{ix} for a real scalar x (cmath) or an array of them."""
-    return np.exp(1j * x) if _is_array(x) else cmath.exp(complex(0.0, x))
-
-
-def _min_max(r, r2):
-    """(min, max) of r and r2: Python's for two scalars, elementwise where either is an array."""
-    if _is_array(r) or _is_array(r2):
-        return np.minimum(r, r2), np.maximum(r, r2)
-    return min(r, r2), max(r, r2)
+    """(1 - tanh r)/2 = 1/(1 + e^{2r}), computed without cancellation, per element of r."""
+    return np.exp(-2.0 * np.maximum(r, 0.0)) / (1.0 + np.exp(-2.0 * np.abs(r)))
 
 
 def _hyp2f1(warg):
-    """(2F1 entry, largest argument) for a profile's 2F1 argument warg.
+    """The 2F1 entry for a profile's argument warg: the engine itself for an array.
 
-    A scalar goes through `reg_hyp2f1_scaled`, an array (one z per row)
-    to the engine itself, so that the traced entry always sees a scalar z.
+    The benchmark's tracer bins `reg_hyp2f1_scaled` by abs(z), so an array
+    (one z per row) goes past it.  This goes with the tracer (ROADMAP item
+    1): once it bins an array of z, every call can take the entry.
     """
-    if _is_array(warg):
-        return specfun._hyp2f1_rows, float(warg.max(initial=0.0))
-    return specfun.reg_hyp2f1_scaled, warg
+    return specfun._hyp2f1_rows if np.ndim(warg) else specfun.reg_hyp2f1_scaled
 
 
 def log_a_kappa(s: complex, q):
@@ -317,15 +288,14 @@ def log_a_kappa(s: complex, q):
 def _v_profile_scaled(s: complex, q, r):
     """(m, E) with v(s; r) = m e^E, per element of q and r (scalars or arrays that broadcast)."""
     warg = _half_one_minus_tanh(r)
-    hyp2f1, top = _hyp2f1(warg)
-    if top > 1.0 - specfun.GUARD_DELTA:
+    if warg.max(initial=0.0) > 1.0 - specfun.GUARD_DELTA:
         raise DomainError(
-            f"profile argument (1-tanh r)/2 = {top} outside the series guard; "
+            f"profile argument (1-tanh r)/2 = {warg.max()} outside the series guard; "
             f"needs r >= {-R_PROFILE_MIN:.3f}"
         )
-    m, e = hyp2f1(s + 1j * q, s - 1j * q, s + 0.5, warg)
+    m, e = _hyp2f1(warg)(s + 1j * q, s - 1j * q, s + 0.5, warg)
     lc = _log_cosh(r)
-    return m * _phase(-s.imag * lc), e - s.real * lc
+    return m * np.exp(-1j * s.imag * lc), e - s.real * lc
 
 
 def v_profile(s: complex, q: float, r: float) -> complex:
@@ -342,8 +312,8 @@ def cyl_mode(s: complex, kappa, r, r2, ell: float):
     """Two-point cylinder mode a_kappa(s) v(s; -min) v(s; max).
 
     kappa, r and r2 are scalars or arrays that broadcast, with min and max
-    taken elementwise: an array of r or r2 takes one 2F1 engine call per
-    profile, with z per row, while scalar r and r2 keep scalar arithmetic.
+    taken elementwise; each profile is one 2F1 engine call, with z per row
+    for an array of r or r2.
     Symmetric in r <-> r2; poles on the lattice -N0 +- i omega kappa.
     The three factors are combined in log scale, so high frequencies whose
     individual factors over/underflow still evaluate.
@@ -351,7 +321,7 @@ def cyl_mode(s: complex, kappa, r, r2, ell: float):
     s = complex(s)
     omega = TWO_PI / ell
     q = omega * abs(kappa)  # formulas are even in kappa; canonicalize for bit-equal values
-    lo, hi = _min_max(r, r2)
+    lo, hi = np.minimum(r, r2), np.maximum(r, r2)
     return _assemble_mode(
         log_a_kappa(s, q), _v_profile_scaled(s, q, -lo), _v_profile_scaled(s, q, hi)
     )
@@ -470,17 +440,16 @@ def log_beta_kappa(s: complex, q):
 
 def _v0_profile_scaled(s: complex, q, r):
     """(m, E) with v0(s; r) = m e^E, per element of q and r (scalars or arrays that broadcast)."""
-    th = np.tanh(r) if _is_array(r) else math.tanh(r)
+    th = np.tanh(r)
     warg = th * th
-    hyp2f1, top = _hyp2f1(warg)
-    if top > 1.0 - specfun.GUARD_DELTA:
+    if warg.max(initial=0.0) > 1.0 - specfun.GUARD_DELTA:
         raise DomainError(
-            f"tanh^2 r = {top} outside the series guard; needs |r| <= "
+            f"tanh^2 r = {warg.max()} outside the series guard; needs |r| <= "
             f"{R0_PROFILE_MAX:.3f}"
         )
-    m, e = hyp2f1((s + 1.0 + 1j * q) / 2.0, (s + 1.0 - 1j * q) / 2.0, 1.5, warg)
+    m, e = _hyp2f1(warg)((s + 1.0 + 1j * q) / 2.0, (s + 1.0 - 1j * q) / 2.0, 1.5, warg)
     lc = _log_cosh(r)
-    return th * m * _phase(-s.imag * lc), e - s.real * lc
+    return th * m * np.exp(-1j * s.imag * lc), e - s.real * lc
 
 
 def v0_profile(s: complex, q, r):
@@ -496,9 +465,9 @@ def funnel_mode(s: complex, kappa, r, r2, ell: float):
     Factors are combined in log scale as for the cylinder mode.
     """
     s = complex(s)
-    lo, hi = _min_max(r, r2)
-    if np.any(lo < 0.0) if _is_array(lo) else (r < 0.0 or r2 < 0.0):
-        raise DomainError(f"funnel coordinates must satisfy r >= 0, got {r}, {r2}")
+    lo, hi = np.minimum(r, r2), np.maximum(r, r2)
+    if (lo < 0.0).any():
+        raise DomainError(f"funnel coordinates must satisfy r >= 0, got {lo.min()}")
     omega = TWO_PI / ell
     q = omega * abs(kappa)  # even in kappa
     return _assemble_mode(

@@ -8,9 +8,9 @@ surplus of numerator poles raises PoleError.
 
 `poisson_mode` and `functional_equation_sides` (with
 `functional_equation_residual`) take kappa, r and r' as scalars or as numpy
-arrays that broadcast, and evaluate an array in one 2F1 engine call per
-profile; `scattering_coeff` takes one kappa, and the functional equation
-calls it once per distinct kappa.
+arrays that broadcast, one 2F1 engine call per profile either way;
+`scattering_coeff` takes one kappa, and the functional equation calls it
+once per distinct kappa.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, PoleError
 from .geometry import TWO_PI
-from .model_kernels import _is_array, funnel_mode, log_beta_kappa, v0_profile
+from .model_kernels import funnel_mode, log_beta_kappa, v0_profile
 from .specfun import _is_nonpositive_integer, log_gamma, rgamma
 
 
@@ -32,12 +32,10 @@ def poisson_mode(s: complex, kappa, r, ell: float):
     beta_kappa has them, at s in -(1 + 2 N0) +- i omega kappa.
     """
     s = complex(s)
-    if np.any(r < 0.0) if _is_array(r) else r < 0.0:
-        raise DomainError(f"Poisson mode needs r >= 0, got {r}")
+    if np.any(r < 0.0):
+        raise DomainError(f"Poisson mode needs r >= 0, got {np.min(r)}")
     q = TWO_PI / ell * abs(kappa)  # even in kappa
-    log_beta = log_beta_kappa(s, q)
-    beta = np.exp(log_beta) if _is_array(log_beta) else cmath.exp(log_beta)
-    return beta * v0_profile(s, q, r) * rgamma(s + 0.5) / ell
+    return np.exp(log_beta_kappa(s, q)) * v0_profile(s, q, r) * rgamma(s + 0.5) / ell
 
 
 def scattering_coeff(s: complex, kappa: float, ell: float) -> complex:
@@ -90,11 +88,9 @@ def functional_equation_sides(s: complex, kappa, r, r2, ell: float):
     """
     s = complex(s)
     lhs = funnel_mode(s, kappa, r, r2, ell) - funnel_mode(1.0 - s, kappa, r, r2, ell)
-    if _is_array(kappa):
-        distinct, where = np.unique(kappa, return_inverse=True)
-        coeff = np.array([scattering_coeff(s, k, ell) for k in distinct.tolist()])[where]
-    else:
-        coeff = scattering_coeff(s, kappa, ell)
+    distinct, where = np.unique(kappa, return_inverse=True)  # where is flat before numpy 2
+    coeff = np.array([scattering_coeff(s, k, ell) for k in distinct.tolist()])
+    coeff = coeff[where.reshape(np.shape(kappa))]
     rhs = (
         (2.0 * s - 1.0)
         * ell

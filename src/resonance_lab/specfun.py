@@ -8,11 +8,13 @@ order and positive real argument.
 log_gamma and the 2F1 take arrays: `reg_hyp2f1_scaled` is one numpy engine
 that sums a block of series, one row per (a_j, b_j, z_j) with c shared, in
 column chunks, each row stopped on its own tail rule.  z is a scalar shared
-by every row or one value per row; a single series is a block of one row,
-bit for bit the same as a call with scalar a, b and z.
+by every row or one value per row; a shared z takes the cheaper arithmetic
+of a scalar factor.
 
 Accuracy envelope (documented, tested):
-  * log_gamma: ~1e-13 relative on |z| <= 50 away from the poles -N0.
+  * log_gamma: ~1e-13 relative on |z| <= 50 away from the poles -N0.  Its
+    recurrence takes ceil(1/2 - Re z) steps, at most _MAX_SHIFTS = 10,000:
+    below Re z = -9999.5 it raises OverflowBudgetError.
   * reg_hyp2f1: direct series on |z| <= 1 - GUARD_DELTA (= 1e-3), the same
     as a term-by-term loop: rounding that grows with the number of terms,
     about 5e-16 / (1 - |z|), plus an ulp of the exponent log|F| (1e-12 at
@@ -79,6 +81,9 @@ _K_NEAR_INTEGER = 3e-2
 
 _SERIES_CAP = 100_000
 
+#: Most steps of log_gamma's recurrence; an array of 10,000 takes about 60 ms.
+_MAX_SHIFTS = 10_000
+
 #: Columns of the first chunk of the 2F1 series, at least; later chunks
 #: double.  No chunk holds more than _CHUNK_CELLS rows x columns, which
 #: bounds both, and keeps every array of a chunk at 64 KB or less.
@@ -106,12 +111,15 @@ def log_gamma(z):
     recurrence log Gamma(z) = log Gamma(z+n) - sum log(z+j) on the left
     half-plane, which keeps the principal branch on C \\ (-inf, 0].
 
-    Raises PoleError at the poles z in {0, -1, -2, ...}.
+    Raises PoleError at the poles z in {0, -1, -2, ...}, and
+    OverflowBudgetError where the recurrence would take more than
+    _MAX_SHIFTS steps (Re z < -9999.5).
     """
     if isinstance(z, (int, float, complex)) or np.ndim(z) == 0:  # np.ndim costs 1.7 us
         z = complex(z)
         if _is_nonpositive_integer(z) is not None:
             raise PoleError(f"log_gamma pole at z = {z}")
+        _check_shifts(z.real)
         # shift right of Re = 0.5, then undo the shift term by term
         n = max(math.ceil(0.5 - z.real), 0)
         return _log_gamma_lanczos(z + n, cmath.log) - sum(cmath.log(z + j) for j in range(n))
@@ -120,9 +128,16 @@ def log_gamma(z):
     poles = (np.abs(z.imag) <= 1e-12) & (near <= 0.0) & (np.abs(z.real - near) <= 1e-12)
     if poles.any():
         raise PoleError(f"log_gamma pole at z = {complex(z[poles][0])}")
+    _check_shifts(z.real.min(initial=0.0))
     n = np.maximum(np.ceil(0.5 - z.real), 0.0)
     shift = sum(np.where(j < n, np.log(z + j), 0.0) for j in range(int(n.max(initial=0.0))))
     return _log_gamma_lanczos(z + n, np.log) - shift
+
+
+def _check_shifts(re: float) -> None:
+    """OverflowBudgetError where the recurrence from Re z = re takes over _MAX_SHIFTS steps."""
+    if 0.5 - re > _MAX_SHIFTS:  # ceil(0.5 - re) > _MAX_SHIFTS
+        raise OverflowBudgetError(f"log_gamma recurrence from Re z = {re:g} exceeds {_MAX_SHIFTS} steps")
 
 
 def _log_gamma_lanczos(z, log):
@@ -173,23 +188,10 @@ def reg_hyp2f1_scaled(a, b, c: complex, z):
     are all scalars).  Requires |z_j| <= 1 - GUARD_DELTA on every row.
 
     The engine is `_hyp2f1_rows`; this entry only forwards to it.  The
-    package passes z per row to the engine itself, and a scalar z here,
+    mode profiles pass z per row to the engine itself, and a scalar z here,
     which the benchmark's tracer bins by |z|.
     """
     return _hyp2f1_rows(a, b, c, z)
-
-
-def _real_quotient(z, d: float):
-    """z / d for complex z per row and a real d, as Python divides one complex by d.
-
-    numpy divides a complex by a real as by a complex (multiplying by the
-    reciprocal), Python part by part; this keeps a one-row call bit-equal
-    to a scalar one.
-    """
-    out = np.empty_like(z)
-    out.real = z.real / d
-    out.imag = z.imag / d
-    return out
 
 
 def _hyp2f1_rows(a, b, c: complex, z):
@@ -209,8 +211,8 @@ def _hyp2f1_rows(a, b, c: complex, z):
     and leaves the chunks.  For c in -N0 the terms with a Gamma pole
     vanish and the series starts at n0 = 1 - c, from each row's z_j.
 
-    A scalar z stays a Python complex throughout, so that a scalar-z call
-    takes the arithmetic it always has; z per row is a column of the block.
+    A z shared by every row stays a Python complex, a scalar factor of
+    every row; z per row is a column of the block.
     """
     per_row = getattr(z, "ndim", 0) > 0
     scalar = not (getattr(a, "ndim", 0) or getattr(b, "ndim", 0) or per_row)
@@ -238,9 +240,9 @@ def _hyp2f1_rows(a, b, c: complex, z):
         n0 = m + 1
         term = np.ones(rows, dtype=complex)
         twos = np.zeros(rows, dtype=int)
+        zs = z[:, 0] if per_row else z
         for j in range(min(n0, _SERIES_CAP)):
-            zj = _real_quotient(z[:, 0], j + 1.0) if per_row else z / (j + 1.0)
-            term = term * ((a[:, 0] + j) * (b[:, 0] + j) * zj)
+            term = term * ((a[:, 0] + j) * (b[:, 0] + j) * (zs / (j + 1.0)))
             k = np.frexp(np.abs(term))[1]
             term = np.ldexp(term.real, -k) + 1j * np.ldexp(term.imag, -k)
             twos += k

@@ -1,10 +1,11 @@
 """Per-mode reference for the cylinder and funnel Fourier syntheses.
 
 These are the Fourier routes as they were written before block mode sums:
-one scalar mode at a time, each profile through the scalar 2F1 loop of
-`hyp2f1_reference`, and the adaptive sum adding k = 1, 2, ... and then
-k = -1, -2, ..., each side stopped on the geometric tail of the last
-magnitude ratio, times 10, below FOURIER_TAIL_TOL of the largest term.
+one scalar mode at a time in math and cmath arithmetic, each profile
+through the scalar 2F1 loop of `hyp2f1_reference`, and the adaptive sum
+adding k = 1, 2, ... and then k = -1, -2, ..., each side stopped on the
+geometric tail of the last magnitude ratio, times 10, below
+FOURIER_TAIL_TOL of the largest term.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from resonance_lab.model_kernels import (
     R0_PROFILE_MAX,
     R_PROFILE_MIN,
     _classwise,
-    _half_one_minus_tanh,
-    _log_cosh,
 )
 from resonance_lab.specfun import log_gamma
 from resonance_lab.twist import TwistSpec
@@ -48,6 +47,19 @@ def log_beta_kappa(s: complex, q: float) -> complex:
         + log_gamma(complex((s.real + 1.0) / 2.0, (s.imag + q) / 2.0))
         + log_gamma(complex((s.real + 1.0) / 2.0, (s.imag - q) / 2.0))
     )
+
+
+def _log_cosh(r: float) -> float:
+    a = abs(r)
+    return a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)
+
+
+def _half_one_minus_tanh(r: float) -> float:
+    """(1 - tanh r)/2 = 1/(1 + e^{2r}), without cancellation."""
+    if r > 0:
+        e = math.exp(-2.0 * r)
+        return e / (1.0 + e)
+    return 1.0 / (1.0 + math.exp(2.0 * r))
 
 
 def _v_profile_scaled(s: complex, q: float, r: float) -> tuple[complex, float]:

@@ -438,6 +438,33 @@ class TestModesCommand:
         assert rc == 0
         assert target.read_text().startswith("r,re,im")
 
+    @pytest.mark.parametrize("end,r_min,r_max", [("cylinder", "-2", "2"), ("funnel", "0", "3")])
+    def test_grid_in_one_call_per_profile(self, spec_file, capsys, monkeypatch, end, r_min, r_max):
+        # the 64-point grid is one 2F1 engine call per profile, and each value
+        # is within 1e-14 of the per-mode reference's at its r
+        import fourier_reference as fref
+        from resonance_lab import specfun
+
+        ell = 2.0 * math.pi if end == "cylinder" else 1.0  # as in spec_file
+
+        calls = []
+        engine = specfun._hyp2f1_rows
+        monkeypatch.setattr(specfun, "_hyp2f1_rows", lambda *a: calls.append(a) or engine(*a))
+        rc = cli.main(
+            [
+                "modes", "--spec", spec_file, "--end", end, "--s", "2+0.3i", "--kappa", "1.25",
+                "--r2", "1", "--r-min", r_min, "--r-max", r_max, "--n", "64",
+            ]
+        )
+        assert rc == 0
+        assert len(calls) == 2
+        rows = [[float(x) for x in line.split(",")] for line in capsys.readouterr().out.split()[1:]]
+        assert len(rows) == 64
+        reference = getattr(fref, f"{'cyl' if end == 'cylinder' else end}_mode")
+        for r, re, im in rows:
+            want = reference(2.0 + 0.3j, 1.25, r, 1.0, ell)
+            assert abs(complex(re, im) - want) <= 1e-14 * abs(want), r
+
     @pytest.mark.parametrize("n", ["1", "0"])
     def test_too_few_points_exit_2(self, spec_file, capsys, n):
         rc = cli.main(

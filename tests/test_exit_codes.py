@@ -3,14 +3,18 @@
 A row that raises (a traceback, exit 1) or returns anything else fails.
 Rows that return 0 with JSON output must write strict JSON, without NaN or
 Infinity.  The table covers malformed specs, extreme spectral parameters,
-extreme radii and coincident points.  Rows named `escape-*` once exited 1
-with a traceback (a ZeroDivisionError for an infinite ell, an OverflowError
-in g_s at huge Re s) or wrote NaN or Infinity into the `count` JSON; they
-must return the one code given with them.
+extreme radii, coincident points and `modes` grids that leave a profile's
+domain.  Rows named `escape-*` once exited 1 with a traceback (a
+ZeroDivisionError for an infinite ell, an OverflowError in g_s at huge
+Re s) or wrote NaN or Infinity into the `count` JSON, and rows named
+`hang-*` did not return (log_gamma's recurrence summed about -Re s
+logarithms); they must return the one code given with them.  Every row
+but the two in _SLOW returns within a second.
 """
 
 import json
 import math
+import time
 
 import pytest
 
@@ -30,6 +34,10 @@ _COUNT = ["count", "--r-max", "10"]
 
 def _kernel(end, s="2+0.3i", method="both", coords=("0.2", "1", "0.9", "2")):
     return ["kernel", "--end", end, "--method", method, f"--s={s}", "--coords", *coords]
+
+
+def _modes(end, s, r2, r_min, r_max):
+    return ["modes", "--end", end, f"--s={s}", "--kappa", "1.25", "--r2", r2, "--r-min", r_min, "--r-max", r_max, "--n", "16"]
 
 
 def _rows():
@@ -78,13 +86,26 @@ def _rows():
     for name, spec in wrong.items():
         rows += [(f"{name}-resonances", spec, _RESONANCES, 2), (f"{name}-kernel", spec, _kernel("cusp"), 2)]
     # extreme spectral parameters on every end and method
-    for s in ("0", "0.5", "-1", "1e20", "1e300"):
+    for s in ("0", "0.5", "-1", "1e20", "1e300", "-1e20", "-1e300"):
         for end in ("cylinder", "funnel", "cusp"):
             for method in ("images", "fourier", "both"):
                 if end != "cusp" and method != "fourier" and s in ("1e20", "1e300"):
                     rows.append((f"escape-s-{s}-{end}-{method}", _GOOD, _kernel(end, s, method), 3))
+                elif s.startswith("-1e"):
+                    # images need Re s above the abscissa; the Fourier modes take log_gamma(s +- iq)
+                    hang = "hang-" if end != "cusp" and method == "fourier" else ""
+                    code = 3 if method == "fourier" else 2
+                    rows.append((f"{hang}s-{s}-{end}-{method}", _GOOD, _kernel(end, s, method), code))
                 elif method != "both":
                     rows.append((f"s-{s}-{end}-{method}", _GOOD, _kernel(end, s, method), None))
+    # mode grids: a huge negative Re s, and grids that cross a profile's guard or the funnel's r >= 0
+    for end in ("cylinder", "funnel", "cusp"):
+        rows.append((f"{'' if end == 'cusp' else 'hang-'}modes-s--1e300-{end}", _GOOD, _modes(end, "-1e300", "1", "0", "2"), 3))
+    rows += [
+        ("modes-cylinder-profile-guard", _GOOD, _modes("cylinder", "2+0.3i", "4", "3", "5"), 2),
+        ("modes-funnel-profile-guard", _GOOD, _modes("funnel", "2+0.3i", "5", "3", "5"), 2),
+        ("modes-funnel-negative-r", _GOOD, _modes("funnel", "2+0.3i", "1", "-1", "2"), 2),
+    ]
     # extreme radii, and coincident points
     for value in ("nan", "-1", "1e-300", "inf"):
         tiny = value == "1e-300"
@@ -104,16 +125,21 @@ def _rows():
 
 _ROWS = _rows()
 
+#: Rows that sum the 2F1 series to its 100,000-term cap before they exit 3.
+_SLOW = {"s-1e20-cylinder-fourier", "s-1e20-funnel-fourier"}
+
 
 def _strict(token):
     raise ValueError(f"{token} is not JSON")
 
 
-@pytest.mark.parametrize("spec,argv,expect", [row[1:] for row in _ROWS], ids=[row[0] for row in _ROWS])
-def test_exit_code(spec, argv, expect, tmp_path, capsys):
+@pytest.mark.parametrize("name,spec,argv,expect", _ROWS, ids=[row[0] for row in _ROWS])
+def test_exit_code(name, spec, argv, expect, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
+    start = time.perf_counter()
     rc = cli.main([argv[0], "--spec", str(path), *argv[1:]])
+    assert name in _SLOW or time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert rc in (0, 2, 3) if expect is None else rc == expect, err
     assert "Traceback" not in err

@@ -112,6 +112,23 @@ class TestFunctionalEquation:
             lhs, rhs = sc.functional_equation_sides(0.7 + 0.4j, 1.0, 1.0, 2.0, ell)
             assert abs(lhs - rhs) / abs(rhs) < 1e-9
 
+    def test_scalar_kappa_broadcasts_over_r(self, monkeypatch):
+        # one kappa against arrays of r and r': one scattering coefficient,
+        # and per element what a call at each pair gives
+        s, kap = 0.7 + 0.4j, 1.25
+        r, r2 = np.array([0.5, 1.0, 2.0, 0.4]), np.array([1.5, 2.0, 0.7, 2.6])
+        got = sc.functional_equation_residual(s, kap, r, r2, ELL)
+        assert got.shape == r.shape
+        for j in range(r.size):
+            lhs, rhs = sc.functional_equation_sides(s, kap, float(r[j]), float(r2[j]), ELL)
+            assert np.ndim(lhs) == np.ndim(rhs) == 0
+            assert abs(got[j] - abs(lhs - rhs)) <= 1e-12 * abs(rhs)
+        seen = []
+        original = sc.scattering_coeff
+        monkeypatch.setattr(sc, "scattering_coeff", lambda *a: seen.append(a[1]) or original(*a))
+        sc.functional_equation_residual(s, kap, r, r2, ELL)
+        assert seen == [kap]
+
     def test_residual_grid(self):
         for s in (0.7 + 0.4j, 0.45 + 0.9j):
             for kap in (0.5, 1.75):

@@ -86,6 +86,22 @@ class TestLogGamma:
         rhs = z * cmath.exp(sf.log_gamma(z))
         assert abs(lhs - rhs) / abs(rhs) < 1e-12
 
+    def test_recurrence_budget(self):
+        # Re z = -9999.5 takes the 10,000 steps the recurrence is allowed,
+        # as a scalar and as an array; one step more raises
+        import mpmath as mp
+
+        z = -9999.5 + 1j
+        with mp.workdps(30):
+            want = complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+        assert abs(sf.log_gamma(z) - want) <= 1e-12 * abs(want)
+        assert abs(sf.log_gamma(np.array([z, 2.0]))[0] - want) <= 1e-12 * abs(want)
+        for bad in (-10000.5 + 1j, -1e300 + 1j):
+            with pytest.raises(OverflowBudgetError, match="recurrence"):
+                sf.log_gamma(bad)
+            with pytest.raises(OverflowBudgetError, match="recurrence"):
+                sf.log_gamma(np.array([1.5, bad]))
+
     def test_accuracy_sweep_against_mpmath(self):
         # 1e-12 relative on |z| <= 50 away from the poles
         import mpmath as mp
@@ -289,11 +305,13 @@ class TestArrayEngine:
 
 
 class TestPerRowZ:
-    """z per row against one scalar-z call per row, which is the oracle.
+    """z per row against one scalar-z call per row, and against the term-by-term loop.
 
     Rows that end inside the first chunk of both calls take the same
     arithmetic; past it the rows share chunk boundaries, so products and the
     exponent round differently, within the series' own 5e-16 / (1 - |z|).
+    One-row and shared-z calls are held to `hyp2f1_reference`, the oracle
+    that no path of the engine shares.
     """
 
     S = 2.0 + 0.3j
@@ -319,22 +337,38 @@ class TestPerRowZ:
             az = abs(z[j])
             assert _rel_err(m[j], e[j], want_m, want_e) <= 1e-15 + 5e-16 * az / (1.0 - az), az
 
+    @staticmethod
+    def _reference(a, b, c, z):
+        """The term-by-term loop's (m, E), and how far the engine may be from it:
+        the series' envelope, and an ulp of the largest term where the terms cancel."""
+        import hyp2f1_reference as ref
+
+        want = ref.reg_hyp2f1_scaled(a, b, c, z)
+        bound = _envelope(z, want[1] + math.log(abs(want[0])))
+        return want, bound + 2.2e-16 * ref.cancellation(a, b, c, z)
+
     @pytest.mark.parametrize("c", [2.5 + 0.3j, 0.0, -3.0, -171.0])
-    def test_one_row_is_bit_identical(self, c):
+    def test_one_row_against_reference(self, c):
+        # a one-row block with z per row and a scalar call, against the scalar loop
         a, b, z = self._rows(c, True)
         for j in (0, 12, 24):
-            got = sf._hyp2f1_rows(a[j : j + 1], b[j : j + 1], c, z[j : j + 1])
-            want = sf.reg_hyp2f1_scaled(complex(a[j]), complex(b[j]), c, complex(z[j]))
-            assert (complex(got[0][0]), float(got[1][0])) == want
+            want, bound = self._reference(a[j], b[j], c, z[j])
+            m, e = sf._hyp2f1_rows(a[j : j + 1], b[j : j + 1], c, z[j : j + 1])
+            assert _rel_err(m[0], e[0], *want) <= bound, j
+            m, e = sf.reg_hyp2f1_scaled(complex(a[j]), complex(b[j]), c, complex(z[j]))
+            assert _rel_err(m, e, *want) <= bound, j
 
     @pytest.mark.parametrize("c", [2.5 + 0.3j, -3.0])
-    def test_shared_z_per_row_is_bit_identical(self, c):
-        # the same z on every row takes the arithmetic of a scalar z
+    def test_shared_z_per_row_against_reference(self, c):
+        # the same z on every row, passed per row and as one shared z
         a, b, _ = self._rows(c, False)
         for z in (0.3, -0.85 + 0.2j, 0.97):
-            got = sf._hyp2f1_rows(a, b, c, np.full(a.size, z))
-            want = sf.reg_hyp2f1_scaled(a, b, c, z)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            per_row = sf._hyp2f1_rows(a, b, c, np.full(a.size, z))
+            shared = sf.reg_hyp2f1_scaled(a, b, c, z)
+            for j in range(a.size):
+                want, bound = self._reference(a[j], b[j], c, z)
+                assert _rel_err(per_row[0][j], per_row[1][j], *want) <= bound, (z, j)
+                assert _rel_err(shared[0][j], shared[1][j], *want) <= bound, (z, j)
 
     def test_broadcast_and_guard(self):
         # a and b scalars against z per row; the guard reads each row's |z|

@@ -1,9 +1,9 @@
 """The benchmark's tracer wraps the package's functions from outside.
 
 Its binners call abs() on the 2F1 argument z and on g_s's sigma, so both
-must stay scalars while the mode functions take arrays of kappa, r and r'
-(an array of r goes to the 2F1 engine past the traced entry); a traced run
-of each command kind must still complete.
+must stay scalars at the traced entries.  The mode functions send an
+array of r, as `modes` and `verify` pass it, to the 2F1 engine past the
+traced entry; a traced run of each command kind must still complete.
 """
 
 import json

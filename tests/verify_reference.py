@@ -60,14 +60,14 @@ def functional_equation() -> float:
 
 
 def mode_tolerance(name: str, s: complex, kappa: float, r: float, r2: float = 0.0) -> float:
-    """Relative tolerance of an array mode value (ell = 1) against its scalar call.
+    """Relative tolerance of an array mode value (ell = 1) against a scalar evaluation.
 
     1e-14, plus the 2F1 series' rounding 5e-16 / (1 - z) at the larger of
     the mode's profile arguments z, plus 4 ulps of the log Gamma prefactor
     (a_kappa or beta_kappa).  The array call sums its rows in shared chunks,
-    whose boundaries differ from a scalar call's once a row runs past its
-    first chunk, and takes log Gamma of an array of kappa with numpy's log,
-    which differs from cmath's by an ulp.
+    whose boundaries differ from a scalar evaluation's once a row runs past
+    its first chunk, and takes log Gamma of an array of kappa with numpy's
+    log, which differs from cmath's by an ulp.
     """
     q = TWO_PI * abs(kappa)
     if name == "cyl_mode":
