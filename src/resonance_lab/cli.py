@@ -170,7 +170,7 @@ def _cmd_kernel(args) -> int:
     if not t.angles:
         raise DomainError(f"the twist of {args.end} {args.index} has no eigenvalue classes")
     methods = ("images", "fourier") if args.method == "both" else (args.method,)
-    results = {m: mk.kernel(args.end, m, s, ell, t, c1, c2) for m in methods}
+    results = {m: mk.kernel(args.end, m, s, ell, t, [(c1, c2)])[0] for m in methods}
     if args.output == "csv":
         lines = ["method,theta,mult,re,im"]
         for method in sorted(results):
@@ -212,7 +212,7 @@ def _cmd_modes(args) -> int:
     if not all(map(math.isfinite, (args.kappa, args.r2, *rs))):
         raise DomainError("--kappa, --r2 and the grid from --r-min to --r-max must be finite")
     if args.end == "cusp":
-        values = [mk.cusp_mode(s, args.kappa, _exp(r), _exp(args.r2)) for r in rs]
+        values = mk.cusp_mode(s, args.kappa, np.array([_exp(r) for r in rs]), _exp(args.r2)).tolist()
     else:
         mode = mk.cyl_mode if args.end == "cylinder" else mk.funnel_mode
         values = mode(s, args.kappa, np.array(rs), args.r2, ell).tolist()

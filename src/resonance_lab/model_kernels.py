@@ -20,25 +20,23 @@ sums S_xi, whose tails past a direct window `_sxi_tails` evaluates for
 every angle.  Fourier modes (`_mode_sum`) stop on a geometric tail
 estimate, times 10, below FOURIER_TAIL_TOL times the largest term so far.
 
-Mode sums evaluate their modes in blocks of k, 8 first and then doubling
-(cut short where the last magnitude ratio says the side ends sooner), and
-apply the stopping rule value by value within a block, so that they stop
-where a mode-by-mode sum would.  Each distinct |kappa| of a kernel is
-evaluated once: for theta = 0 and 1/2 the k > 0 and k < 0 sides share
-them, and k = 0 and the first block of each side, which every sum takes,
-are evaluated for all classes in one call.  Mode profiles for the
-hyperbolic cylinder / funnel are built from the regularized
-hypergeometric function, one array series per call; cusp modes from
-modified Bessel functions of order s - 1/2, one by one, with blocks of 2.
-`cyl_mode`, `funnel_mode` and the profiles take kappa, r and r' as scalars
-or numpy arrays that broadcast, in numpy arithmetic either way (an array of
-r or r' is one 2F1 block with z per row); `cusp_mode` takes scalars.
+A Fourier route takes point pairs at one s and returns a (pairs, classes)
+array: `_mode_sum` advances every (pair, class) sum together, a block of k
+per round (8, or 2 high in the cusp, then doubling), with the stopping rule
+applied value by value, so that each sum stops where a mode-by-mode sum
+would.  Each distinct (r, r', |kappa|) is evaluated once.  Mode profiles
+for the hyperbolic cylinder / funnel are built from the regularized
+hypergeometric function, cusp modes from modified Bessel functions of the
+shared order s - 1/2, one array call each; `cyl_mode`, `funnel_mode`,
+`cusp_mode` and the profiles take kappa and the radial coordinates as
+scalars or numpy arrays that broadcast (an array of r or r' is one 2F1
+block with z per row).
 The two routes agree on the common domain, which is the module's master
 cross-check.
 
 Evaluation domains (series guard GUARD_DELTA = 1e-3):
-  * cylinder profile v(s; r) needs r >= -R_PROFILE_MIN (~ -3.45);
-    in mode synthesis this bounds min(r, r') from above by R_PROFILE_MIN.
+  * cylinder profile v(s; r) needs r >= -R_PROFILE_MIN (~ -3.453); in
+    mode synthesis min(r, r') <= R_PROFILE_MIN and max(r, r') >= -R_PROFILE_MIN.
   * funnel profile v0(s; r) needs 0 <= r <= R0_PROFILE_MAX (~ 4.15).
 """
 
@@ -53,15 +51,15 @@ from . import specfun
 from .errors import DomainError, PoleError, TruncationError
 from .free_resolvent import g_s
 from .geometry import TWO_PI, CylCoord, HPoint, cusp_to_plane, cyl_to_plane
-from .specfun import bessel_i, bessel_k, log_gamma
+from .specfun import log_gamma
 from .twist import TwistSpec
 
 #: Margin over every convergence abscissa.
 MARGIN = 0.1
 
-#: Largest r at which the cylinder profile can be evaluated at -r
-#: (series guard |z| <= 1 - 1e-3 on the hypergeometric argument).
-R_PROFILE_MIN = 0.5 * math.log((2.0 - specfun.GUARD_DELTA) / specfun.GUARD_DELTA)
+#: Largest r at which the cylinder profile can be evaluated at -r: the
+#: series guard (1 - tanh r)/2 <= 1 - 1e-3 holds for r >= -0.5 log((1 - 1e-3)/1e-3).
+R_PROFILE_MIN = 0.5 * math.log((1.0 - specfun.GUARD_DELTA) / specfun.GUARD_DELTA)
 
 #: Largest |r| for the funnel boundary profile (guard on tanh^2 r).
 R0_PROFILE_MAX = math.atanh(math.sqrt(1.0 - specfun.GUARD_DELTA))
@@ -71,9 +69,9 @@ FOURIER_TAIL_TOL = 1e-12
 
 _MAX_FOURIER_MODES = 3000
 
-#: Modes in the first block of a mode sum; each later block doubles.  The
-#: cusp's Bessel modes cost the same one by one as in a block, so its
-#: blocks start from the two that give a first magnitude ratio.
+#: Modes in the first block of a mode sum; each later block doubles.  Cusp
+#: sums start from 2 where a first block of 8 would take Bessel arguments
+#: |kappa| y' past OVERFLOW_BUDGET_X (y' > 10.6): they stop within a few modes.
 _FIRST_BLOCK = 8
 _CUSP_FIRST_BLOCK = 2
 
@@ -327,105 +325,132 @@ def cyl_mode(s: complex, kappa, r, r2, ell: float):
     )
 
 
-def _mode_sum(mode_terms, first_block: int) -> complex:
-    """Sum mode_terms(k) over k in Z, adaptively.
+def _scan(values: np.ndarray, count, prev, scale: np.ndarray, size):
+    """The stopping rule over one block of terms per row, the first count of each row valid.
 
-    mode_terms takes an array of k and is called on blocks of them: the
-    first has first_block modes and each next one twice as many.  The sum
-    adds k = 1, 2, ... and then k = -1, -2, ..., and stops a side at the
-    first value, within its block, whose tail, estimated geometrically
-    from the last magnitude ratio with a safety factor of 10 (the ratio
-    still creeps toward its asymptote when r and r' are close), is below
-    FOURIER_TAIL_TOL of the largest term so far, or at the second of two
-    consecutive zeros.  A block after the first is cut short where the
-    last ratio, if it held, would stop the side.  A side that passes
-    _MAX_FOURIER_MODES raises TruncationError.
+    prev is a row's last magnitude before it (NaN at the start of a side),
+    scale its largest so far.  Returns whether the row stops, its partial
+    sum, largest and last magnitude up to the stop (or the block's end), and
+    its next block: twice size, cut short where the last ratio says so.
     """
-    total = complex(mode_terms(np.zeros(1, dtype=int))[0])
-    scale = abs(total)
-    for side in (1, -1):
-        prev = math.nan
-        lo, size = 1, first_block
-        while True:
-            if lo > _MAX_FOURIER_MODES:
+    mags = np.abs(values)
+    before = np.empty_like(mags)
+    before[:, 0], before[:, 1:] = prev, mags[:, :-1]
+    scales = np.maximum(np.maximum.accumulate(mags, axis=1), scale[:, None])
+    ratio = mags / before
+    # a tail only where 0 < |term| < |term before|, at a ratio below 0.995
+    stop = (ratio > 0.0) & (ratio < 0.995) & (10.0 * (mags * ratio / (1.0 - ratio)) < FOURIER_TAIL_TOL * scales)
+    stop |= mags + before == 0.0
+    if isinstance(count, np.ndarray):  # else the whole block is valid
+        stop &= np.arange(values.shape[1]) < count[:, None]
+    hit = np.logical_or.reduce(stop, axis=1)
+    last = np.where(hit, stop.argmax(axis=1), count - 1)
+    rows = np.arange(values.shape[0])
+    part = np.where(np.arange(values.shape[1]) <= last[:, None], values, 0.0).sum(axis=1)  # pairwise
+    scale, prev, rho = scales[rows, last], mags[rows, last], ratio[rows, last]
+    if hit.all():
+        return hit, part, scale, prev, size
+    ahead = np.log(FOURIER_TAIL_TOL * scale * (1.0 - rho) / (10.0 * rho * prev)) / np.log(rho)
+    cut = (rho > 0.0) & (rho < 0.995) & (ahead < 2 * size)
+    return hit, part, scale, prev, np.where(cut, np.maximum(1.0, np.ceil(ahead)), 2 * size).astype(int)
+
+
+def _mode_sum(terms, total: np.ndarray, first_block: int) -> np.ndarray:
+    """Sum terms(i, k) over k in Z for every sum i at once, adaptively; total holds the k = 0 terms.
+
+    terms takes the indices i of some sums and a 2-d array of k != 0, one
+    row per sum.  Every sum adds k = 1, 2, ... and then k = -1, -2, ..., in
+    blocks, the first of first_block modes.  It stops a side at the first
+    value whose tail, estimated geometrically from the last magnitude ratio
+    with a safety factor of 10 (the ratio still creeps toward its asymptote
+    when r and r' are close), is below FOURIER_TAIL_TOL of the largest term
+    so far, or at the second of two consecutive zeros.  A sum whose side +1
+    stops takes its first block of side -1 in the same round.  A side that
+    passes _MAX_FOURIER_MODES raises TruncationError.
+    """
+    out = total.copy()
+    # the open sums, compacted as they end: index, side, next |k|, block
+    # size, last magnitude, largest magnitude so far, and partial sum
+    ids = np.arange(out.size)
+    side, lo, size = np.ones(out.size, dtype=int), np.ones(out.size, dtype=int), np.full(out.size, first_block)
+    prev, scale, acc = np.full(out.size, math.nan), np.abs(out), out.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while ids.size:
+            count = np.minimum(size, _MAX_FOURIER_MODES + 1 - lo)
+            if count.min() < 1:
                 raise TruncationError(f"Fourier synthesis needs more than {_MAX_FOURIER_MODES} modes")
-            k = np.arange(lo, min(lo + size, _MAX_FOURIER_MODES + 1))
-            values = mode_terms(side * k)
-            mags = np.abs(values)
-            before = np.concatenate(([prev], mags[:-1]))
-            scales = np.maximum.accumulate(np.concatenate(([scale], mags)))[1:]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = mags / before
-                tail = np.where(
-                    (0.0 < mags) & (mags < before) & (ratio < 0.995),
-                    mags * ratio / (1.0 - ratio), math.inf,
+            # one row per sum, padded with its last mode, which the scan leaves out
+            k = np.minimum(np.add.outer(lo, np.arange(count.max())), (lo + count - 1)[:, None])
+            hit, part, scale, prev, size = _scan(terms(ids, k * side[:, None]), count, prev, scale, size)
+            acc += part
+            lo += count
+            turn = (hit & (side > 0)).nonzero()[0]
+            if turn.size:  # side +1 is done: side -1 starts, with the scale so far
+                k = -np.arange(1, first_block + 1)[None, :].repeat(turn.size, axis=0)
+                hit[turn], part, scale[turn], prev[turn], size[turn] = _scan(
+                    terms(ids[turn], k), first_block, math.nan, scale[turn], first_block
                 )
-            stop = ((mags == 0.0) & (before == 0.0)) | (10.0 * tail < FOURIER_TAIL_TOL * scales)
-            if stop.any():
-                last = int(stop.argmax())
-                total += complex(values[: last + 1].sum())
-                scale = float(scales[last])
-                break
-            total += complex(values.sum())
-            prev, scale = float(mags[-1]), float(scales[-1])
-            lo, size, rho = lo + k.size, 2 * size, float(ratio[-1])
-            if 0.0 < rho < 0.995:
-                ahead = math.log(FOURIER_TAIL_TOL * scale * (1.0 - rho) / (10.0 * rho * prev)) / math.log(rho)
-                size = min(size, max(1, math.ceil(ahead)))
-    return total
+                acc[turn] += part
+                side[turn], lo[turn] = -1, 1 + first_block
+            if hit.any():
+                out[ids[hit]] = acc[hit]
+                ids, side, lo, size, prev, scale, acc = (v[~hit] for v in (ids, side, lo, size, prev, scale, acc))
+    return out
 
 
-def _fourier_kernel(
-    t: TwistSpec, c1: CylCoord, c2: CylCoord, profile, w: float, ell: float,
-    first_block: int = _FIRST_BLOCK,
-) -> np.ndarray:
-    """Per class j: lambda_j^(w1 - w2) sum_k e^{i kappa w} profile(|kappa|) / ell.
+def _fourier_kernel(t: TwistSpec, pairs, profile, ell: float, first_block: int = _FIRST_BLOCK, coords=None):
+    """Per pair p and class j: lambda_j^(w1 - w2) sum_k e^{i kappa phase_p} profile(|kappa|, radial_p) / ell.
 
     kappa = k + theta_j; 2pi windings of the angles enter through the twist
-    phase.  profile takes an array of |kappa| and is evaluated once for
-    each distinct |kappa| of the kernel: for theta = 0 and 1/2 the two
-    sides of a class share them.  Every sum takes k = 0 and its first
-    block on each side, so one profile call evaluates those of every class
-    before the sums start; a later block calls it for the |kappa| it adds.
+    phase.  coords lists (radial_p, phase_p), by default ((r, r'), phi - phi');
+    profile(kappa, r, r2) takes an array of |kappa| and r, r2 (scalars where
+    all rows share them), once per distinct (radial_p, |kappa|).  Every sum
+    takes k = 0 and its first block on each side: one call evaluates those
+    of every sum, a table that later rounds read.  Returns a (len(pairs),
+    classes) array.
     """
     if not t.is_unitary:
         raise DomainError("Fourier synthesis requires a unitary twist")
-    if c1.r == c2.r and c1.phi == c2.phi:
+    if any(c1.r == c2.r and c1.phi == c2.phi for c1, c2 in pairs):
         raise DomainError("Fourier synthesis requires distinct points")
-    known: dict[float, complex] = {}
+    coords = coords or [((c1.r, c2.r), c1.phi - c2.phi) for c1, c2 in pairs]
+    groups: dict = {}
+    group = np.array([groups.setdefault(rad, len(groups)) for rad, _ in coords], dtype=float)
+    radii, thetas = np.array(list(groups), dtype=float).reshape(-1, 2), np.array([c.theta for c in t.angles])
+    grp, theta = group.repeat(thetas.size), thetas[None, :].repeat(len(pairs), axis=0).ravel()
+    iphase = 1j * np.array([phase for _, phase in coords], dtype=float).repeat(thetas.size)
+    known, first = {}, None
 
-    def mode_terms(kappa: np.ndarray) -> np.ndarray:
-        sizes = np.abs(kappa).tolist()
-        new = list(dict.fromkeys(x for x in sizes if x not in known))
+    def terms(i: np.ndarray, k: np.ndarray) -> np.ndarray:
+        if first is not None and max(-k.min(), k.max()) <= first_block:
+            return first[i[:, None], k + first_block]
+        kappa = k + theta[i, None]
+        keys = list(zip(grp[i].repeat(k.shape[1]).tolist(), np.abs(kappa).ravel().tolist()))
+        new = list(dict.fromkeys(key for key in keys if key not in known))
         if new:
-            known.update(zip(new, profile(np.array(new)).tolist()))
-        return np.exp(1j * kappa * w) * np.array([known[x] for x in sizes])
+            g, sizes = np.array(new).T
+            r, r2 = radii[g.astype(int)].T
+            if (g == g[0]).all():
+                r, r2 = float(r[0]), float(r2[0])
+            known.update(zip(new, profile(sizes, r, r2).tolist()))
+        return np.exp(kappa * iphase[i, None]) * np.array([known[key] for key in keys]).reshape(k.shape)
 
-    # in the order the sums reach them: k = 0, 1, ..., first_block, -1, ..., -first_block
-    first = np.arange(first_block + 1)
-    first = np.concatenate([first, -first[1:]])
-    if t.angles:
-        mode_terms(np.concatenate([first + cls.theta for cls in t.angles]))
-    values = [_mode_sum(lambda k: mode_terms(k + cls.theta), first_block) / ell for cls in t.angles]
-    return _classwise(t, c1.winding - c2.winding, values)
+    if not grp.size:
+        return np.zeros((len(pairs), thetas.size), dtype=complex)
+    first = terms(np.arange(grp.size), np.arange(-first_block, first_block + 1)[None, :].repeat(grp.size, axis=0))
+    words = np.array([[c1.winding - c2.winding] for c1, c2 in pairs])
+    lam = np.array([cls.eigenvalue for cls in t.angles])
+    return lam**words * (_mode_sum(terms, first[:, first_block], first_block).reshape(words.size, -1) / ell)
 
 
-def cyl_kernel_fourier(
-    s: complex,
-    ell: float,
-    t: TwistSpec,
-    c1: CylCoord,
-    c2: CylCoord,
-) -> np.ndarray:
-    """Twisted cylinder resolvent kernel via Fourier-mode synthesis.
+def cyl_kernel_fourier(s: complex, ell: float, t: TwistSpec, pairs) -> np.ndarray:
+    """Twisted cylinder resolvent kernel via Fourier-mode synthesis, one row per pair (c1, c2).
 
     Per class j: (1/ell) sum_k e^{i kappa (phi - phi')} v_kappa(s; r, r')
     with kappa = k + theta_j; 2pi windings of the angles enter through the
     twist phase lambda_j^(w - w').
     """
-    return _fourier_kernel(
-        t, c1, c2, lambda kap: cyl_mode(s, kap, c1.r, c2.r, ell), c1.phi - c2.phi, ell
-    )
+    return _fourier_kernel(t, list(pairs), lambda kap, r, r2: cyl_mode(s, kap, r, r2, ell), ell)
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +521,9 @@ def funnel_kernel(
     return direct - cyl_kernel_images(s, ell, t, z, w_refl)
 
 
-def funnel_kernel_fourier(
-    s: complex,
-    ell: float,
-    t: TwistSpec,
-    c1: CylCoord,
-    c2: CylCoord,
-) -> np.ndarray:
-    """Funnel resolvent kernel via the mode functions (same 1/ell prefactor)."""
-    return _fourier_kernel(
-        t, c1, c2, lambda kap: funnel_mode(s, kap, c1.r, c2.r, ell), c1.phi - c2.phi, ell
-    )
+def funnel_kernel_fourier(s: complex, ell: float, t: TwistSpec, pairs) -> np.ndarray:
+    """Funnel resolvent kernel via the mode functions (same 1/ell prefactor), one row per pair."""
+    return _fourier_kernel(t, list(pairs), lambda kap, r, r2: funnel_mode(s, kap, r, r2, ell), ell)
 
 
 # ---------------------------------------------------------------------------
@@ -514,46 +531,45 @@ def funnel_kernel_fourier(
 # ---------------------------------------------------------------------------
 
 
-def cusp_mode(s: complex, kappa: float, y: float, y2: float) -> complex:
-    """Cusp Fourier mode.
+def cusp_mode(s: complex, kappa, y, y2):
+    """Cusp Fourier mode, per element of kappa, y and y2 (scalars or arrays that broadcast).
 
     kappa != 0: sqrt(y y') I_{s-1/2}(|kappa| y_min) K_{s-1/2}(|kappa| y_max);
     kappa == 0: y_min^s y_max^{1-s} / (2s - 1), pole at s = 1/2.
+    The Bessel factors are one array call each at the shared order s - 1/2.
     """
     s = complex(s)
-    if y <= 0.0 or y2 <= 0.0:
-        raise DomainError(f"cusp coordinates must satisfy y > 0, got {y}, {y2}")
-    lo, hi = min(y, y2), max(y, y2)
-    if kappa == 0.0:
+    ak, y, y2 = np.broadcast_arrays(np.abs(np.asarray(kappa, dtype=float)), y, y2)
+    if not ((y > 0.0) & (y2 > 0.0)).all():
+        raise DomainError(f"cusp coordinates must satisfy y > 0, got {y.min()}, {y2.min()}")
+    lo, hi, zero, out = np.minimum(y, y2), np.maximum(y, y2), ak == 0.0, np.empty(ak.shape, dtype=complex)
+    if zero.any():
         if abs(s - 0.5) < 1e-12:
             raise PoleError("cusp zero mode has its pole at s = 1/2")
-        log_value = s * math.log(lo) + (1.0 - s) * math.log(hi)
-        return specfun.scaled_value(1.0 / (2.0 * s - 1.0), log_value, "cusp zero mode")
-    nu = s - 0.5
-    ak = abs(kappa)
-    scaled = bessel_i(nu, ak * lo, scaled=True) * bessel_k(nu, ak * hi, scaled=True)
-    return math.sqrt(y * y2) * scaled * math.exp(-ak * (hi - lo))
+        log_value = s * np.log(lo[zero]) + (1.0 - s) * np.log(hi[zero])
+        out[zero] = specfun.scaled_value(1.0 / (2.0 * s - 1.0), log_value, "cusp zero mode")
+    if not zero.all():
+        a, lo, hi = ak[~zero], lo[~zero], hi[~zero]
+        i_k = specfun._bessel_i_rows(s - 0.5, a * lo, True) * specfun._bessel_k_rows(s - 0.5, a * hi, True)
+        out[~zero] = np.sqrt(y * y2)[~zero] * i_k * np.exp(-a * (hi - lo))
+    return out if out.ndim else out[()]
 
 
-def cusp_kernel(
-    s: complex,
-    t: TwistSpec,
-    c1: CylCoord,
-    c2: CylCoord,
-) -> np.ndarray:
-    """Cusp resolvent kernel via Fourier modes (prefactor 1).
+def cusp_kernel(s: complex, t: TwistSpec, pairs) -> np.ndarray:
+    """Cusp resolvent kernel via Fourier modes (prefactor 1), one row per pair (c1, c2).
 
     Per class j: sum_k e^{2 pi i (k+theta_j)(x - x')} u_{2 pi (k+theta_j)}(s; y, y')
     with x = phi/(2 pi), y = e^r.
     """
-    p1, p2 = cusp_to_plane(c1), cusp_to_plane(c2)
-
-    def profile(freq: np.ndarray) -> np.ndarray:
-        # at s = 1/2, cusp_mode raises PoleError on the first term of a theta = 0 class
-        return np.array([cusp_mode(s, TWO_PI * f, p1.y, p2.y) for f in freq.tolist()])
-
+    pairs = list(pairs)
+    planes = [(cusp_to_plane(c1), cusp_to_plane(c2)) for c1, c2 in pairs]
+    # blocks from 2 where a first block of 8 would pass the Bessel budget
+    y_max = max((max(p1.y, p2.y) for p1, p2 in planes), default=0.0)
+    high = TWO_PI * (_FIRST_BLOCK + 1) * y_max > specfun.OVERFLOW_BUDGET_X
+    # at s = 1/2, cusp_mode raises PoleError on the first term of a theta = 0 class
     return _fourier_kernel(
-        t, c1, c2, profile, TWO_PI * (p1.x - p2.x), 1.0, _CUSP_FIRST_BLOCK
+        t, pairs, lambda f, y, y2: cusp_mode(s, TWO_PI * f, y, y2), 1.0, _CUSP_FIRST_BLOCK if high else _FIRST_BLOCK,
+        [((p1.y, p2.y), TWO_PI * (p1.x - p2.x)) for p1, p2 in planes],
     )
 
 
@@ -622,25 +638,28 @@ def cusp_kernel_images(s: complex, t: TwistSpec, c1: CylCoord, c2: CylCoord) -> 
     return _classwise(t, c1.winding - c2.winding, sums)
 
 
-def kernel(
-    end: str, method: str, s: complex, ell, t: TwistSpec, c1: CylCoord, c2: CylCoord
-) -> np.ndarray:
-    """One end's kernel by one method, one complex value per eigenvalue class of t.
+def kernel(end: str, method: str, s: complex, ell, t: TwistSpec, pairs) -> np.ndarray:
+    """One end's kernel by one method at one s: a (len(pairs), classes) array, one row per pair (c1, c2).
 
     end is "cylinder", "funnel" or "cusp" (which ignores ell); method is
     "images" or "fourier".  The one dispatch from an end and a method to its
-    route: routes are looked up as module globals when called, so a rebound one runs.
+    route: a Fourier route takes every pair in one call, an image route one
+    pair per call.  Routes are looked up as module globals when called, so a
+    rebound one runs.
     """
     if end not in ("cylinder", "funnel", "cusp") or method not in ("images", "fourier"):
         raise DomainError(f"no kernel route for end {end!r} and method {method!r}")
-    images = method == "images"
-    if end == "cusp":
-        return (cusp_kernel_images if images else cusp_kernel)(s, t, c1, c2)
-    if end == "funnel":
-        return (funnel_kernel if images else funnel_kernel_fourier)(s, ell, t, c1, c2)
-    if images:
-        return cyl_kernel_images(s, ell, t, cyl_to_plane(c1, ell), cyl_to_plane(c2, ell))
-    return cyl_kernel_fourier(s, ell, t, c1, c2)
+    pairs = list(pairs)
+    if method == "fourier":
+        return cusp_kernel(s, t, pairs) if end == "cusp" else (
+            funnel_kernel_fourier if end == "funnel" else cyl_kernel_fourier)(s, ell, t, pairs)
+    rows = [
+        cusp_kernel_images(s, t, c1, c2) if end == "cusp"
+        else funnel_kernel(s, ell, t, c1, c2) if end == "funnel"
+        else cyl_kernel_images(s, ell, t, cyl_to_plane(c1, ell), cyl_to_plane(c2, ell))
+        for c1, c2 in pairs
+    ]
+    return np.array(rows, dtype=complex).reshape(len(pairs), len(t.angles))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ log_gamma and the 2F1 take arrays: `reg_hyp2f1_scaled` is one numpy engine
 that sums a block of series, one row per (a_j, b_j, z_j) with c shared, in
 column chunks, each row stopped on its own tail rule.  z is a scalar shared
 by every row or one value per row; a shared z takes the cheaper arithmetic
-of a scalar factor.
+of a scalar factor.  `_bessel_i_rows` and `_bessel_k_rows` take an array of
+x at one order; `bessel_i` and `bessel_k` are their one-element calls.
 
 Accuracy envelope (documented, tested):
   * log_gamma: ~1e-13 relative on |z| <= 50 away from the poles -N0.  Its
@@ -19,7 +20,7 @@ Accuracy envelope (documented, tested):
     as a term-by-term loop: rounding that grows with the number of terms,
     about 5e-16 / (1 - |z|), plus an ulp of the exponent log|F| (1e-12 at
     log|F| ~ 6000); a row stops once its geometric tail bound is below
-    1e-16 of its sum, and no row takes more than 100,000 terms.
+    1e-16 of its sum; a row whose terms still grow at 100,000 terms raises.
   * bessel_i: ~2e-13 relative for |Re nu| <= 30, |Im nu| <= 10 and
     0 < x <= OVERFLOW_BUDGET_X, and for Re nu up to 200 (measured against
     mpmath); the limit is the ~1e-15 absolute error of log_gamma.
@@ -30,6 +31,7 @@ Accuracy envelope (documented, tested):
     K_SERIES_X_MAX the quadrature: ~5e-13 for |Im nu| <= 5, but its
     integrand cancels to K by about e^(-pi |Im nu| / 2), so that it is
     2e-10 off at |Im nu| = 8 and 6e-10 at |Im nu| = 10 (x just above 2).
+    Array and one-element calls differ by numpy's array and scalar ulps.
 """
 
 from __future__ import annotations
@@ -164,17 +166,17 @@ def scaled_value(m, x, what: str):
     added to x first; a value below the range is 0, and one above it raises
     OverflowBudgetError naming `what`.
     """
-    if isinstance(m, complex):  # one value, without numpy's fixed cost
+    if isinstance(m, complex) and not isinstance(x, np.ndarray):  # one value, without numpy's fixed cost
         if m == 0.0:
             return 0j
         top = math.log(abs(m)) + x.real
         if top > 709.0:
-            raise OverflowBudgetError(f"{what} overflows a double (exponent {top:.1f})")
+            raise OverflowBudgetError(f"{what} overflows a double (exponent {top:g})")
         return m * cmath.exp(x) if abs(x.real) < 700.0 else cmath.exp(cmath.log(m) + x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = np.log(np.abs(m)) + np.real(x)
         if np.any(top > 709.0):
-            raise OverflowBudgetError(f"{what} overflows a double (exponent {float(np.max(top)):.1f})")
+            raise OverflowBudgetError(f"{what} overflows a double (exponent {float(np.max(top)):g})")
         inside = np.abs(np.real(x)) < 700.0
         return np.where(inside, m, 1.0) * np.exp(np.where(inside, x, np.log(m) + x))
 
@@ -210,6 +212,8 @@ def _hyp2f1_rows(a, b, c: complex, z):
     |term| |z_j| / (1 - |z_j|) is at most 1e-16 of its sum, or that is 0,
     and leaves the chunks.  For c in -N0 the terms with a Gamma pole
     vanish and the series starts at n0 = 1 - c, from each row's z_j.
+    First, a row whose term ratio is still at least 1 at N = _SERIES_CAP - 1
+    raises NonConvergenceError (unless a or b in -N0 ends the series).
 
     A z shared by every row stays a Python complex, a scalar factor of
     every row; z per row is a column of the block.
@@ -232,6 +236,13 @@ def _hyp2f1_rows(a, b, c: complex, z):
         raise DomainError(f"|z| = {top} exceeds the series guard {1.0 - GUARD_DELTA}")
 
     rows = a.shape[0]
+    # terms still growing at the cap (rows one by one only where a bound over all fails)
+    big_n, cap_ratio = _SERIES_CAP - 1.0, abs((c + _SERIES_CAP - 1.0) * _SERIES_CAP)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if (np.abs(a).max(initial=0.0) + big_n) * (np.abs(b).max(initial=0.0) + big_n) * top >= cap_ratio:
+            ends = [(p.imag == 0.0) & (p.real <= 0.0) & (p.real == np.round(p.real)) for p in (a, b)]
+            if (np.abs((a + big_n) * (b + big_n) * z) >= cap_ratio)[~(ends[0] | ends[1])].any():
+                raise NonConvergenceError(f"hypergeometric series did not converge within {_SERIES_CAP} terms")
     m = _is_nonpositive_integer(c)
     if m is not None:
         # Gamma(c+n) is singular for n <= m, so those terms vanish; start
@@ -322,93 +333,122 @@ def reg_hyp2f1(a, b, c: complex, z: complex):
 # ---------------------------------------------------------------------------
 
 
-def _bessel_i_series(nu: complex, x: float, shift: float) -> complex:
-    """e^shift I_nu(x) by the ascending series, its prefactor in one exponent.
+def _check_bessel_x(name: str, x: np.ndarray) -> None:
+    """DomainError or OverflowBudgetError for the first x outside 0 < x <= OVERFLOW_BUDGET_X."""
+    for x0 in x[(x <= 0.0) | (x > OVERFLOW_BUDGET_X)][:1].tolist():
+        if x0 <= 0.0:
+            raise DomainError(f"{name} requires x > 0, got {x0}")
+        raise OverflowBudgetError(f"x = {x0} exceeds the exponent budget {OVERFLOW_BUDGET_X}")
 
-    I_nu(x) = (x/2)^nu / Gamma(nu+1) sum_m t_m with t_0 = 1 and
-    t_{m+1} = t_m (x/2)^2 / ((m+1)(nu+m+1)); nu log(x/2) - log Gamma(nu+1)
-    + shift is carried as one exponent, so that neither factor overflows
-    alone.  A negative integer order is summed as -nu (I_{-n} = I_n).
-    Convergent for all x > 0.
+
+def _i_series(nu: complex, x: np.ndarray, shift) -> np.ndarray:
+    """e^shift_j I_nu(x_j) per row j, by the ascending series, its prefactor in one exponent.
+
+    I_nu(x) = (x/2)^nu / Gamma(nu+1) sum_m t_m, t_{m+1} = t_m (x/2)^2 / ((m+1)(nu+m+1)),
+    t_0 = 1, with the prefactor and shift in one exponent.  The terms are
+    cumulative products in chunks of at most _CHUNK_CELLS cells, each
+    continuing a row's last term and sum as a term-by-term loop would; a row
+    stops at the first m > 2 with |t_m| <= 1e-17 |sum|.  I_{-n} = I_n.
     """
     n = _is_nonpositive_integer(nu)
     if n:
         nu = complex(n)
     q = 0.25 * x * x
-    term = total = 1.0 + 0.0j
-    for m in range(_SERIES_CAP):
-        term *= q / ((m + 1.0) * (nu + m + 1.0))
-        total += term
-        if m > 1 and abs(term) <= 1e-17 * abs(total):
-            break
-    return scaled_value(total, nu * math.log(0.5 * x) - log_gamma(nu + 1.0) + shift, "I_nu")
+    mant = np.ones(x.size, dtype=complex)
+    live = np.arange(x.size)
+    term = total = mant[live]
+    # the terms peak near m = x/2; rows leave as they stop, and chunks widen
+    m, width = 0, max(1, min(16 + int(x.max(initial=0.0)), _CHUNK_CELLS // max(x.size, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size and m < _SERIES_CAP:
+            k = np.arange(m, m + width, dtype=float)
+            terms = q[live, None] / ((k + 1.0) * (nu + k + 1.0))
+            terms[:, 0] *= term
+            terms = terms.cumprod(axis=1)
+            sums = np.concatenate([total[:, None], terms], axis=1).cumsum(axis=1)[:, 1:]
+            stop = (np.abs(terms) <= 1e-17 * np.abs(sums)) & (k > 1.0)
+            hit = stop.any(axis=1)
+            mant[live[hit]] = sums[hit, stop[hit].argmax(axis=1)]
+            live, term, total, m = live[~hit], terms[~hit, -1], sums[~hit, -1], m + width
+            width = max(1, min(2 * width, _CHUNK_CELLS // max(live.size, 1)))
+    mant[live] = total  # rows still open at _SERIES_CAP
+    return scaled_value(mant, nu * np.log(0.5 * x) - log_gamma(nu + 1.0) + shift, "I_nu")
 
 
-def _bessel_k_quadrature(nu: complex, x: float, shift: float) -> complex:
-    """e^shift K_nu(x) = int_0^inf e^(shift - x cosh t) cosh(nu t) dt, by panel Gauss-Legendre.
+def _k_quadrature(nu: complex, x: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """e^shift_j K_nu(x_j) = int_0^inf e^(shift_j - x_j cosh t) cosh(nu t) dt per row j, by Gauss-Legendre panels.
 
-    The integration ends where sigma t - x cosh t (sigma = |Re nu|), followed
-    in steps of 0.25, has dropped 45 below its maximum; the panels are sized
-    to the oscillation of cosh(nu t), so that 24 nodes resolve each one.
+    A row ends where sigma t - x_j cosh t (sigma = |Re nu|), in steps of 0.25,
+    has dropped 45 below its maximum; panels of 24 nodes resolve each
+    oscillation of cosh(nu t).  Consecutive rows go together, at most
+    _CHUNK_CELLS nodes at a time (a row with more alone).
     """
-    from ._quad import gauss_legendre_panels
+    from ._quad import _nodes
 
     sigma = abs(nu.real)
     # the integrand's largest modulus is e^(shift + peak), at sinh t = sigma / x
-    peak = sigma * math.asinh(sigma / x) - math.hypot(sigma, x)
-    if shift + peak > 700.0:
-        raise OverflowBudgetError(f"K_nu overflow for nu={nu}, x={x}")
-    t = 0.25 * np.arange(1, 241)
-    e = sigma * t - x * np.cosh(t)
-    below = e < np.maximum.accumulate(np.maximum(e, -x)) - 45.0
-    if not below.any():
-        raise OverflowBudgetError(f"K_nu integrand does not decay for nu={nu}, x={x}")
+    over = shift + sigma * np.arcsinh(sigma / x) - np.hypot(sigma, x) > 700.0
+    if over.any():
+        raise OverflowBudgetError(f"K_nu overflow for nu={nu}, x={float(x[over.argmax()])}")
+    grid, ends, step = 0.25 * np.arange(1, 241), np.empty(x.size), max(1, _CHUNK_CELLS // 240)
+    for i in range(0, x.size, step):
+        xi = x[i : i + step, None]
+        e = sigma * grid - xi * np.cosh(grid)
+        below = e < np.maximum.accumulate(np.maximum(e, -xi), axis=1) - 45.0
+        for x0 in xi[~below.any(axis=1), 0][:1].tolist():
+            raise OverflowBudgetError(f"K_nu integrand does not decay for nu={nu}, x={x0}")
+        ends[i : i + step] = grid[below.argmax(axis=1)]
+    panels = np.maximum(1, np.ceil(ends / min(1.0, 6.0 / max(1.0, abs(nu.imag), sigma)))).astype(int)
+    half, (nodes, weights), out, first = 0.5 * ends / panels, _nodes(24), np.empty(x.size, dtype=complex), 0
+    while first < x.size:
+        last = first + max(1, int(np.searchsorted(np.cumsum(24 * panels[first:]), _CHUNK_CELLS, "right")))
+        count = panels[first:last]
+        row, starts = np.repeat(np.arange(first, last), count), np.cumsum(count) - count
+        h = half[row, None]
+        t = h * (2.0 * (np.arange(row.size) - np.repeat(starts, count)) + 1.0)[:, None] + h * nodes
+        e = shift[row, None] - x[row, None] * np.cosh(t)
+        f = 0.5 * (np.exp(e + nu * t) + np.exp(e - nu * t))
+        out[first:last], first = half[first:last] * np.add.reduceat(f @ weights, starts), last
+    return out
 
-    def f(t_: np.ndarray) -> np.ndarray:
-        e_ = shift - x * np.cosh(t_)
-        return 0.5 * (np.exp(e_ + nu * t_) + np.exp(e_ - nu * t_))
 
-    osc = max(1.0, abs(nu.imag), sigma)
-    return gauss_legendre_panels(f, 0.0, float(t[below.argmax()]), min(1.0, 6.0 / osc))
-
-
-def _check_bessel_x(name: str, x: float) -> None:
-    if x <= 0.0:
-        raise DomainError(f"{name} requires x > 0, got {x}")
-    if x > OVERFLOW_BUDGET_X:
-        raise OverflowBudgetError(f"x = {x} exceeds the exponent budget {OVERFLOW_BUDGET_X}")
-
-
-def bessel_i(nu: complex, x: float, scaled: bool = False) -> complex:
-    """Modified Bessel function I_nu(x), complex order, x > 0.
-
-    With scaled=True returns exp(-x) * I_nu(x).
-    """
-    nu = complex(nu)
+def _bessel_i_rows(nu: complex, x, scaled: bool = False) -> np.ndarray:
+    """I_nu(x_j) for an array of x > 0 at one complex order (e^(-x_j) I_nu(x_j) with scaled=True)."""
+    nu, x = complex(nu), np.asarray(x, dtype=float)
     _check_bessel_x("bessel_i", x)
-    return _bessel_i_series(nu, x, -x if scaled else 0.0)
+    return _i_series(nu, x, -x if scaled else 0.0)
 
 
-def bessel_k(nu: complex, x: float, scaled: bool = False) -> complex:
-    """Modified Bessel function K_nu(x), complex order, x > 0.
+def _bessel_k_rows(nu: complex, x, scaled: bool = False) -> np.ndarray:
+    """K_nu(x_j) for an array of x > 0 at one complex order (e^(x_j) K_nu(x_j) with scaled=True).
 
-    K_{-nu}(x) = K_nu(x) holds exactly: the order is canonicalized before
-    evaluation, so both signs run the identical code path.  The reflection
-    formula serves x <= K_SERIES_X_MAX away from the integers, the
-    quadrature the rest.  With scaled=True returns exp(x) * K_nu(x).
+    K_{-nu} = K_nu exactly: the order is canonicalized first.  K_nu = pi/2 (I_{-nu}
+    - I_nu) / sin(pi nu) serves x <= K_SERIES_X_MAX at least _K_NEAR_INTEGER
+    from an integer order, the quadrature the rest.
     """
-    nu = complex(nu)
+    nu, x = complex(nu), np.asarray(x, dtype=float)
     _check_bessel_x("bessel_k", x)
     if (nu.real, nu.imag) < (-nu.real, -nu.imag):
         nu = -nu
-    shift = x if scaled else 0.0
-    if x > K_SERIES_X_MAX or abs(nu - round(nu.real)) < _K_NEAR_INTEGER:
-        return _bessel_k_quadrature(nu, x, shift)
-    # reflection: K_nu = pi/2 (I_{-nu} - I_nu) / sin(pi nu)
-    diff = _bessel_i_series(-nu, x, shift) - _bessel_i_series(nu, x, shift)
-    try:
-        sine = cmath.sin(math.pi * nu)
-    except OverflowError:
-        raise OverflowBudgetError(f"sin(pi nu) overflows a double for nu={nu}") from None
-    return 0.5 * math.pi * diff / sine
+    shift = x if scaled else 0.0 * x
+    series = (x <= K_SERIES_X_MAX) & (abs(nu - round(nu.real)) >= _K_NEAR_INTEGER)
+    out = np.empty(x.size, dtype=complex)
+    if series.any():
+        diff = _i_series(-nu, x[series], shift[series]) - _i_series(nu, x[series], shift[series])
+        try:
+            out[series] = 0.5 * math.pi * diff / cmath.sin(math.pi * nu)
+        except OverflowError:
+            raise OverflowBudgetError(f"sin(pi nu) overflows a double for nu={nu}") from None
+    if not series.all():
+        out[~series] = _k_quadrature(nu, x[~series], shift[~series])
+    return out
 
+
+def bessel_i(nu: complex, x: float, scaled: bool = False) -> complex:
+    """I_nu(x), complex order, x > 0 (e^-x I_nu(x) with scaled=True): one row of `_bessel_i_rows`."""
+    return complex(_bessel_i_rows(nu, [x], scaled)[0])
+
+
+def bessel_k(nu: complex, x: float, scaled: bool = False) -> complex:
+    """K_nu(x), complex order, x > 0 (e^x K_nu(x) with scaled=True): one row of `_bessel_k_rows`."""
+    return complex(_bessel_k_rows(nu, [x], scaled)[0])

@@ -51,22 +51,23 @@ class CheckResult:
 def _two_representation(end: str, seed: int, r_range, separated, s_values) -> CheckResult:
     """Images against Fourier modes on one end, ell = 1 and diag(i, -1), to 1e-6 relative.
 
-    One point pair per value of s: r uniform in r_range and phi in
-    [0, 2pi), drawn again until separated(c1, c2) holds.
+    One point pair per entry of s_values: r uniform in r_range and phi in
+    [0, 2pi), drawn again until separated(c1, c2) holds.  The pairs of one
+    s go to each route in one `model_kernels.kernel` call.
     """
-    rng = np.random.default_rng(seed)
-
-    def rel_err(s) -> float:
+    rng, by_s = np.random.default_rng(seed), {}
+    for s in s_values:
         while True:
             c1 = CylCoord(rng.uniform(*r_range), rng.uniform(0.0, TWO_PI))
             c2 = CylCoord(rng.uniform(*r_range), rng.uniform(0.0, TWO_PI))
             if separated(c1, c2):
                 break
-        ki = mk.kernel(end, "images", s, 1.0, _TWIST_EXAMPLE, c1, c2)
-        kf = mk.kernel(end, "fourier", s, 1.0, _TWIST_EXAMPLE, c1, c2)
-        return float(np.max(np.abs(ki - kf) / np.abs(ki)))
-
-    worst = max(rel_err(s) for s in s_values)
+        by_s.setdefault(s, []).append((c1, c2))
+    worst = 0.0
+    for s, pairs in by_s.items():
+        ki = mk.kernel(end, "images", s, 1.0, _TWIST_EXAMPLE, pairs)
+        kf = mk.kernel(end, "fourier", s, 1.0, _TWIST_EXAMPLE, pairs)
+        worst = max(worst, float(np.max(np.abs(ki - kf) / np.abs(ki))))
     return CheckResult(f"two_representation_{end}", worst <= 1e-6, f"max rel err {worst:.3e}")
 
 
@@ -231,13 +232,13 @@ def check_kernel_symmetries() -> CheckResult:
 def check_twist_phase() -> CheckResult:
     ell, t = 1.0, _TWIST_EXAMPLE
     c2 = CylCoord(0.8, 1.1)
-    worst = 0.0
-    for phi in (0.3, 2.0, 5.5):
-        base = mk.cyl_kernel_fourier(_S_REF, ell, t, CylCoord(-0.4, phi), c2)
-        shifted = mk.cyl_kernel_fourier(_S_REF, ell, t, CylCoord(-0.4, phi + TWO_PI), c2)
-        for j, cls in enumerate(t.angles):
-            phase = cmath.exp(2j * math.pi * cls.theta)
-            worst = max(worst, abs(shifted[j] - phase * base[j]) / abs(base[j]))
+    # each angle and its turn later, in one call: the pairs share r and r'
+    rows = mk.cyl_kernel_fourier(
+        _S_REF, ell, t, [(CylCoord(-0.4, phi + turn), c2) for phi in (0.3, 2.0, 5.5) for turn in (0.0, TWO_PI)]
+    )
+    base, shifted = rows[0::2], rows[1::2]
+    phase = np.array([cmath.exp(2j * math.pi * cls.theta) for cls in t.angles])
+    worst = float(np.max(np.abs(shifted - phase * base) / np.abs(base)))
     return CheckResult("twist_phase", worst <= 1e-12, f"max rel err {worst:.3e}")
 
 

@@ -465,6 +465,37 @@ class TestModesCommand:
             want = reference(2.0 + 0.3j, 1.25, r, 1.0, ell)
             assert abs(complex(re, im) - want) <= 1e-14 * abs(want), r
 
+    @pytest.mark.parametrize("kappa", ["1.25", "0"])
+    def test_cusp_grid_in_one_call(self, spec_file, capsys, monkeypatch, kappa):
+        # the 64-point cusp grid is one cusp_mode call, each value within
+        # 1e-14 of the scalar Bessel oracle's at its r
+        import bessel_reference as bref
+        from resonance_lab import model_kernels as mk
+
+        calls = []
+        mode = mk.cusp_mode
+        monkeypatch.setattr(mk, "cusp_mode", lambda *a: calls.append(a) or mode(*a))
+        rc = cli.main(
+            [
+                "modes", "--spec", spec_file, "--end", "cusp", "--s", "2+0.3i", "--kappa", kappa,
+                "--r2", "0.4", "--r-min", "-1", "--r-max", "2.5", "--n", "64",
+            ]
+        )
+        assert rc == 0
+        assert len(calls) == 1
+        rows = [[float(x) for x in line.split(",")] for line in capsys.readouterr().out.split()[1:]]
+        assert len(rows) == 64
+        s, k, y2 = 2.0 + 0.3j, float(kappa), math.exp(0.4)
+        for r, re, im in rows:
+            lo, hi = sorted((math.exp(r), y2))
+            if k == 0.0:
+                want = lo**s * hi ** (1.0 - s) / (2.0 * s - 1.0)
+            else:
+                want = math.sqrt(lo * hi) * bref.bessel_i(s - 0.5, k * lo, True) * bref.bessel_k(
+                    s - 0.5, k * hi, True
+                ) * math.exp(-k * (hi - lo))
+            assert abs(complex(re, im) - want) <= 1e-14 * abs(want), r
+
     @pytest.mark.parametrize("n", ["1", "0"])
     def test_too_few_points_exit_2(self, spec_file, capsys, n):
         rc = cli.main(

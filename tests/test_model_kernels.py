@@ -43,7 +43,7 @@ class TestCylinderKernel:
             ki = mk.cyl_kernel_images(
                 S_REF, ELL, TWIST, cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL)
             )
-            kf = mk.cyl_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
+            kf = mk.cyl_kernel_fourier(S_REF, ELL, TWIST, [(c1, c2)])[0]
             assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-6
 
     def test_equivariance(self):
@@ -120,10 +120,8 @@ class TestCylinderKernel:
 
     def test_twist_phase(self):
         c1, c2 = CylCoord(-0.4, 2.0), CylCoord(0.8, 1.1)
-        base = mk.cyl_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
-        shifted = mk.cyl_kernel_fourier(
-            S_REF, ELL, TWIST, CylCoord(-0.4, 2.0 + TWO_PI), c2
-        )
+        base = mk.cyl_kernel_fourier(S_REF, ELL, TWIST, [(c1, c2)])[0]
+        shifted = mk.cyl_kernel_fourier(S_REF, ELL, TWIST, [(CylCoord(-0.4, 2.0 + TWO_PI), c2)])[0]
         for j, cls in enumerate(TWIST.angles):
             phase = cmath.exp(2j * math.pi * cls.theta)
             assert abs(shifted[j] - phase * base[j]) <= 1e-12 * abs(base[j])
@@ -142,10 +140,10 @@ class TestCylinderKernel:
         # end's Fourier synthesis by more than 10 times the looser one
         c1, c2 = CylCoord(0.5, 1.0), CylCoord(1.1, 4.0)
         ends = ("cylinder", "funnel", "cusp")
-        fa = [mk.kernel(end, "fourier", S_REF, ELL, TWIST, c1, c2) for end in ends]
+        fa = [mk.kernel(end, "fourier", S_REF, ELL, TWIST, [(c1, c2)])[0] for end in ends]
         monkeypatch.setattr(mk, "FOURIER_TAIL_TOL", mk.FOURIER_TAIL_TOL / 100.0)
         for end, a in zip(ends, fa):
-            b = mk.kernel(end, "fourier", S_REF, ELL, TWIST, c1, c2)
+            b = mk.kernel(end, "fourier", S_REF, ELL, TWIST, [(c1, c2)])[0]
             assert np.all(np.abs(a - b) <= 1e-11 * np.abs(b)), end
         # same for the image sums: a series bound 100 times tighter moves
         # no class by more than the looser bound
@@ -165,16 +163,16 @@ class TestTruncation:
         c1, c2 = CylCoord(0.6, 1.0), CylCoord(0.9, 2.5)
         with pytest.raises(TruncationError, match="needs more than 5 modes"):
             if route == "cusp":
-                mk.cusp_kernel(S_REF, TWIST, c1, c2)
+                mk.cusp_kernel(S_REF, TWIST, [(c1, c2)])[0]
             elif route == "funnel":
-                mk.funnel_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
+                mk.funnel_kernel_fourier(S_REF, ELL, TWIST, [(c1, c2)])[0]
             else:
-                mk.cyl_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
+                mk.cyl_kernel_fourier(S_REF, ELL, TWIST, [(c1, c2)])[0]
 
     @pytest.mark.parametrize("end,method", [("disc", "images"), ("cusp", "both")])
     def test_kernel_without_route(self, end, method):
         with pytest.raises(DomainError, match="no kernel route"):
-            mk.kernel(end, method, S_REF, ELL, TWIST, CylCoord(0.6, 1.0), CylCoord(0.9, 2.5))
+            mk.kernel(end, method, S_REF, ELL, TWIST, [(CylCoord(0.6, 1.0), CylCoord(0.9, 2.5))])[0]
 
     @pytest.mark.parametrize("route", ["cylinder", "funnel", "cusp"])
     @pytest.mark.parametrize("phi2", [1.0, 1.0 + TWO_PI])
@@ -185,11 +183,11 @@ class TestTruncation:
         t0 = time.perf_counter()
         with pytest.raises(DomainError, match="distinct points"):
             if route == "cusp":
-                mk.cusp_kernel(s, t, c1, c2)
+                mk.cusp_kernel(s, t, [(c1, c2)])[0]
             elif route == "funnel":
-                mk.funnel_kernel_fourier(s, ELL, t, c1, c2)
+                mk.funnel_kernel_fourier(s, ELL, t, [(c1, c2)])[0]
             else:
-                mk.cyl_kernel_fourier(s, ELL, t, c1, c2)
+                mk.cyl_kernel_fourier(s, ELL, t, [(c1, c2)])[0]
         assert time.perf_counter() - t0 < 0.1
 
 
@@ -307,6 +305,13 @@ class TestModeArrays:
         with pytest.raises(DomainError, match="series guard"):
             mk.funnel_mode(S_REF, 1.0, 4.3, np.array([1.0, 4.2]), ELL)
 
+    def test_profile_guard_names_its_bound(self):
+        # (1 - tanh r)/2 <= 1 - 1e-3 holds down to r = -0.5 log((1 - 1e-3)/1e-3) = -3.453
+        with pytest.raises(DomainError, match=r"needs r >= -3\.453"):
+            mk.v_profile(S_REF, 1.0, -3.5)
+        assert np.isfinite(mk.v_profile(S_REF, 1.0, -3.4))
+        assert np.isfinite(mk.cyl_mode(S_REF, 1.0, 3.4, 3.6, ELL))
+
 
 class TestFunnelKernel:
     def test_dirichlet_boundary(self):
@@ -318,7 +323,7 @@ class TestFunnelKernel:
         for _ in range(8):
             c1, c2 = sample_pair(rng, 0.05, 2.2, ELL)
             ki = mk.funnel_kernel(S_REF, ELL, TWIST, c1, c2)
-            kf = mk.funnel_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
+            kf = mk.funnel_kernel_fourier(S_REF, ELL, TWIST, [(c1, c2)])[0]
             assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-6
 
     def test_near_diagonal_regression(self):
@@ -326,7 +331,7 @@ class TestFunnelKernel:
         c1 = CylCoord(1.1776100337538342, 3.1039609370197336)
         c2 = CylCoord(1.2074494672455192, 6.139203243515375)
         ki = mk.funnel_kernel(S_REF, ELL, TWIST, c1, c2)
-        kf = mk.funnel_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
+        kf = mk.funnel_kernel_fourier(S_REF, ELL, TWIST, [(c1, c2)])[0]
         assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-8
 
     def test_images_difference_structure(self):
@@ -380,7 +385,7 @@ class TestCuspKernel:
                 continue
             done += 1
             ki = mk.cusp_kernel_images(3.0 + 0.2j, TWIST, c1, c2)
-            kf = mk.cusp_kernel(3.0 + 0.2j, TWIST, c1, c2)
+            kf = mk.cusp_kernel(3.0 + 0.2j, TWIST, [(c1, c2)])[0]
             assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-9
 
     def test_zero_mode_factor_is_entire(self):
@@ -395,9 +400,9 @@ class TestCuspKernel:
     def test_resolvent_pole_at_half(self):
         t_with_zero = TwistSpec.from_angles([(0.0, 1), (0.25, 1)])
         with pytest.raises(PoleError):
-            mk.cusp_kernel(0.5, t_with_zero, CylCoord(0.0, 1.0), CylCoord(0.5, 2.0))
+            mk.cusp_kernel(0.5, t_with_zero, [(CylCoord(0.0, 1.0), CylCoord(0.5, 2.0))])[0]
         # no theta = 0 class: regular at s = 1/2
-        v = mk.cusp_kernel(0.5, TWIST, CylCoord(0.0, 1.0), CylCoord(0.5, 2.0))
+        v = mk.cusp_kernel(0.5, TWIST, [(CylCoord(0.0, 1.0), CylCoord(0.5, 2.0))])[0]
         assert np.all(np.isfinite(v.view(float)))
 
 
@@ -556,7 +561,7 @@ class TestImagesAgainstReference:
         # image route 3.7e-6 and 8.3e-7 off the Fourier route
         c1, c2 = CylCoord(*c1), CylCoord(*c2)
         ki = mk.cyl_kernel_images(s, ELL, TWIST, cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL))
-        kf = mk.cyl_kernel_fourier(s, ELL, TWIST, c1, c2)
+        kf = mk.cyl_kernel_fourier(s, ELL, TWIST, [(c1, c2)])[0]
         assert np.max(np.abs(ki - kf) / np.abs(ki)) <= 1e-10
 
 
@@ -578,7 +583,7 @@ class TestFourierAgainstReference:
         fast, slow, r = self.ROUTES[route]
         for s in (S_REF, 0.9 - 1.2j):
             c1, c2 = CylCoord(r, 1.0), CylCoord(r + dr, 2.5)
-            got = fast(s, ELL, THREE_ANGLES, c1, c2)
+            got = fast(s, ELL, THREE_ANGLES, [(c1, c2)])[0]
             want = slow(s, ELL, THREE_ANGLES, c1, c2)
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (got, want)
 
@@ -611,7 +616,7 @@ class TestFourierAgainstReference:
         c1, c2 = CylCoord(0.3, 1.0), CylCoord(0.5, 2.5)
         for theta in (0.0, 0.5):
             seen.clear()
-            fast(S_REF, ELL, TwistSpec.from_angles([(theta, 1)]), c1, c2)
+            fast(S_REF, ELL, TwistSpec.from_angles([(theta, 1)]), [(c1, c2)])
             # both sides on one grid theta + j, each point once
             assert len(seen) == len(set(seen)) == max(seen) - min(seen) + 1
 
@@ -627,7 +632,7 @@ class TestFourierAgainstReference:
 
         monkeypatch.setattr(mk, "cyl_mode", recording)
         c1, c2 = CylCoord(-0.6, 1.0), CylCoord(0.9, 2.5)
-        got = mk.cyl_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
+        got = mk.cyl_kernel_fourier(S_REF, ELL, TWIST, [(c1, c2)])[0]
         # |k + 1/4| for |k| <= 8 are 17 sizes, |k + 1/2| only 9
         assert sizes == [26]
         want = fref.cyl_kernel_fourier(S_REF, ELL, TWIST, c1, c2)

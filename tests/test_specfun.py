@@ -303,6 +303,27 @@ class TestArrayEngine:
         with pytest.raises(NonConvergenceError, match="100000 terms"):
             sf.reg_hyp2f1_scaled(np.array([2.0, 2.0 + 2513.0j]), np.array([2.0, 2.0 - 2513.0j]), 0.0, 0.999)
 
+    def test_growing_at_the_cap_fails_at_once(self):
+        # the cylinder profile at s = 1e20: a row whose term ratio is still
+        # above 1 at the cap raises before any term is summed
+        import time
+
+        from resonance_lab.errors import NonConvergenceError
+
+        s = 1e20 + 0.0j
+        t0 = time.perf_counter()
+        with pytest.raises(NonConvergenceError, match="100000 terms"):
+            sf.reg_hyp2f1_scaled(np.array([2.0, s + 1j]), np.array([2.0, s - 1j]), s + 0.5, 0.5)
+        assert time.perf_counter() - t0 < 0.05
+
+    def test_terminating_row_at_the_cap(self):
+        # a = -5 ends the series after six terms, however large b z is
+        import mpmath as mp
+
+        m, e = sf.reg_hyp2f1_scaled(-5.0, 1e6, 1.5, 0.5)
+        want = complex(mp.hyp2f1(-5, 1e6, 1.5, 0.5) * mp.rgamma(1.5))
+        assert _rel_err(m, e, want / abs(want), math.log(abs(want))) <= 1e-13
+
 
 class TestPerRowZ:
     """z per row against one scalar-z call per row, and against the term-by-term loop.
@@ -479,6 +500,52 @@ class TestBessel:
                     assert abs(got) < 1e-290, (nu, x)
                 else:
                     assert abs(got - complex(want)) <= 1e-12 * abs(complex(want)), (nu, x)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.7 + 0.3j, 2.0, 2.0 + 0.02j, 2.05 - 0.4j, -3.3 + 1.1j, 12.5 - 2j, 0.3 - 2j])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_rows_against_scalar_oracle(self, nu, scaled):
+        # one call over x that crosses K_SERIES_X_MAX, at orders inside and
+        # outside the _K_NEAR_INTEGER band, against the per-x loops.  Up to
+        # |Im nu| = 2: the quadrature's integrand cancels by e^(-pi |Im nu| / 2),
+        # which at |Im nu| = 10 lifts the ulps in which numpy's array and
+        # one-element cosh and exp differ to 2e-12
+        import bessel_reference as bref
+
+        x = np.concatenate([np.geomspace(1e-3, 600.0, 40), sf.K_SERIES_X_MAX + np.array([-1e-9, 0.0, 1e-9])])
+        for rows, scalar in ((sf._bessel_i_rows, bref.bessel_i), (sf._bessel_k_rows, bref.bessel_k)):
+            got = rows(nu, x, scaled)
+            for xj, g in zip(x.tolist(), got.tolist()):
+                want = scalar(nu, xj, scaled)
+                if want == 0.0:  # below the double range
+                    assert g == 0.0, (rows.__name__, xj)
+                else:
+                    assert abs(g - want) <= 1e-14 * abs(want), (rows.__name__, xj)
+
+    def test_rows_in_bounded_groups(self):
+        # 2,000 rows of K by quadrature: every group of nodes, and every
+        # array of the I series, stays near its cell bound
+        import tracemalloc
+
+        x = np.linspace(2.5, 60.0, 2000)
+        tracemalloc.start()
+        try:
+            k = sf._bessel_k_rows(1.5 + 0.3j, x, True)
+            i = sf._bessel_i_rows(1.5 + 0.3j, x, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        for rows, one in ((k, sf.bessel_k), (i, sf.bessel_i)):
+            for j in (0, 7, 1999):
+                assert abs(rows[j] - one(1.5 + 0.3j, x[j], True)) <= 1e-14 * abs(rows[j])
+
+    def test_rows_domain(self):
+        # the first x outside (0, OVERFLOW_BUDGET_X] names itself
+        with pytest.raises(DomainError, match="got -1.0"):
+            sf._bessel_i_rows(1.0, [2.0, -1.0, 700.0])
+        with pytest.raises(OverflowBudgetError, match="x = 700.0"):
+            sf._bessel_k_rows(1.0, [2.0, 700.0, -1.0])
+        assert sf._bessel_k_rows(1.0, np.empty(0)).shape == (0,)
 
     def test_domain_and_budget(self):
         with pytest.raises(DomainError):
