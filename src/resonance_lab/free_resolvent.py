@@ -9,7 +9,9 @@ quadratic transformation for c = 2b (DLMF 15.8(iii)) writes as
 
 with poles in s exactly at the non-positive integers.  The series' term
 ratio tends to u^2, so it ends within a few dozen terms away from the
-diagonal, and within about 260 at x = 1 + DIAG_DELTA.
+diagonal, and within about 260 at x = 1 + DIAG_DELTA.  `_g_s_rows` sums
+it for an array of x at one s, as the image routes take their near
+images; `g_s` is its one-element call.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+
+import numpy as np
 
 from . import specfun
 from .errors import DiagonalError, NonConvergenceError, PoleError
@@ -29,6 +33,9 @@ _LOG_TWO_SQRT_PI = math.log(2.0 * math.sqrt(math.pi))
 
 #: 2^27 + 1, Dekker's splitting factor for doubles.
 _SPLIT = 134217729.0
+
+#: Cells (rows x terms) of one block of the array series: 256 KB of complex.
+_CHUNK_CELLS = 1 << 14
 
 #: log Gamma(s + 1/2) - log Gamma(s) ~ (1/2) log s + sum_m _RATIO_COEFFS[m-1] s^(1-2m),
 #: the coefficients (2^(1-2m) - 2) B_2m / ((2m-1) 2m); 1e-16 off for |s| >= 8, Re s >= 0.
@@ -73,66 +80,90 @@ def _series_start(s: complex) -> tuple[complex, int, float]:
     return complex(-math.log(2.0)), m + 1, t0
 
 
-def _product_with_error(a: float, b: float) -> tuple[float, float]:
-    """(p, e) with p = fl(a b) and, by Dekker's splitting, a b = p + e exactly.
+def _product_with_error(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(a b) and, by Dekker's splitting, a b = p + e exactly, per element of a and b that broadcast.
 
     e is 0 where a split would overflow.
     """
-    p = a * b
-    ah, bh = _SPLIT * a, _SPLIT * b
-    ah -= ah - a
-    bh -= bh - b
-    al, bl = a - ah, b - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, (e if math.isfinite(e) else 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = a * b
+        ah, bh = _SPLIT * a, _SPLIT * b
+        ah -= ah - a
+        bh -= bh - b
+        al, bl = a - ah, b - bh
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, np.where(np.isfinite(e), e, 0.0)
+
+
+def _g_s_rows(s: complex, x) -> np.ndarray:
+    """g_s(x_j) for a 1-d array of x > 1 + DIAG_DELTA at one s not in -N0: the engine of `g_s`.
+
+    Row j sums the series in z_j = u_j^2, its terms t0 R_n z_j^n from one
+    shared cumulative product R_n of the ratios (s+n)(n+1/2)/((c+n)(n+1)),
+    in blocks of at most _CHUNK_CELLS rows x terms that continue R and each
+    row's sum as a term-by-term loop would: a row's value does not depend on
+    the other rows.  A row stops at its first term past n0 + 2 (and past
+    -Re s, beyond which the term ratio is at most z_j) whose geometric tail
+    bound |term| z_j / (1 - z_j) is at most 1e-16 of its sum.  s log u goes
+    to scaled_value as its rounded product, whose rounding error joins log P
+    in the mantissa: an exponent as large as |s log u| would otherwise cost
+    |s log u| ulps.  Past |s log u| = 2^53 that error goes into the exponent
+    instead, where e^error could leave the double range, so that a value
+    below the range is 0; only a value past it raises OverflowBudgetError.
+    """
+    s = complex(s)
+    x = np.asarray(x, dtype=float)
+    if specfun._is_nonpositive_integer(s) is not None:
+        raise PoleError(f"spectral parameter s = {s} lies on the pole set")
+    inside = x > 1.0 + DIAG_DELTA
+    if not inside.all():
+        raise DiagonalError(f"sigma = {x[~inside][0]} within the diagonal guard 1 + {DIAG_DELTA}")
+    log_pref, n0, t0 = _series_start(s)
+    log_u = -2.0 * np.arcsinh(np.sqrt(x - 1.0))
+    z = np.exp(2.0 * log_u)
+    tail = z / (1.0 - z)
+    c = s + 0.5
+    first_tail = max(n0 + 3, math.ceil(-s.real))
+    total = t0 * z**n0 + 0j
+    out = np.empty(x.size, dtype=complex)
+    live, lead, n = np.arange(x.size), complex(t0), n0
+    top = float(z.max(initial=0.0))
+    geometric = 37.0 / -math.log(top) if top > 0.0 else 0.0
+    width = max(1, min(max(first_tail - n0, math.ceil(geometric)), _CHUNK_CELLS // max(x.size, 1)))
+    while live.size:
+        if n >= specfun._SERIES_CAP:
+            raise NonConvergenceError(f"g_s series did not converge within {n} terms (sigma = {x[live[0]]})")
+        k = np.arange(n, min(n + width, specfun._SERIES_CAP), dtype=float)
+        # t0 R_{k+1}, continuing t0 R_n product by product
+        coef = (s + k) * (k + 0.5) / ((c + k) * (k + 1.0))
+        coef[0] *= lead
+        coef = coef.cumprod()
+        terms = coef * z[live, None] ** (k + 1.0)
+        mags = np.abs(terms)
+        terms[:, 0] += total
+        sums = terms.cumsum(axis=1)
+        stop = mags * tail[live, None] <= 1e-16 * np.abs(sums)
+        stop[:, : max(first_tail - n - 1, 0)] = False  # the tail rule starts at term first_tail
+        hit = stop.any(axis=1)
+        if hit.all():
+            out[live] = sums[np.arange(live.size), stop.argmax(axis=1)]
+            break
+        out[live[hit]] = sums[hit, stop[hit].argmax(axis=1)]
+        live, total, lead, n = live[~hit], sums[~hit, -1], coef[-1], n + k.size
+        width = max(1, min(2 * width, _CHUNK_CELLS // live.size))
+    prod, err = _product_with_error(np.array([[s.real], [s.imag]]), log_u)
+    # past |s log u| = 2^53, e^err may leave the double range: the error
+    # joins the exponent, whose range scaled_value checks, and rounds away
+    # there (re + err rounds to re)
+    err[0, np.abs(err[0]) > 1.0] = 0.0
+    exponent = np.empty(x.size, dtype=complex)
+    exponent.real, exponent.imag = prod  # from its parts: an infinite part makes no NaN
+    return specfun.scaled_value(out * np.exp(log_pref + (err[0] + 1j * err[1])), exponent, "g_s")
 
 
 def g_s(s: complex, x: float) -> complex:
-    """Free resolvent profile g_s(x) for x > 1 + DIAG_DELTA, s not in -N0.
-
-    A scalar series in z = u^2, stopped at the first term past n0 + 2 (and
-    past -Re s, beyond which the term ratio is at most z) whose geometric
-    tail bound |term| z / (1 - z) is at most 1e-16 of the sum.  s log u
-    goes to scaled_value as its rounded product, and the product's rounding
-    error joins log P in the mantissa: the rounding of an exponent as large
-    as |s log u| would otherwise cost |s log u| ulps.  Past |s log u| = 2^53
-    the real part of that error can exceed 1 (and e^709 from 2^62 on); it
-    then goes into the exponent, so that a value below the double range is
-    0.  A value raises OverflowBudgetError only when it overflows a double
-    itself.
-    """
-    s = complex(s)
-    if specfun._is_nonpositive_integer(s) is not None:
-        raise PoleError(f"spectral parameter s = {s} lies on the pole set")
-    if not x > 1.0 + DIAG_DELTA:
-        raise DiagonalError(f"sigma = {x} within the diagonal guard 1 + {DIAG_DELTA}")
-    log_pref, n0, t0 = _series_start(s)
-    log_u = -2.0 * math.asinh(math.sqrt(x - 1.0))
-    z = math.exp(2.0 * log_u)
-    term = complex(t0 * z**n0)
-    c = s + 0.5
-    total = term
-    tail = z / (1.0 - z)
-    first_tail = max(n0 + 3, math.ceil(-s.real))
-    n = n0
-    while True:
-        term *= (s + n) * (n + 0.5) / ((c + n) * (n + 1)) * z
-        total += term
-        n += 1
-        if n >= first_tail and abs(term) * tail <= 1e-16 * abs(total):
-            break
-        if n >= specfun._SERIES_CAP:
-            raise NonConvergenceError(f"g_s series did not converge within {n} terms (sigma = {x})")
-    re, re_err = _product_with_error(s.real, log_u)
-    im, im_err = _product_with_error(s.imag, log_u)
-    if abs(re_err) > 1.0:
-        # |s log u| is past 2^53, where e^re_err may leave the double range:
-        # the error joins the exponent, whose range scaled_value checks, and
-        # rounds away there (re + re_err rounds to re)
-        re_err = 0.0
-    return specfun.scaled_value(
-        total * cmath.exp(log_pref + complex(re_err, im_err)), complex(re, im), "g_s"
-    )
+    """Free resolvent profile g_s(x) for x > 1 + DIAG_DELTA, s not in -N0: one row of `_g_s_rows`."""
+    return complex(_g_s_rows(s, [x])[0])
 
 
 def free_kernel(s: complex, z: HPoint, z2: HPoint) -> complex:

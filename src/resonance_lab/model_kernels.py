@@ -1,24 +1,27 @@
 """Twisted resolvent kernels on the three model ends, by two representations.
 
 Each kernel is computed per eigenvalue class of the monodromy (the twist is
-diagonalized once and for all; kernels are diagonal in that basis, and
-`_classwise` applies each class's twist phase), either as
+diagonalized once and for all; kernels are diagonal in that basis, and each
+class takes its twist phase lambda^word), either as
 
   * a truncated method-of-images sum of the free kernel with twist weights,
     valid in the convergence half-plane Re s > C + MARGIN, or
   * a Fourier-mode synthesis from closed-form mode functions, valid for all
     s off the mode pole lattices.
 
-`kernel` is the one dispatch from an end and a method to its route.
-All three image routes run through one engine, `_image_series`: the near
-images go through g_s and the far ones through the n-series of g_s in
-1/sigma, stopped on a bound relative to the smallest class value.  The
-cylinder (and so the funnel, a difference of two cylinder sums) takes its
-far images on a window past which they are geometrically negligible; cusp
-images decay only like |k|^(-2 Re s), so its far sums are twisted lattice
-sums S_xi, whose tails past a direct window `_sxi_tails` evaluates for
-every angle.  Fourier modes (`_mode_sum`) stop on a geometric tail
-estimate, times 10, below FOURIER_TAIL_TOL times the largest term so far.
+`kernel` looks up the route of an end and a method; all six routes take
+(s, ell, t, pairs) and return a (pairs, classes) array for every point
+pair at one s.  All three image routes run through one engine,
+`_image_series`: the near images of all pairs go through the array g_s
+engine and the far ones through the n-series of g_s in 1/sigma, stopped
+pair by pair on a bound relative to the smallest class value.  The
+cylinder (and so the funnel, whose direct and reflected cylinder sums are
+rows of one pass) takes each pair's far images on a window past which they
+are geometrically negligible; cusp images decay only like |k|^(-2 Re s),
+so its far sums are twisted lattice sums S_xi, whose tails past a direct
+window `_sxi_tails` evaluates for every angle.  Fourier modes (`_mode_sum`)
+stop on a geometric tail estimate, times 10, below FOURIER_TAIL_TOL times
+the largest term so far.
 
 A Fourier route takes point pairs at one s and returns a (pairs, classes)
 array: `_mode_sum` advances every (pair, class) sum together, a block of k
@@ -49,7 +52,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, PoleError, TruncationError
-from .free_resolvent import g_s
+from .free_resolvent import _g_s_rows, g_s
 from .geometry import TWO_PI, CylCoord, HPoint, cusp_to_plane, cyl_to_plane
 from .specfun import log_gamma
 from .twist import TwistSpec
@@ -83,6 +86,11 @@ _MAX_SERIES_TERMS = 512
 #: Images, near and far, that one image sum may take; checked before g_s runs.
 _MAX_IMAGES = 10_000
 
+#: Images (padded to the block's largest pair) per block of pairs of one
+#: `_image_series` pass: with the n-series at up to 64 terms, the block's
+#: largest temporary holds about 64 K doubles (0.5 MB).
+_BLOCK_IMAGES = 1024
+
 #: A class value that cancels below this fraction of its near images is
 #: held to the series bound at that fraction of them: its own rounding
 #: error is already larger than the bound.
@@ -93,65 +101,79 @@ _CANCEL_FLOOR = 1e-4
 _WINDOW_CUT = 46.0
 
 
-def _check_budget(n_near: int, n_far: int) -> None:
-    """TruncationError when an image sum would take more than _MAX_IMAGES images."""
-    if n_near + n_far > _MAX_IMAGES:
+def _check_budget(n_near: np.ndarray, n_far: np.ndarray) -> None:
+    """TruncationError for the first pair whose image sum would take more than _MAX_IMAGES images."""
+    for i in np.flatnonzero(n_near > _MAX_IMAGES - n_far)[:1].tolist():
         raise TruncationError(
-            f"image sum needs {n_near} near and {n_far} far images, more than {_MAX_IMAGES}"
+            f"image sum needs {int(n_near[i])} near and {int(n_far[i])} far images, more than {_MAX_IMAGES}"
         )
 
 
-def _image_series(s, sigmas, near_weights, far_sums, far_abs, q) -> np.ndarray:
-    """Image sums of g_s, one per class j, split into near and far images.
+def _image_series(s: complex, sizes: np.ndarray, images, near=None) -> np.ndarray:
+    """Image sums of g_s per pair i and class j, split into near and far images: (pairs, classes).
 
-    The near images, at sigmas with weights near_weights[j, k], go through
-    g_s.  The far ones, each with sigma_k >= 1/q >= 4, go through the
-    n-series of g_s,
+    images(rows) gives a block of pairs, one padded row each: sigmas[i, k]
+    of the near images (else NaN) with weights near_w[i, k, j], log_sig[i, k]
+    of the far ones (sigma >= 1/q_i >= 4; else 0) with weights far_w[i, k, j],
+    and tails, None or (sums(i, p), bound(i, N)) of the images past the row.
+    A block holds _BLOCK_IMAGES images at the largest of sizes, its near
+    sigmas go through near (`_g_s_rows` by default) in one call, and its far
+    images through the n-series of g_s,
 
-        (1/4pi) sum_n c_n sum_far w_j(k) sigma_k^-(s+n),
+        (1/4pi) sum_n c_n sum_far w_ij(k) sigma_k^-(s+n),
         c_n = Gamma(s+n)^2 / (n! Gamma(2s+n)),
 
-    whose inner sums far_sums(n) gives for n = 0..N, while far_abs(N)
-    bounds sum_far |w_j(k)| sigma_k^-(Re s+N).  Every n loses a factor q,
-    so the series stops when a bound of its remainder falls below
-    SERIES_TOL of each class value (or of _CANCEL_FLOOR of its near images,
-    for a class that cancels below that).  Callers check the image counts
-    with `_check_budget` before they build anything per image.
+    which loses a factor q_i per n: pair i's starts at N_i = max(8, 37 / -log q_i)
+    terms and doubles N_i until a bound of its remainder is below SERIES_TOL
+    of each class value (or of _CANCEL_FLOOR of its near images, for a
+    class that cancels below that).  Callers check every pair's image
+    counts with `_check_budget` before.
     """
-    near = np.array([g_s(s, x) for x in sigmas], dtype=complex)
-    floor = _CANCEL_FLOOR * (np.abs(near_weights) @ np.abs(near))
-    near = near_weights @ near
     c0 = cmath.exp(2.0 * log_gamma(s) - log_gamma(2.0 * s))
-    big_n = max(8, math.ceil(37.0 / -math.log(q)))
-    while big_n <= _MAX_SERIES_TERMS:
-        n = np.arange(big_n + 1)
-        p = s + n
-        with np.errstate(over="ignore", invalid="ignore"):  # a c_n past a double fails the bound
-            # c_{n+1} = c_n (s+n)^2 / ((n+1)(2s+n)); ratio[N] leads on to c_{N+1}
-            ratio = p**2 / ((n + 1.0) * (p + s))
-            c = c0 * np.cumprod(np.concatenate([[1.0], ratio[:-1]]))
-            total = near + c @ far_sums(n) / (4.0 * math.pi)
-        # the terms n > N add at most |c_{N+1}| q E_N / (4pi (1 - rho q)),
-        # E_N = far_abs(N) and rho >= |c_{m+1}/c_m| for all m > N
-        try:
-            rho = max(1.0, (abs(s) + big_n + 1) ** 2 / ((big_n + 1) * (big_n + 2)))
-        except OverflowError:  # |s| past 1e154: no bound
-            rho = math.inf
-        if rho * q < 1.0:
-            bound = abs(c[-1] * ratio[-1]) * q * far_abs(big_n) / (4.0 * math.pi * (1.0 - rho * q))
-            if np.all(bound <= SERIES_TOL * np.maximum(np.abs(total), floor)):
-                return total
-        big_n *= 2
-    raise TruncationError(
-        f"image n-series not below {SERIES_TOL} relative within {_MAX_SERIES_TERMS} terms"
-    )
-
-
-def _classwise(t: TwistSpec, word: int, values) -> np.ndarray:
-    """lambda_j^word * values[j], one complex value per class j."""
-    return np.array(
-        [cls.eigenvalue**word * v for cls, v in zip(t.angles, values)], dtype=complex
-    )
+    step = max(1, _BLOCK_IMAGES // int(sizes.max()))
+    out = []
+    for first in range(0, sizes.size, step):
+        sigmas, near_w, log_sig, far_w, q, tails = images(np.arange(first, min(first + step, sizes.size)))
+        g = np.zeros(sigmas.shape, dtype=complex)
+        inside = ~np.isnan(sigmas)
+        g[inside] = (near or _g_s_rows)(s, sigmas[inside])
+        total = np.einsum("ik,ikj->ij", g, near_w)
+        floor = _CANCEL_FLOOR * np.einsum("ik,ikj->ij", np.abs(g), np.abs(near_w))
+        with np.errstate(divide="ignore"):
+            big_n = np.maximum(8, np.ceil(37.0 / -np.log(q))).astype(int)
+        todo = np.arange(q.size)
+        while todo.size:
+            open_ = slice(None) if todo.size == q.size else todo  # a view while every pair is open
+            last, q_open, weights = big_n[open_], q[open_], far_w[open_]
+            if last.max() > _MAX_SERIES_TERMS:
+                raise TruncationError(
+                    f"image n-series not below {SERIES_TOL} relative within {_MAX_SERIES_TERMS} terms"
+                )
+            n = np.arange(last.max() + 1)
+            p = s + n
+            # sigma^-n is real: the weights' parts go as two columns each
+            powers = np.exp(-n[:, None] * log_sig[open_][:, None, :])
+            rows, k, classes = weights.shape
+            far = (powers @ weights.view(float).reshape(rows, k, 2 * classes)).view(complex)
+            # E_N = sum_far |w| sigma^-(Re s + N) at each pair's N, and the tails' bound
+            bound = np.einsum("ik,ikj->ij", powers[np.arange(rows), last], np.abs(weights))
+            if tails is not None:
+                far += tails[0](todo, p)
+                bound += tails[1](todo, last)[:, None]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                # c_{n+1} = c_n (s+n)^2 / ((n+1)(2s+n)); a c_n past a double fails the bound
+                ratio = p**2 / ((n + 1.0) * (p + s))
+                c = c0 * np.cumprod(np.concatenate([[1.0], ratio[:-1]]))
+                sums = total[open_] + np.einsum("in,inj->ij", np.where(n <= last[:, None], c, 0.0), far) / (4.0 * math.pi)
+                # the terms n > N add at most |c_{N+1}| q E_N / (4pi (1 - rho q)), rho >= |c_{m+1}/c_m| for m > N
+                rho_q = np.maximum(1.0, (abs(s) + last + 1.0) ** 2 / ((last + 1.0) * (last + 2.0))) * q_open
+                bound *= (np.abs(c[last] * ratio[last]) * q_open / (4.0 * math.pi * (1.0 - rho_q)))[:, None]
+                done = (rho_q < 1.0) & (bound <= SERIES_TOL * np.maximum(np.abs(sums), floor[open_])).all(axis=1)
+            total[todo[done]] = sums[done]
+            todo = todo[~done]
+            big_n[todo] *= 2
+        out.append(total)
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +181,8 @@ def _classwise(t: TwistSpec, word: int, values) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def cyl_class_images(s: complex, ell: float, classes, z: HPoint, z2: HPoint) -> np.ndarray:
-    """Raw image sums sum_k lam^k g_s(sigma(z, e^{k ell} z')), one per class.
+def _cyl_class_images(s: complex, ell: float, classes, points, near=None) -> np.ndarray:
+    """Raw image sums sum_k lam^k g_s(sigma(z, e^{k ell} z')) per pair (z, z') of complex points and class.
 
     With A = |z||z'|/(2yy'), L = log(|z'|/|z|), alpha and beta the
     arguments of z and z', and x_k = k ell + L,
@@ -170,8 +192,8 @@ def cyl_class_images(s: complex, ell: float, classes, z: HPoint, z2: HPoint) -> 
 
     The near images, sigma_k < 4 and the two around x = 0, go through g_s
     at sigma_k by the second form, so that images at mirrored x_k get the
-    same sigma; the far ones through `_image_series`.  Their window ends on
-    each side where the rest, which shrinks by at least
+    same sigma; the far ones through `_image_series`.  Each pair's window
+    ends on each side where the rest, which shrinks by at least
     |lam| e^{-Re s (ell - 2 log(1 + e^{-|x|}))} per image, is below
     e^-_WINDOW_CUT of the largest far image.  lam^k and sigma_k^-s share
     one exponent, so that neither overflows alone.  No fundamental-domain
@@ -180,69 +202,87 @@ def cyl_class_images(s: complex, ell: float, classes, z: HPoint, z2: HPoint) -> 
     s = complex(s)
     theta = np.array([cls.theta for cls in classes])
     log_abs = np.array([cls.log_abs for cls in classes])
-    big_a = abs(z.z) * abs(z2.z) / (2.0 * z.y * z2.y)
-    big_l = math.log(abs(z2.z) / abs(z.z))
-    sin2 = math.sin(0.5 * (cmath.phase(z.z) + cmath.phase(z2.z))) ** 2
+    if not (points and theta.size):
+        return np.zeros((len(points), theta.size), dtype=complex)
+    big_a, big_l, sin2 = np.array([
+        (abs(z) * abs(z2) / (2.0 * z.imag * z2.imag), math.log(abs(z2) / abs(z)),
+         math.sin(0.5 * (cmath.phase(z) + cmath.phase(z2))) ** 2)
+        for z, z2 in points
+    ]).T
 
-    def log_weights(k: np.ndarray) -> np.ndarray:
-        """log lam_j^k per image k and class j, the angle reduced mod 2 pi."""
-        return np.multiply.outer(k, log_abs) + 2j * math.pi * (np.multiply.outer(k, theta) % 1.0)
+    def log_sigma(x: np.ndarray, rows) -> np.ndarray:
+        ax = np.abs(x)
+        return np.log(2.0 * big_a[rows, None]) + ax + np.log(0.25 * np.expm1(-ax) ** 2 + sin2[rows, None] * np.exp(-ax))
 
-    def log_sigma(k: np.ndarray) -> np.ndarray:
-        ax = np.abs(k * ell + big_l)
-        return math.log(2.0 * big_a) + ax + np.log(0.25 * np.expm1(-ax) ** 2 + sin2 * np.exp(-ax))
+    k0 = np.floor(-big_l / ell)
+    reach = 2.0 * np.arcsinh(np.sqrt(np.maximum(2.0 / big_a - sin2, 0.0))) / ell
+    lo = np.minimum(k0, np.floor(-big_l / ell - reach))
+    hi = np.maximum(k0 + 1.0, np.ceil(-big_l / ell + reach))
+    moduli = np.array(sorted(set(log_abs.tolist())))  # a window depends on a class through |lam| alone
 
-    k0 = math.floor(-big_l / ell)
-    reach = 2.0 * math.asinh(math.sqrt(max(2.0 / big_a - sin2, 0.0))) / ell
-    lo = min(k0, math.floor(-big_l / ell - reach))
-    hi = max(k0 + 1, math.ceil(-big_l / ell + reach))
+    # the windows past hi and below lo of pair i as rows i and P + i, each
+    # m0 images, doubled until the rest is negligible
+    sign, pair = np.repeat([1.0, -1.0], big_l.size), np.tile(np.arange(big_l.size), 2)
+    edge = np.concatenate([hi, lo])
+    rates = [ell * s.real - max(sg * v for v in log_abs.tolist()) for sg in (1.0, -1.0)]
+    m = np.repeat([max(8, math.ceil(_WINDOW_CUT / r)) if r > 0.0 else _MAX_IMAGES + 1 for r in rates], big_l.size)
+    open_rows = m <= _MAX_IMAGES
+    while open_rows.any():
+        # open rows of one window length, at most _BLOCK_IMAGES images at a time
+        todo = np.flatnonzero(open_rows)
+        rows = todo[m[todo] == m[todo[0]]][: max(1, _BLOCK_IMAGES // int(m[todo[0]]))]
+        k = edge[rows, None] + sign[rows, None] * np.arange(1, m[rows[0]] + 1)
+        x = k * ell + big_l[pair[rows], None]
+        tau = k[..., None] * moduli - s.real * log_sigma(x, pair[rows])[..., None]
+        # sigma_{k+1} / sigma_k >= e^ell / (1 + e^{-|x_k|})^2 further out
+        shrink = sign[rows, None] * moduli - s.real * (ell - 2.0 * np.log1p(np.exp(-np.abs(x[:, -1:]))))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rest = tau[:, -1] + shrink - np.log(-np.expm1(shrink))
+            ends = ((shrink < 0.0) & (rest <= tau.max(axis=1) - _WINDOW_CUT)).all(axis=1)
+        m[rows[~ends]] *= 2
+        open_rows[rows] = ~ends & (m[rows] <= _MAX_IMAGES)
+    up, down = m[: big_l.size], m[big_l.size :]
+    n_near = hi - lo + 1.0
+    _check_budget(n_near, up + down)
+    sizes = (n_near + up + down).astype(int)
 
-    def far_length(side: int) -> int:
-        rate = ell * s.real - float(np.max(side * log_abs, initial=-math.inf))
-        m = max(8, math.ceil(_WINDOW_CUT / rate)) if rate > 0.0 else _MAX_IMAGES + 1
-        while m <= _MAX_IMAGES:
-            k = (hi if side > 0 else lo) + side * np.arange(1, m + 1)
-            tau = log_weights(k).real - s.real * log_sigma(k)[:, None]
-            # sigma_{k+1} / sigma_k >= e^ell / (1 + e^{-|x_k|})^2 further out
-            shrink = side * log_abs - s.real * (
-                ell - 2.0 * math.log1p(math.exp(-abs(k[-1] * ell + big_l)))
-            )
-            if np.all(shrink < 0.0) and np.all(
-                tau[-1] + shrink - np.log(-np.expm1(shrink)) <= tau.max(axis=0) - _WINDOW_CUT
-            ):
-                break
-            m *= 2
-        return m
+    def images(rows):
+        # k from lo - down to hi + up: the near ones lo..hi, the far ones around them
+        k = (lo - down)[rows, None] + np.arange(sizes[rows].max())
+        x = k * ell + big_l[rows, None]
+        valid = k <= (hi + up)[rows, None]
+        near_ok = (k >= lo[rows, None]) & (k <= hi[rows, None])
+        far_ok = valid & ~near_ok
+        sigmas = 2.0 * big_a[rows, None] * (np.sinh(0.5 * x) ** 2 + sin2[rows, None])
+        log_sig = np.where(far_ok, log_sigma(x, rows), 0.0)
+        k = k[..., None]
+        exponent = k * log_abs + 2j * math.pi * (k * theta % 1.0) - s * log_sig[..., None]
+        weights = np.exp(np.where(valid[..., None], exponent, -np.inf))
+        q = np.exp(-np.min(np.where(far_ok, log_sig, np.inf), axis=1))
+        return np.where(near_ok, sigmas, np.nan), weights * near_ok[..., None], log_sig, weights * far_ok[..., None], q, None
 
-    up, down = far_length(1), far_length(-1)
-    _check_budget(hi - lo + 1, up + down)
-    k = np.concatenate([hi + np.arange(1, up + 1), lo - np.arange(1, down + 1)])
-    log_sig = log_sigma(k)
-    weights = np.exp(log_weights(k) - s * log_sig[:, None])
-    k_near = np.arange(lo, hi + 1)
-    sigmas = 2.0 * big_a * (np.sinh(0.5 * (k_near * ell + big_l)) ** 2 + sin2)
-    return _image_series(
-        s, sigmas.tolist(), np.exp(log_weights(k_near)).T,
-        lambda n: np.exp(-np.multiply.outer(n, log_sig)) @ weights,
-        lambda big_n: np.exp(-big_n * log_sig) @ np.abs(weights),
-        math.exp(-float(log_sig.min())),
-    )
+    return _image_series(s, sizes, images, near)
 
 
-def _reduce_cylinder(z: HPoint, ell: float) -> tuple[HPoint, int]:
-    """Move z into the fundamental domain 1 <= |z| < e^ell; return the word."""
-    m = math.floor(math.log(abs(z.z)) / ell)
-    if m == 0:
-        return z, 0
-    return HPoint.from_complex(math.exp(-m * ell) * z.z), m
+def cyl_class_images(s: complex, ell: float, classes, planes) -> np.ndarray:
+    """Raw image sums sum_k lam^k g_s(sigma(z, e^{k ell} z')) per pair (z, z') of half-plane points.
+
+    Returns a (len(planes), classes) array; see `_cyl_class_images`.
+    """
+    return _cyl_class_images(s, ell, classes, [(z.z, z2.z) for z, z2 in planes])
 
 
-def cyl_kernel_images(s: complex, ell: float, t: TwistSpec, z: HPoint, z2: HPoint) -> np.ndarray:
-    """Twisted cylinder resolvent kernel by the method of images.
+def _reduced(z: complex, ell: float) -> tuple[complex, int]:
+    """z moved into the fundamental domain 1 <= |z| < e^ell, and the word of the move."""
+    m = math.floor(math.log(abs(z)) / ell)
+    return (z if m == 0 else math.exp(-m * ell) * z), m
 
-    Returns one complex value per eigenvalue class of the twist.  Points
-    are reduced to the fundamental domain with the twist factor applied
-    for the reduction word.
+
+def _reduced_images(s: complex, ell: float, t: TwistSpec, points, near=None) -> np.ndarray:
+    """The twisted kernel at pairs of complex half-plane points, each moved into 1 <= |z| < e^ell.
+
+    lambda_j^(m - m') times the class sums of the moved points, m and m' the
+    words of the two moves.
     """
     s = complex(s)
     if not 0.0 < ell < math.inf:
@@ -252,9 +292,28 @@ def cyl_kernel_images(s: complex, ell: float, t: TwistSpec, z: HPoint, z2: HPoin
         raise DomainError(
             f"Re s = {s.real} not above the convergence abscissa {abscissa} + margin {MARGIN}"
         )
-    zf, m1 = _reduce_cylinder(z, ell)
-    wf, m2 = _reduce_cylinder(z2, ell)
-    return _classwise(t, m1 - m2, cyl_class_images(s, ell, t.angles, zf, wf))
+    moved = [(_reduced(z, ell), _reduced(z2, ell)) for z, z2 in points]
+    words = np.array([m - m2 for (_, m), (_, m2) in moved], dtype=int)
+    lam = np.array([cls.eigenvalue for cls in t.angles], dtype=complex)
+    return lam ** words[:, None] * _cyl_class_images(s, ell, t.angles, [(z, z2) for (z, _), (z2, _) in moved], near)
+
+
+def cyl_kernel_images(s: complex, ell: float, t: TwistSpec, pairs, z2: HPoint | None = None) -> np.ndarray:
+    """Twisted cylinder resolvent kernel by the method of images, one row per pair (c1, c2).
+
+    Per class j of the twist; the points are reduced to the fundamental
+    domain with the twist factor applied for the reduction word.  The
+    near images of every pair go through one array g_s engine per block.
+
+    `cyl_kernel_images(s, ell, t, z, z2)`, with two half-plane points for
+    pairs and z2, is the kernel at that one pair (one row, as an array of
+    classes), whose near images go through the public `g_s` one at a time:
+    the benchmark's tracer test counts them there.
+    """
+    if z2 is not None:
+        one = lambda s, x: np.array([g_s(s, v) for v in x.tolist()], dtype=complex)
+        return _reduced_images(s, ell, t, [(pairs.z, z2.z)], one)[0]
+    return _reduced_images(s, ell, t, [(cyl_to_plane(c1, ell).z, cyl_to_plane(c2, ell).z) for c1, c2 in pairs])
 
 
 def _log_cosh(r):
@@ -500,25 +559,24 @@ def funnel_mode(s: complex, kappa, r, r2, ell: float):
     )
 
 
-def funnel_kernel(
-    s: complex,
-    ell: float,
-    t: TwistSpec,
-    c1: CylCoord,
-    c2: CylCoord,
-) -> np.ndarray:
-    """Funnel resolvent kernel by images: R_C(z, z') - R_C(z, reflected z').
+def funnel_kernel(s: complex, ell: float, t: TwistSpec, pairs) -> np.ndarray:
+    """Funnel resolvent kernel by images, one row per pair (c1, c2): R_C(z, z') - R_C(z, reflected z').
 
     The reflection r -> -r is z -> -conj(z) on the half-plane, with the
     winding of z' kept; the windings enter through the reduction of
-    `cyl_kernel_images`.
+    `cyl_kernel_images`.  The direct and the reflected sums of every pair
+    are the 2 len(pairs) rows of one image pass.
     """
-    if c1.r < 0.0 or c2.r < 0.0:
+    pairs = list(pairs)
+    if any(c1.r < 0.0 or c2.r < 0.0 for c1, c2 in pairs):
         raise DomainError("funnel points need r >= 0")
-    z = cyl_to_plane(c1, ell)
-    direct = cyl_kernel_images(s, ell, t, z, cyl_to_plane(c2, ell))
-    w_refl = cyl_to_plane(CylCoord(-c2.r, c2.phi, c2.winding), ell)
-    return direct - cyl_kernel_images(s, ell, t, z, w_refl)
+    if not 0.0 < ell < math.inf:
+        raise DomainError(f"cylinder length must be positive and finite, got {ell}")
+    z = [cyl_to_plane(c1, ell).z for c1, _ in pairs]
+    z2 = [cyl_to_plane(c2, ell).z for _, c2 in pairs]
+    reflected = [cyl_to_plane(CylCoord(-c2.r, c2.phi, c2.winding), ell).z for _, c2 in pairs]
+    rows = _reduced_images(s, ell, t, list(zip(z + z, z2 + reflected)))
+    return rows[: len(pairs)] - rows[len(pairs) :]
 
 
 def funnel_kernel_fourier(s: complex, ell: float, t: TwistSpec, pairs) -> np.ndarray:
@@ -555,8 +613,8 @@ def cusp_mode(s: complex, kappa, y, y2):
     return out if out.ndim else out[()]
 
 
-def cusp_kernel(s: complex, t: TwistSpec, pairs) -> np.ndarray:
-    """Cusp resolvent kernel via Fourier modes (prefactor 1), one row per pair (c1, c2).
+def cusp_kernel(s: complex, ell, t: TwistSpec, pairs) -> np.ndarray:
+    """Cusp resolvent kernel via Fourier modes (prefactor 1), one row per pair (c1, c2); ell is unused.
 
     Per class j: sum_k e^{2 pi i (k+theta_j)(x - x')} u_{2 pi (k+theta_j)}(s; y, y')
     with x = phi/(2 pi), y = e^r.
@@ -578,16 +636,17 @@ def _lattice_window(s: complex, a: float, b: float) -> int:
     return int(min(max(64.0, 8.0 + abs(a), 8.0 + 3.0 * b, 8.0 + 2.0 * abs(s)), 2.0**62))
 
 
-def cusp_class_images(s: complex, thetas, z: HPoint, z2: HPoint) -> np.ndarray:
-    """Cusp image sums sum_k lam^k g_s(sigma(z, z'+k)), lam = e^{2 pi i theta}, per class angle.
+def cusp_class_images(s: complex, thetas, planes) -> np.ndarray:
+    """Cusp image sums sum_k lam^k g_s(sigma(z, z'+k)), lam = e^{2 pi i theta}, per pair (z, z') and angle.
 
     With a = x' - x, b = y + y' and L = 4yy', sigma_k = ((k+a)^2 + b^2)/L.
     The near images |k| <= K, K >= 3 the least with sigma_k >= 4 beyond it,
     go through g_s at that sigma_k, once for all classes; the far ones through
     `_image_series`, whose inner sums are the S_xi lattice sums without
     their near terms: a numpy window up to `_lattice_window`, then
-    `_sxi_tails`.  The tails carry the continuation of the sum below
-    Re s = 1/2, so Re s > MARGIN suffices; theta = 0 has its pole at s = 1/2.
+    `_sxi_tails`, with a, b and the window's end per pair.  The tails carry
+    the continuation of the sum below Re s = 1/2, so Re s > MARGIN suffices;
+    theta = 0 has its pole at s = 1/2.  Returns a (len(planes), angles) array.
     """
     s = complex(s)
     thetas = np.asarray(thetas, dtype=float)
@@ -595,71 +654,81 @@ def cusp_class_images(s: complex, thetas, z: HPoint, z2: HPoint) -> np.ndarray:
         raise DomainError(f"cusp image sum needs Re s > {MARGIN}, got {s.real}")
     if np.any(thetas == 0.0) and abs(s - 0.5) < 1e-12:
         raise PoleError("resolvent pole at s = 1/2 for the theta = 0 class")
-    a, b, big_l = z2.x - z.x, z.y + z2.y, 4.0 * z.y * z2.y
-    k_near = 3
-    while big_l > 0.25 * ((k_near + 1 - abs(a)) ** 2 + b * b) and k_near <= _MAX_IMAGES:
-        k_near += 1
-    window = _lattice_window(s, a, b)
+    if not (len(planes) and thetas.size):
+        return np.zeros((len(planes), thetas.size), dtype=complex)
+    (x, y), (x2, y2) = (np.array([[p.x, p.y] for p in ps]).T for ps in zip(*planes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, big_l = x2 - x, y + y2, 4.0 * y * y2
+        b2 = b * b
+        # K, the least k >= 3 whose image k + 1 has sigma >= 4 (or _MAX_IMAGES + 1):
+        # its closed form, then the exact test a step either way
+        k_near = np.clip(np.ceil(np.sqrt(np.fmax(4.0 * big_l - b2, 0.0)) + np.abs(a) - 1.0), 3, _MAX_IMAGES + 1)
+        k_near += (big_l > 0.25 * ((k_near + 1.0 - np.abs(a)) ** 2 + b2)) & (k_near <= _MAX_IMAGES)
+        k_near -= (k_near > 3) & (big_l <= 0.25 * ((k_near - np.abs(a)) ** 2 + b2))
+    k_near = k_near.astype(np.int64)
+    window = np.array([_lattice_window(s, ai, bi) for ai, bi in zip(a.tolist(), b.tolist())], dtype=np.int64)
     _check_budget(2 * k_near + 1, 2 * (window - k_near))
-    k = np.arange(-k_near, k_near + 1)
-    sigmas = (((k + a) ** 2 + b * b) / big_l).tolist()
-    near_weights = np.exp(2j * math.pi * (np.multiply.outer(thetas, k) % 1.0))
+    log_l = np.log(big_l)
 
-    k = np.concatenate([np.arange(k_near + 1, window + 1), np.arange(-window, -k_near)])
-    log_sig = np.log(((k + a) ** 2 + b * b) / big_l)
-    phases = np.exp(2j * math.pi * (np.multiply.outer(k, thetas) % 1.0))
+    def images(rows):
+        # k from -window to window: the near ones |k| <= K, the far ones around them
+        k = np.arange(-window[rows].max(), window[rows].max() + 1)
+        near_ok = np.abs(k) <= k_near[rows, None]
+        far_ok = ~near_ok & (np.abs(k) <= window[rows, None])
+        sigmas = ((k + a[rows, None]) ** 2 + b2[rows, None]) / big_l[rows, None]
+        log_sig = np.where(far_ok, np.log(np.where(far_ok, sigmas, 1.0)), 0.0)
+        exponent = 2j * math.pi * (np.multiply.outer(k, thetas) % 1.0) - s * log_sig[..., None]
+        weights = np.exp(np.where((near_ok | far_ok)[..., None], exponent, -np.inf))
+        q = np.exp(-np.min(np.where(far_ok, log_sig, np.inf), axis=1))
+        end, ra, rb, rl = window[rows], a[rows], b[rows], log_l[rows]
 
-    def far_sums(n: np.ndarray) -> np.ndarray:
-        p = s + n
-        lattice = np.exp(-np.multiply.outer(p, log_sig)) @ phases
-        for j, theta in enumerate(thetas):
-            lattice[:, j] += _sxi_tails(theta, p, a, b, window + 1, math.log(big_l))
-        return lattice
+        def tail_sums(i: np.ndarray, p: np.ndarray) -> np.ndarray:
+            return _sxi_tails(thetas, p, ra[i], rb[i], end[i] + 1, rl[i])
 
-    def far_abs(big_n: int) -> float:
-        # the part past the window is bounded by the integral
-        pw = s.real + big_n
-        return float(np.exp(-pw * log_sig).sum()) + 2.0 * math.exp(
-            pw * math.log(big_l) + (1.0 - 2.0 * pw) * math.log(window - abs(a))
-        ) / (2.0 * pw - 1.0)
+        def tail_bound(i: np.ndarray, big_n: np.ndarray) -> np.ndarray:
+            # the part past the window is bounded by the integral
+            pw = s.real + big_n
+            return 2.0 * np.exp(pw * rl[i] + (1.0 - 2.0 * pw) * np.log(end[i] - np.abs(ra[i]))) / (2.0 * pw - 1.0)
 
-    # q, the largest 1/sigma_k of a far image, is <= 1/4
-    return _image_series(
-        s, sigmas, near_weights, far_sums, far_abs, math.exp(-float(log_sig.min()))
-    )
+        return np.where(near_ok, sigmas, np.nan), weights * near_ok[..., None], log_sig, weights * far_ok[..., None], q, (tail_sums, tail_bound)
+
+    return _image_series(s, 2 * window + 1, images)
 
 
-def cusp_kernel_images(s: complex, t: TwistSpec, c1: CylCoord, c2: CylCoord) -> np.ndarray:
-    """Cusp resolvent kernel by images (CylCoord already puts Re z in [0, 1))."""
+def cusp_kernel_images(s: complex, ell, t: TwistSpec, pairs) -> np.ndarray:
+    """Cusp resolvent kernel by images, one row per pair (c1, c2); ell is unused.
+
+    CylCoord already puts Re z in [0, 1); the windings enter as twist phases.
+    """
     if not t.is_unitary:
         raise DomainError("cusp image sums require a unitary twist")
-    thetas = [cls.theta for cls in t.angles]
-    sums = cusp_class_images(s, thetas, cusp_to_plane(c1), cusp_to_plane(c2)) if thetas else []
-    return _classwise(t, c1.winding - c2.winding, sums)
+    pairs = list(pairs)
+    words = np.array([c1.winding - c2.winding for c1, c2 in pairs], dtype=int).reshape(-1, 1)
+    planes = [(cusp_to_plane(c1), cusp_to_plane(c2)) for c1, c2 in pairs]
+    lam = np.array([cls.eigenvalue for cls in t.angles], dtype=complex)
+    return lam**words * cusp_class_images(s, [cls.theta for cls in t.angles], planes)
+
+
+#: The route of each (end, method), looked up as a module global when called.
+_ROUTES = {
+    ("cylinder", "images"): "cyl_kernel_images", ("cylinder", "fourier"): "cyl_kernel_fourier",
+    ("funnel", "images"): "funnel_kernel", ("funnel", "fourier"): "funnel_kernel_fourier",
+    ("cusp", "images"): "cusp_kernel_images", ("cusp", "fourier"): "cusp_kernel",
+}
 
 
 def kernel(end: str, method: str, s: complex, ell, t: TwistSpec, pairs) -> np.ndarray:
     """One end's kernel by one method at one s: a (len(pairs), classes) array, one row per pair (c1, c2).
 
     end is "cylinder", "funnel" or "cusp" (which ignores ell); method is
-    "images" or "fourier".  The one dispatch from an end and a method to its
-    route: a Fourier route takes every pair in one call, an image route one
-    pair per call.  Routes are looked up as module globals when called, so a
+    "images" or "fourier".  A lookup of the route, which takes every pair
+    in one call; routes are looked up as module globals when called, so a
     rebound one runs.
     """
-    if end not in ("cylinder", "funnel", "cusp") or method not in ("images", "fourier"):
+    route = _ROUTES.get((end, method))
+    if route is None:
         raise DomainError(f"no kernel route for end {end!r} and method {method!r}")
-    pairs = list(pairs)
-    if method == "fourier":
-        return cusp_kernel(s, t, pairs) if end == "cusp" else (
-            funnel_kernel_fourier if end == "funnel" else cyl_kernel_fourier)(s, ell, t, pairs)
-    rows = [
-        cusp_kernel_images(s, t, c1, c2) if end == "cusp"
-        else funnel_kernel(s, ell, t, c1, c2) if end == "funnel"
-        else cyl_kernel_images(s, ell, t, cyl_to_plane(c1, ell), cyl_to_plane(c2, ell))
-        for c1, c2 in pairs
-    ]
-    return np.array(rows, dtype=complex).reshape(len(pairs), len(t.angles))
+    return globals()[route](s, ell, t, list(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -671,50 +740,53 @@ def kernel(end: str, method: str, s: complex, ell, t: TwistSpec, pairs) -> np.nd
 _TAIL_STEP = 0.15
 _TAIL_CUT = 42.0
 
-#: Frequencies per block of the continued S_xi's dual sum (31 nodes x 4096: 1 MB).
+#: Frequencies per block of the continued S_xi's dual sum (31 nodes x 4096: 1 MB);
+#: a block takes only the nodes at which one of its frequencies is above e^-700.
 _FREQ_BLOCK = 4096
 
 
-def _sum_tail(p: np.ndarray, a: float, b: float, start: int, log_scale: float) -> np.ndarray:
-    """sum_{k >= start} f_p(k), f_p(k) = (((k+a)^2 + b^2) e^-log_scale)^-p, per p.
+def _sum_tail(p: np.ndarray, a, b, start, log_scale) -> np.ndarray:
+    """sum_{k >= start} f_p(k), f_p(k) = (((k+a)^2 + b^2) e^-log_scale)^-p, per row of a, b, start and log_scale and per p.
 
     Euler-Maclaurin: the integral from `start` (a binomial series in
     (b/(start+a))^2, which is also its continuation below Re p = 1/2),
     f(start)/2, and eight Bernoulli corrections from the Taylor
     coefficients e_j of (1 + alpha x + beta x^2)^-p = f(start + x)/f(start).
+    The rows take the binomial series' terms until every row has stopped.
+    a, b, start and log_scale are columns (rows, 1), or scalars.
     """
     v0 = start + a
     q0 = v0 * v0 + b * b
     r = (b / v0) ** 2
-    integral = np.zeros_like(p)
-    binom = np.ones_like(p)
+    integral = np.zeros(np.broadcast(p, r).shape, dtype=complex)
+    binom = np.ones_like(integral)
     for m in range(200):
         term = binom * r**m / (2.0 * p + 2.0 * m - 1.0)
         integral += term
         if np.all(np.abs(term) <= 1e-17 * np.abs(integral)):
             break
         binom = binom * (-p - m) / (m + 1.0)
-    integral *= v0 * np.exp(-p * (2.0 * math.log(v0) - log_scale))
+    integral *= v0 * np.exp(-p * (2.0 * np.log(v0) - log_scale))
     alpha, beta = 2.0 * v0 / q0, 1.0 / q0
-    e_prev, e = np.ones_like(p), -p * alpha
-    corr = np.zeros_like(p)
+    e_prev, e = np.ones_like(integral), -p * alpha
+    corr = np.zeros_like(integral)
     for j in range(1, 2 * len(specfun.BERNOULLI)):
         if j % 2:
             corr += specfun.BERNOULLI[j // 2] / (j + 1) * e
         e_prev, e = e, -(alpha * (p + j) * e + beta * (2.0 * p + j - 1.0) * e_prev) / (j + 1)
-    return integral + np.exp(-p * (math.log(q0) - log_scale)) * (0.5 - corr)
+    return integral + np.exp(-p * (np.log(q0) - log_scale)) * (0.5 - corr)
 
 
-def _sxi_tails(
-    theta: float, p: np.ndarray, a: float, b: float, start: int, log_scale: float = 0.0
-) -> np.ndarray:
-    """sum_{|k| >= start} xi^k (((k+a)^2 + b^2) e^-log_scale)^-p, xi = e^{2 pi i theta}, per p.
+def _sxi_tails(theta, p: np.ndarray, a, b, start, log_scale=0.0) -> np.ndarray:
+    """sum_{|k| >= start} xi^k (((k+a)^2 + b^2) e^-log_scale)^-p, xi = e^{2 pi i theta}, per row, p and theta.
 
-    Valid for every theta in [0, 1), start + a > 0 well above b, and every
-    p with Re p > 0 (theta = 0: p != 1/2 - N0), where the sums are taken
-    as continued.  theta = 0 is `_sum_tail` on both sides.  Otherwise each
-    side is the integral of f(u) xi^u / (e^{2 pi i u} - 1) along
-    Re u = c = start - 1/2, whose poles are the lattice points:
+    a, b, start and log_scale are scalars, or 1-d arrays of rows (a first
+    axis of the result); theta is a scalar, or a 1-d array of angles (a
+    last axis).  Valid for every theta in [0, 1), start + a > 0 well above
+    b, and every p with Re p > 0 (theta = 0: p != 1/2 - N0), where the sums
+    are taken as continued.  theta = 0 is `_sum_tail` on both sides.
+    Otherwise each side is the integral of f(u) xi^u / (e^{2 pi i u} - 1)
+    along Re u = c = start - 1/2, whose poles are the lattice points:
 
         sum_{k >= start} xi^k f(k) = i xi^c int f(c + iy) w(y) dy,
         w(y) = e^{-2 pi theta y} / (1 + e^{-2 pi y}).
@@ -722,32 +794,53 @@ def _sxi_tails(
     w decays like e^{-2 pi theta y} up and e^{-2 pi (1-theta) |y|} down,
     and the k <= -start side has the same w at -y.  The trapezoid rule in
     y = sinh(x)/2 takes both slow decays, and converges geometrically in
-    the strip that the poles of w at y = i/2, ... leave.
+    the strip that the poles of w at y = i/2, ... leave; its nodes, the
+    widest any angle needs, are shared by every row and angle.
     """
     p = np.asarray(p, dtype=complex)
-    if theta == 0.0:
-        return _sum_tail(p, a, b, start, log_scale) + _sum_tail(p, -a, b, start, log_scale)
+    a, b, start, log_scale = (v[:, None] if isinstance(v, np.ndarray) else v for v in (a, b, start, log_scale))
+    theta = np.asarray(theta, dtype=float)
+    zero = theta == 0.0
+    if zero.any():
+        euler = _sum_tail(p, a, b, start, log_scale) + _sum_tail(p, -a, b, start, log_scale)
+        if zero.all():
+            return np.repeat(euler[..., None], theta.size, axis=-1) if theta.ndim else euler
+    th = theta[~zero] if theta.ndim else theta  # the contour's angles: a scalar, or a last axis
+    col = (slice(None),) + (None,) * th.ndim  # the nodes as a column against that axis
     c = start - 0.5
-    cut = _TAIL_CUT + math.pi * float(np.max(np.abs(p.imag)))
+    cut = _TAIL_CUT + math.pi * float(np.abs(p.imag).max())
     x = np.arange(
-        -math.asinh(cut / (math.pi * (1.0 - theta))),
-        math.asinh(min(cut / (math.pi * theta), 1e300)) + _TAIL_STEP,
+        -math.asinh(cut / (math.pi * (1.0 - th.max()))),
+        math.asinh(min(cut / (math.pi * th.min()), 1e300)) + _TAIL_STEP,
         _TAIL_STEP,
     )
     y = 0.5 * np.sinh(x)
-    ay = np.abs(y)
-    rate = np.where(y >= 0.0, theta, 1.0 - theta)
+    ay = np.abs(y)[col]
+    rate = np.where(y[col] >= 0.0, th, 1.0 - th)
     w_dy = np.exp(-2.0 * math.pi * rate * ay - np.log1p(np.exp(-2.0 * math.pi * ay)))
-    w_dy *= 0.5 * _TAIL_STEP * np.cosh(x)
+    w_dy *= (0.5 * _TAIL_STEP * np.cosh(x))[col]
     # (u + a)^2 + b^2 = (u + a - ib)(u + a + ib): each factor has positive
     # real part on the line, so principal logs continue f analytically
     up = np.log(c + a + 1j * (y - b)) + np.log(c + a + 1j * (y + b)) - log_scale
     down = np.log(c - a - 1j * (y + b)) + np.log(c - a - 1j * (y - b)) - log_scale
-    phase = cmath.exp(2j * math.pi * (theta * c % 1.0))
-    upper = np.exp(-np.multiply.outer(p, up)) @ w_dy
-    lower = np.exp(-np.multiply.outer(p, down)) @ w_dy
+    phase = np.exp(2j * math.pi * (th * c % 1.0))
+    phase = phase[..., None, :] if th.ndim else phase
+    # e^{-p f} from one exp at p[0] and one per distinct step of p, then
+    # running products: the n-series' p = s + n takes two exps per node
+    diffs = (p[1:] - p[:-1]).tolist()
+    steps = list(dict.fromkeys(diffs))
+    order = [0] + [1 + steps.index(d) for d in diffs]
+    heads = np.array(p[:1].tolist() + steps)[:, None]
+
+    def sums(f: np.ndarray) -> np.ndarray:
+        powers = np.exp(-heads * f[..., None, :])
+        return (powers[..., order, :].cumprod(axis=-2) if diffs else powers) @ w_dy
+
     # the k <= -start side has phase xi^-c e^{2 pi i c} = -conj(xi^c)
-    return 1j * (phase * upper - phase.conjugate() * lower)
+    out = 1j * (phase * sums(up) - phase.conjugate() * sums(down))
+    if zero.any():
+        out = np.insert(out, np.flatnonzero(zero) - np.arange(zero.sum()), euler[..., None], axis=-1)
+    return out
 
 
 def s_xi_direct(xi_angle: float, s: complex, a: float, b: float) -> complex:
@@ -799,13 +892,22 @@ def s_xi_continued(xi_angle: float, s: complex, a: float, b: float) -> complex:
         kmax = int(math.sqrt(float(u.max()) * 700.0 / pib2)) + 2
         freq = np.arange(-kmax, kmax + 1) + lam
         freq = freq[freq != 0.0]
-        # the dual sum leaves out the zero frequency; its phase is
-        # e^{-2 pi i a (k+lam)}: the sign is pinned by the index-shift
-        # identity S(s; a+1, b) = xi^{-1} S(s; a, b)
-        dual = sum(
-            np.exp(np.multiply.outer(-pib2 / u, f * f)) @ np.exp(-2j * math.pi * a * f)
-            for f in np.split(freq, range(_FREQ_BLOCK, freq.size, _FREQ_BLOCK))
-        )
+        blocks = np.split(freq, range(_FREQ_BLOCK, freq.size, _FREQ_BLOCK))
+        dual = 0.0
+        for f in blocks:
+            # the dual sum leaves out the zero frequency; its phase is
+            # e^{-2 pi i a (k+lam)}: the sign is pinned by the index-shift
+            # identity S(s; a+1, b) = xi^{-1} S(s; a, b)
+            term = lambda u: np.exp(np.multiply.outer(-pib2 / u, f * f)) @ np.exp(-2j * math.pi * a * f)
+            least = 0.0 if len(blocks) == 1 or f[0] < 0.0 < f[-1] else min(abs(f[0]), abs(f[-1]))
+            if least:
+                # the block's terms are above e^-700 only at u >= pi^2 b^2 least^2 / 700
+                at = u >= pib2 * least * least / 700.0
+                block = np.zeros(u.shape, dtype=complex)
+                block[at] = term(u[at])
+                dual = dual + block
+            else:
+                dual = dual + term(u)
         return np.exp(-u + (s - 0.5) * t) * dual
 
     # upper limit: e^{-U} U^{Re s - 1/2} < 1e-16

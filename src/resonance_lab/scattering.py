@@ -9,20 +9,18 @@ surplus of numerator poles raises PoleError.
 `poisson_mode` and `functional_equation_sides` (with
 `functional_equation_residual`) take kappa, r and r' as scalars or as numpy
 arrays that broadcast, one 2F1 engine call per profile either way;
-`scattering_coeff` takes one kappa, and the functional equation calls it
-once per distinct kappa.
+`scattering_coeff` takes s and kappa the same way, with its pole tallies
+per element.
 """
 
 from __future__ import annotations
-
-import cmath
 
 import numpy as np
 
 from .errors import DomainError, PoleError
 from .geometry import TWO_PI
 from .model_kernels import funnel_mode, log_beta_kappa, v0_profile
-from .specfun import _is_nonpositive_integer, log_gamma, rgamma
+from .specfun import _nonpositive_integers, log_gamma, rgamma
 
 
 def poisson_mode(s: complex, kappa, r, ell: float):
@@ -38,42 +36,39 @@ def poisson_mode(s: complex, kappa, r, ell: float):
     return np.exp(log_beta_kappa(s, q)) * v0_profile(s, q, r) * rgamma(s + 0.5) / ell
 
 
-def scattering_coeff(s: complex, kappa: float, ell: float) -> complex:
-    """Funnel scattering coefficient for frequency kappa.
+def scattering_coeff(s, kappa, ell: float):
+    """Funnel scattering coefficient for frequency kappa, per element of s and kappa (scalars or arrays that broadcast).
 
         Gamma(1/2 - s) Gamma((s + iq + 1)/2) Gamma((s - iq + 1)/2)
         -----------------------------------------------------------,
         Gamma(s - 1/2) Gamma((2 - s + iq)/2) Gamma((2 - s - iq)/2)
 
-    with q = omega kappa.  Returns exact 0 when denominator Gamma poles
-    dominate; raises PoleError when numerator poles dominate or the pole
-    orders balance (indeterminate without a limit direction).
+    with q = omega kappa.  Exact 0 where denominator Gamma poles dominate.
+    Where numerator poles dominate, or the pole orders balance
+    (indeterminate without a limit direction), a scalar call raises
+    PoleError and an array call gives NaN.
     """
-    s = complex(s)
-    q = TWO_PI / ell * abs(kappa)  # even in kappa
-    num = (
-        0.5 - s,
-        complex((s.real + 1.0) / 2.0, (s.imag + q) / 2.0),
-        complex((s.real + 1.0) / 2.0, (s.imag - q) / 2.0),
-    )
-    den = (
-        s - 0.5,
-        complex((2.0 - s.real) / 2.0, (-s.imag + q) / 2.0),
-        complex((2.0 - s.real) / 2.0, (-s.imag - q) / 2.0),
-    )
-    n_poles = sum(1 for z in num if _is_nonpositive_integer(z) is not None)
-    d_poles = sum(1 for z in den if _is_nonpositive_integer(z) is not None)
-    if n_poles > d_poles:
-        raise PoleError(f"scattering coefficient pole at s = {s}, kappa = {kappa}")
-    if d_poles > n_poles:
-        return 0.0 + 0.0j
-    if n_poles:
+    scalar = np.ndim(s) == 0 and np.ndim(kappa) == 0
+    s, kappa = np.broadcast_arrays(np.asarray(s, dtype=complex), np.asarray(kappa, dtype=float))
+    q = TWO_PI / ell * np.abs(kappa)  # even in kappa
+    up, down = (s.real + 1.0) / 2.0, (2.0 - s.real) / 2.0
+    num = (0.5 - s, up + 1j * ((s.imag + q) / 2.0), up + 1j * ((s.imag - q) / 2.0))
+    den = (s - 0.5, down + 1j * ((-s.imag + q) / 2.0), down + 1j * ((-s.imag - q) / 2.0))
+    n_poles, d_poles = (sum(_nonpositive_integers(z).astype(int) for z in side) for side in (num, den))
+    if scalar and n_poles > d_poles:
+        raise PoleError(f"scattering coefficient pole at s = {complex(s)}, kappa = {float(kappa)}")
+    if scalar and n_poles == d_poles > 0:
         raise PoleError(
-            f"indeterminate Gamma ratio at s = {s}, kappa = {kappa} "
-            f"({n_poles} poles on each side)"
+            f"indeterminate Gamma ratio at s = {complex(s)}, kappa = {float(kappa)} "
+            f"({int(n_poles)} poles on each side)"
         )
-    log_ratio = sum(log_gamma(z) for z in num) - sum(log_gamma(z) for z in den)
-    return cmath.exp(log_ratio)
+    regular = (n_poles == 0) & (d_poles == 0)
+    # log Gamma only off its poles: a 0-d argument takes the scalar branch
+    log_ratio = sum(log_gamma(np.where(regular, z, 1.0)) for z in num) - sum(
+        log_gamma(np.where(regular, z, 1.0)) for z in den
+    )
+    out = np.where(regular, np.exp(log_ratio), np.where(d_poles > n_poles, 0.0, np.nan))
+    return complex(out) if scalar else out
 
 
 def functional_equation_sides(s: complex, kappa, r, r2, ell: float):
@@ -83,19 +78,17 @@ def functional_equation_sides(s: complex, kappa, r, r2, ell: float):
         = (2s-1) ell^2 E(1-s; r) S(s) E(1-s; r'),
 
     where E is `poisson_mode` and S is `scattering_coeff`, per element of
-    kappa, r and r2 (scalars or arrays that broadcast).  Requires s and
-    1-s off the relevant pole sets.
+    kappa, r and r2 (scalars or arrays that broadcast), with one
+    `scattering_coeff` call for every kappa.  Requires s and 1-s off the
+    relevant pole sets (an array kappa gives NaN at a pole of S).
     """
     s = complex(s)
     lhs = funnel_mode(s, kappa, r, r2, ell) - funnel_mode(1.0 - s, kappa, r, r2, ell)
-    distinct, where = np.unique(kappa, return_inverse=True)  # where is flat before numpy 2
-    coeff = np.array([scattering_coeff(s, k, ell) for k in distinct.tolist()])
-    coeff = coeff[where.reshape(np.shape(kappa))]
     rhs = (
         (2.0 * s - 1.0)
         * ell
         * poisson_mode(1.0 - s, kappa, r, ell)
-        * coeff
+        * scattering_coeff(s, kappa, ell)
         * poisson_mode(1.0 - s, kappa, r2, ell)
         * ell
     )

@@ -106,6 +106,12 @@ def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> int | None:
     return -n
 
 
+def _nonpositive_integers(z: np.ndarray) -> np.ndarray:
+    """`_is_nonpositive_integer` per element of an array: whether z is within 1e-12 of one."""
+    near = np.round(z.real)
+    return (np.abs(z.imag) <= 1e-12) & (near <= 0.0) & (np.abs(z.real - near) <= 1e-12)
+
+
 def log_gamma(z):
     """Principal branch of log Gamma(z), for a scalar z or an array of them.
 
@@ -126,8 +132,7 @@ def log_gamma(z):
         n = max(math.ceil(0.5 - z.real), 0)
         return _log_gamma_lanczos(z + n, cmath.log) - sum(cmath.log(z + j) for j in range(n))
     z = np.asarray(z, dtype=complex)
-    near = np.round(z.real)
-    poles = (np.abs(z.imag) <= 1e-12) & (near <= 0.0) & (np.abs(z.real - near) <= 1e-12)
+    poles = _nonpositive_integers(z)
     if poles.any():
         raise PoleError(f"log_gamma pole at z = {complex(z[poles][0])}")
     _check_shifts(z.real.min(initial=0.0))
@@ -174,10 +179,13 @@ def scaled_value(m, x, what: str):
             raise OverflowBudgetError(f"{what} overflows a double (exponent {top:g})")
         return m * cmath.exp(x) if abs(x.real) < 700.0 else cmath.exp(cmath.log(m) + x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = np.log(np.abs(m)) + np.real(x)
-        if np.any(top > 709.0):
+        re = np.real(x)
+        top = np.log(np.abs(m)) + re
+        if (top > 709.0).any():
             raise OverflowBudgetError(f"{what} overflows a double (exponent {float(np.max(top)):g})")
-        inside = np.abs(np.real(x)) < 700.0
+        inside = np.abs(re) < 700.0
+        if inside.all():
+            return m * np.exp(x)
         return np.where(inside, m, 1.0) * np.exp(np.where(inside, x, np.log(m) + x))
 
 

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 import hyp2f1_reference
+from image_engine_reference import _classwise
 from resonance_lab import specfun
 from resonance_lab.errors import DomainError, TruncationError
 from resonance_lab.geometry import TWO_PI, CylCoord
@@ -23,7 +24,6 @@ from resonance_lab.model_kernels import (
     FOURIER_TAIL_TOL,
     R0_PROFILE_MAX,
     R_PROFILE_MIN,
-    _classwise,
 )
 from resonance_lab.specfun import log_gamma
 from resonance_lab.twist import TwistSpec

@@ -1,7 +1,7 @@
 """Per-image reference loops for the cylinder, funnel and cusp image sums.
 
 These are the image routes as they were written before the near/far
-split: one `g_s` call per image, k = 1, 2, ... and then k = -1, -2, ...,
+split: one call of the scalar g_s series per image, k = 1, 2, ... and then k = -1, -2, ...,
 each side stopped on an absolute tail tolerance.
 
   * cylinder (and the funnel built on it): the geometric tail of the last
@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from free_resolvent_reference import g_s_series as g_s
+from image_engine_reference import _classwise, _reduce_cylinder
 from resonance_lab.errors import DomainError, TruncationError
-from resonance_lab.free_resolvent import g_s
 from resonance_lab.geometry import CylCoord, HPoint, cusp_to_plane, cyl_to_plane, sigma
-from resonance_lab.model_kernels import MARGIN, _classwise, _reduce_cylinder
+from resonance_lab.model_kernels import MARGIN
 from resonance_lab.twist import TwistSpec
 
 

@@ -38,8 +38,8 @@ class TestAgainstFourier:
     def test_grid(self, s):
         for c1, c2 in PAIRS:
             c1, c2 = CylCoord(*c1), CylCoord(*c2)
-            ki = mk.cusp_kernel_images(s, ALL_CLASSES, c1, c2)
-            kf = mk.cusp_kernel(s, ALL_CLASSES, [(c1, c2)])[0]
+            ki = mk.cusp_kernel_images(s, None, ALL_CLASSES, [(c1, c2)])[0]
+            kf = mk.cusp_kernel(s, None, ALL_CLASSES, [(c1, c2)])[0]
             assert rel_diff(ki, kf) <= 1e-9, (s, c1, c2)
 
     def test_found_op(self):
@@ -47,8 +47,8 @@ class TestAgainstFourier:
         # reached only 2.1e-4 relative
         s = 2.951194 - 0.505879j
         c1, c2 = CylCoord(1.097654, 4.753892), CylCoord(-0.367853, 1.613037)
-        ki = mk.cusp_kernel_images(s, EXAMPLE, c1, c2)
-        assert rel_diff(ki, mk.cusp_kernel(s, EXAMPLE, [(c1, c2)])[0]) <= 1e-9
+        ki = mk.cusp_kernel_images(s, None, EXAMPLE, [(c1, c2)])[0]
+        assert rel_diff(ki, mk.cusp_kernel(s, None, EXAMPLE, [(c1, c2)])[0]) <= 1e-9
         assert np.min(np.abs(ki)) < 1e-7
 
 
@@ -62,7 +62,7 @@ class TestAgainstReference:
         for c1, c2 in PAIRS[:2]:
             c1, c2 = CylCoord(*c1), CylCoord(*c2)
             kr = ref.cusp_kernel_images(s, t, c1, c2, cfg)
-            assert rel_diff(mk.cusp_kernel_images(s, t, c1, c2), kr) <= 1e-11
+            assert rel_diff(mk.cusp_kernel_images(s, None, t, [(c1, c2)])[0], kr) <= 1e-11
 
     def test_cusp_images_budget_error(self):
         cfg = ref.Config(max_images=10, tail_tol=1e-14)
@@ -127,6 +127,21 @@ class TestSXiTails:
         want = _tail_oracle(num, den, complex(s), a, b, 65)
         assert abs(got - want) <= 1e-13 * abs(want)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("s", [0.3 + 1.2j, 2.0 + 0.3j])
+    def test_rows_and_n_series(self, theta, s):
+        # rows of (a, b, start, log scale) against p = s + n, as the image
+        # engine takes them (running products in place of an exp per p),
+        # against one call per row and p
+        a, b = np.array([0.3, -0.7, 0.1]), np.array([1.0, 2.5, 33.6])
+        start, log_scale = np.array([65, 65, 109]), np.log([1.0, 6.0, 1085.0])
+        p = s + np.arange(40)
+        got = mk._sxi_tails(theta, p, a, b, start, log_scale)
+        assert got.shape == (3, 40)
+        for i in range(3):
+            want = [mk._sxi_tails(theta, np.array([pj]), a[i], b[i], int(start[i]), log_scale[i])[0] for pj in p]
+            assert np.all(np.abs(got[i] - want) <= 1e-13 * np.abs(want)), (i, np.max(np.abs(got[i] - want) / np.abs(want)))
+
     @pytest.mark.parametrize("theta,s", [(0.1, 1.5), (0.05, 2.0 + 2.0j), (0.15, 0.75)])
     def test_small_angle_sums(self, theta, s):
         # where the Euler-transformed tail was off by 9e-2, 1.6e9 and 7e-6
@@ -139,29 +154,29 @@ class TestDomain:
     def test_pole_at_half_for_theta_zero(self):
         c1, c2 = CylCoord(0.0, 1.0), CylCoord(0.5, 2.0)
         with pytest.raises(PoleError):
-            mk.cusp_kernel_images(0.5, TwistSpec.from_angles([(0.0, 1), (0.25, 1)]), c1, c2)
-        v = mk.cusp_kernel_images(0.5, EXAMPLE, c1, c2)
-        assert rel_diff(v, mk.cusp_kernel(0.5, EXAMPLE, [(c1, c2)])[0]) <= 1e-9
+            mk.cusp_kernel_images(0.5, None, TwistSpec.from_angles([(0.0, 1), (0.25, 1)]), [(c1, c2)])
+        v = mk.cusp_kernel_images(0.5, None, EXAMPLE, [(c1, c2)])[0]
+        assert rel_diff(v, mk.cusp_kernel(0.5, None, EXAMPLE, [(c1, c2)])[0]) <= 1e-9
 
     @pytest.mark.parametrize("s", [0.1 + 0.5j, 0.05, -1.0 + 2.0j])
     def test_margin(self, s):
         with pytest.raises(DomainError, match="Re s > 0.1"):
-            mk.cusp_kernel_images(s, EXAMPLE, CylCoord(0.2, 1.0), CylCoord(0.9, 2.5))
+            mk.cusp_kernel_images(s, None, EXAMPLE, [(CylCoord(0.2, 1.0), CylCoord(0.9, 2.5))])
 
     @pytest.mark.parametrize("c1,c2", [((9.5, 1.0), (9.6, 2.0)), ((709.0, 1.0), (-5.0, 2.0))])
     def test_image_budget(self, monkeypatch, c1, c2):
         # high up, or with y + y' near the largest double, the images needed
         # exceed the budget: TruncationError before any g_s call
-        monkeypatch.setattr(mk, "g_s", None)
+        monkeypatch.setattr(mk, "_g_s_rows", None)
         t0 = time.perf_counter()
         with pytest.raises(TruncationError, match="more than 10000"):
-            mk.cusp_kernel_images(2.0 + 0.3j, EXAMPLE, CylCoord(*c1), CylCoord(*c2))
+            mk.cusp_kernel_images(2.0 + 0.3j, None, EXAMPLE, [(CylCoord(*c1), CylCoord(*c2))])[0]
         assert time.perf_counter() - t0 < 0.1
 
     def test_non_unitary_twist(self):
         t = TwistSpec.from_angles([(0.25, 1)], moduli=[0.3])
         with pytest.raises(DomainError, match="unitary"):
-            mk.cusp_kernel_images(2.0, t, CylCoord(0.2, 1.0), CylCoord(0.9, 2.5))
+            mk.cusp_kernel_images(2.0, None, t, [(CylCoord(0.2, 1.0), CylCoord(0.9, 2.5))])
 
 
 @pytest.mark.parametrize("s", [0.2 + 0.9j, 0.7 - 0.3j, 2.0 + 0.3j, 3.1 + 1.4j])
@@ -169,6 +184,6 @@ def test_conjugate_symmetry(s):
     # R(conj s; w, z) = conj R(s; z, w), class by class, twist phases included
     for c1, c2 in PAIRS[:3]:
         c1, c2 = CylCoord(*c1), CylCoord(*c2)
-        k = mk.cusp_kernel_images(s, ALL_CLASSES, c1, c2)
-        back = mk.cusp_kernel_images(s.conjugate(), ALL_CLASSES, c2, c1)
+        k = mk.cusp_kernel_images(s, None, ALL_CLASSES, [(c1, c2)])[0]
+        back = mk.cusp_kernel_images(s.conjugate(), None, ALL_CLASSES, [(c2, c1)])[0]
         assert rel_diff(back, np.conj(k)) <= 1e-12

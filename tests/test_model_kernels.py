@@ -40,9 +40,7 @@ class TestCylinderKernel:
         rng = np.random.default_rng(51)
         for _ in range(8):
             c1, c2 = sample_pair(rng, -2.0, 2.0, ELL)
-            ki = mk.cyl_kernel_images(
-                S_REF, ELL, TWIST, cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL)
-            )
+            ki = mk.cyl_kernel_images(S_REF, ELL, TWIST, [(c1, c2)])[0]
             kf = mk.cyl_kernel_fourier(S_REF, ELL, TWIST, [(c1, c2)])[0]
             assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-6
 
@@ -54,47 +52,47 @@ class TestCylinderKernel:
             z = HPoint(rng.uniform(-1, 1), rng.uniform(0.8, 2.0))
             w = HPoint(rng.uniform(-1, 1), rng.uniform(2.5, 4.0))
             shifted = HPoint.from_complex(math.exp(ELL) * z.z)
-            a = mk.cyl_class_images(S_REF, ELL, TWIST.angles, shifted, w)
-            b = lams * mk.cyl_class_images(S_REF, ELL, TWIST.angles, z, w)
+            a = mk.cyl_class_images(S_REF, ELL, TWIST.angles, [(shifted, w)])[0]
+            b = lams * mk.cyl_class_images(S_REF, ELL, TWIST.angles, [(z, w)])[0]
             assert np.max(np.abs(a - b)) < 1e-8
 
     def test_conjugate_symmetry(self):
         # K_s(z, z')* = K_{s bar}(z', z) per class (unitary twist)
         z, w = HPoint(0.3, 1.1), HPoint(-0.5, 2.2)
-        a = np.conj(mk.cyl_class_images(S_REF, ELL, TWIST.angles, z, w))
-        b = mk.cyl_class_images(S_REF.conjugate(), ELL, TWIST.angles, w, z)
+        a = np.conj(mk.cyl_class_images(S_REF, ELL, TWIST.angles, [(z, w)])[0])
+        b = mk.cyl_class_images(S_REF.conjugate(), ELL, TWIST.angles, [(w, z)])[0]
         assert np.max(np.abs(a - b)) < 1e-8
 
     def test_real_s_hermitian(self):
         z, w = HPoint(0.3, 1.1), HPoint(-0.5, 2.2)
-        a = np.conj(mk.cyl_class_images(2.5, ELL, TWIST.angles, z, w))
-        b = mk.cyl_class_images(2.5, ELL, TWIST.angles, w, z)
+        a = np.conj(mk.cyl_class_images(2.5, ELL, TWIST.angles, [(z, w)])[0])
+        b = mk.cyl_class_images(2.5, ELL, TWIST.angles, [(w, z)])[0]
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_fundamental_domain_reduction(self):
-        # public kernel is equivariant through the reduction word
-        z = HPoint(0.2, 1.4)
-        w = HPoint(-0.3, 2.1)
-        far = HPoint.from_complex(math.exp(3 * ELL) * z.z)
-        base = mk.cyl_kernel_images(S_REF, ELL, TWIST, z, w)
-        moved = mk.cyl_kernel_images(S_REF, ELL, TWIST, far, w)
+        # public kernel is equivariant through the reduction word: three
+        # windings of phi move z to e^{3 ell} z
+        c1, c2 = CylCoord(0.3, 1.4), CylCoord(-0.5, 4.1)
+        base = mk.cyl_kernel_images(S_REF, ELL, TWIST, [(c1, c2)])[0]
+        moved = mk.cyl_kernel_images(S_REF, ELL, TWIST, [(CylCoord(0.3, 1.4 + 3 * TWO_PI), c2)])[0]
         for j, cls in enumerate(TWIST.angles):
             assert abs(moved[j] - cls.eigenvalue**3 * base[j]) < 1e-8
 
     def test_convergence_abscissa(self):
+        pair = [(CylCoord(0.0, 1.0), CylCoord(0.5, 2.0))]
         with pytest.raises(DomainError):
-            mk.cyl_kernel_images(0.05, ELL, TWIST, HPoint(0, 1), HPoint(0, 2))
+            mk.cyl_kernel_images(0.05, ELL, TWIST, pair)
         t_mod = TwistSpec.from_angles([(0.0, 1)], moduli=[2.0])
         with pytest.raises(DomainError):
-            mk.cyl_kernel_images(1.9, ELL, t_mod, HPoint(0, 1), HPoint(0, 2))
+            mk.cyl_kernel_images(1.9, ELL, t_mod, pair)
 
     def test_non_unitary_twist(self):
         # diagonalizable monodromy with modulus e^0.8: kernel finite and
         # equal to the per-image reference loop at a tail far below it
         t = TwistSpec.from_angles([(0.25, 1)], moduli=[0.8])
-        z, w = HPoint(0.0, 1.0), HPoint(0.3, 1.8)
-        a = mk.cyl_kernel_images(1.2, ELL, t, z, w)
-        b = ref.cyl_kernel_images(1.2, ELL, t, z, w, ref.Config(tail_tol=1e-20))
+        c1, c2 = CylCoord(0.2, 1.0), CylCoord(0.9, 2.5)
+        a = mk.cyl_kernel_images(1.2, ELL, t, [(c1, c2)])[0]
+        b = ref.cyl_kernel_images(1.2, ELL, t, cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL), ref.Config(tail_tol=1e-20))
         assert np.isfinite(a.view(float)).all()
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
@@ -104,19 +102,19 @@ class TestCylinderKernel:
         def no_g_s(*args):
             raise AssertionError("g_s ran before the image budget was checked")
 
-        monkeypatch.setattr(mk, "g_s", no_g_s)
+        monkeypatch.setattr(mk, "_g_s_rows", no_g_s)
         t0 = time.perf_counter()
         with pytest.raises(TruncationError, match="more than 10000"):
-            mk.cyl_kernel_images(0.2, 1e-4, TwistSpec.trivial(), HPoint(0, 1), HPoint(0, 2))
+            mk.cyl_kernel_images(0.2, 1e-4, TwistSpec.trivial(), [(CylCoord(0.0, 1.0), CylCoord(0.5, 2.0))])
         assert time.perf_counter() - t0 < 0.1
 
     def test_no_classes(self):
         # a twist without classes has an empty kernel on every image route
         empty = TwistSpec(())
         c1, c2 = CylCoord(0.2, 1.0), CylCoord(0.9, 2.5)
-        assert mk.cyl_kernel_images(S_REF, ELL, empty, cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL)).size == 0
-        assert mk.funnel_kernel(S_REF, ELL, empty, c1, c2).size == 0
-        assert mk.cusp_kernel_images(S_REF, empty, c1, c2).size == 0
+        assert mk.cyl_kernel_images(S_REF, ELL, empty, [(c1, c2)]).shape == (1, 0)
+        assert mk.funnel_kernel(S_REF, ELL, empty, [(c1, c2)]).shape == (1, 0)
+        assert mk.cusp_kernel_images(S_REF, None, empty, [(c1, c2)]).shape == (1, 0)
 
     def test_twist_phase(self):
         c1, c2 = CylCoord(-0.4, 2.0), CylCoord(0.8, 1.1)
@@ -147,10 +145,9 @@ class TestCylinderKernel:
             assert np.all(np.abs(a - b) <= 1e-11 * np.abs(b)), end
         # same for the image sums: a series bound 100 times tighter moves
         # no class by more than the looser bound
-        z, w = cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL)
-        ia = mk.cyl_kernel_images(S_REF, ELL, TWIST, z, w)
+        ia = mk.cyl_kernel_images(S_REF, ELL, TWIST, [(c1, c2)])[0]
         monkeypatch.setattr(mk, "SERIES_TOL", mk.SERIES_TOL / 100.0)
-        ib = mk.cyl_kernel_images(S_REF, ELL, TWIST, z, w)
+        ib = mk.cyl_kernel_images(S_REF, ELL, TWIST, [(c1, c2)])[0]
         assert np.all(np.abs(ia - ib) <= 1e-15 * np.abs(ib))
 
 
@@ -163,7 +160,7 @@ class TestTruncation:
         c1, c2 = CylCoord(0.6, 1.0), CylCoord(0.9, 2.5)
         with pytest.raises(TruncationError, match="needs more than 5 modes"):
             if route == "cusp":
-                mk.cusp_kernel(S_REF, TWIST, [(c1, c2)])[0]
+                mk.cusp_kernel(S_REF, None, TWIST, [(c1, c2)])[0]
             elif route == "funnel":
                 mk.funnel_kernel_fourier(S_REF, ELL, TWIST, [(c1, c2)])[0]
             else:
@@ -183,7 +180,7 @@ class TestTruncation:
         t0 = time.perf_counter()
         with pytest.raises(DomainError, match="distinct points"):
             if route == "cusp":
-                mk.cusp_kernel(s, t, [(c1, c2)])[0]
+                mk.cusp_kernel(s, None, t, [(c1, c2)])[0]
             elif route == "funnel":
                 mk.funnel_kernel_fourier(s, ELL, t, [(c1, c2)])[0]
             else:
@@ -322,7 +319,7 @@ class TestFunnelKernel:
         rng = np.random.default_rng(54)
         for _ in range(8):
             c1, c2 = sample_pair(rng, 0.05, 2.2, ELL)
-            ki = mk.funnel_kernel(S_REF, ELL, TWIST, c1, c2)
+            ki = mk.funnel_kernel(S_REF, ELL, TWIST, [(c1, c2)])[0]
             kf = mk.funnel_kernel_fourier(S_REF, ELL, TWIST, [(c1, c2)])[0]
             assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-6
 
@@ -330,21 +327,15 @@ class TestFunnelKernel:
         # slowly converging mode sum (r ~ r'): needs log-scaled profiles
         c1 = CylCoord(1.1776100337538342, 3.1039609370197336)
         c2 = CylCoord(1.2074494672455192, 6.139203243515375)
-        ki = mk.funnel_kernel(S_REF, ELL, TWIST, c1, c2)
+        ki = mk.funnel_kernel(S_REF, ELL, TWIST, [(c1, c2)])[0]
         kf = mk.funnel_kernel_fourier(S_REF, ELL, TWIST, [(c1, c2)])[0]
         assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-8
 
     def test_images_difference_structure(self):
         # funnel kernel = cylinder kernel minus reflected cylinder kernel
         c1, c2 = CylCoord(0.8, 1.2), CylCoord(1.4, 3.0)
-        direct = mk.cyl_kernel_images(
-            S_REF, ELL, TWIST, cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL)
-        )
-        refl = mk.cyl_kernel_images(
-            S_REF, ELL, TWIST, cyl_to_plane(c1, ELL),
-            cyl_to_plane(CylCoord(-c2.r, c2.phi), ELL),
-        )
-        fun = mk.funnel_kernel(S_REF, ELL, TWIST, c1, c2)
+        direct, refl = mk.cyl_kernel_images(S_REF, ELL, TWIST, [(c1, c2), (c1, CylCoord(-c2.r, c2.phi))])
+        fun = mk.funnel_kernel(S_REF, ELL, TWIST, [(c1, c2)])[0]
         assert np.max(np.abs(fun - (direct - refl))) < 1e-12
 
     def test_pole_blowup(self):
@@ -384,8 +375,8 @@ class TestCuspKernel:
             if abs(math.exp(c1.r) - math.exp(c2.r)) < 0.15:
                 continue
             done += 1
-            ki = mk.cusp_kernel_images(3.0 + 0.2j, TWIST, c1, c2)
-            kf = mk.cusp_kernel(3.0 + 0.2j, TWIST, [(c1, c2)])[0]
+            ki = mk.cusp_kernel_images(3.0 + 0.2j, None, TWIST, [(c1, c2)])[0]
+            kf = mk.cusp_kernel(3.0 + 0.2j, None, TWIST, [(c1, c2)])[0]
             assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-9
 
     def test_zero_mode_factor_is_entire(self):
@@ -400,9 +391,9 @@ class TestCuspKernel:
     def test_resolvent_pole_at_half(self):
         t_with_zero = TwistSpec.from_angles([(0.0, 1), (0.25, 1)])
         with pytest.raises(PoleError):
-            mk.cusp_kernel(0.5, t_with_zero, [(CylCoord(0.0, 1.0), CylCoord(0.5, 2.0))])[0]
+            mk.cusp_kernel(0.5, None, t_with_zero, [(CylCoord(0.0, 1.0), CylCoord(0.5, 2.0))])[0]
         # no theta = 0 class: regular at s = 1/2
-        v = mk.cusp_kernel(0.5, TWIST, [(CylCoord(0.0, 1.0), CylCoord(0.5, 2.0))])[0]
+        v = mk.cusp_kernel(0.5, None, TWIST, [(CylCoord(0.0, 1.0), CylCoord(0.5, 2.0))])[0]
         assert np.all(np.isfinite(v.view(float)))
 
 
@@ -525,7 +516,7 @@ class TestImagesAgainstReference:
                 # so the kernel is the raw class sum
                 c1, c2 = sample_pair(rng, -1.5, 1.5, ell)
                 z, w = cyl_to_plane(c1, ell), cyl_to_plane(c2, ell)
-                got = mk.cyl_kernel_images(s, ell, twist, z, w)
+                got = mk.cyl_kernel_images(s, ell, twist, [(c1, c2)])[0]
                 self.assert_close(
                     got, self.reference(s, ell, twist, z, w), self.reference(s, ell, twist, z, w, True)
                 )
@@ -537,7 +528,7 @@ class TestImagesAgainstReference:
                     s, ell, twist, z, w_refl, True
                 )
                 want = ref.funnel_kernel(s, ell, twist, c1, c2, REF_CFG)
-                self.assert_close(mk.funnel_kernel(s, ell, twist, c1, c2), want, magnitude)
+                self.assert_close(mk.funnel_kernel(s, ell, twist, [(c1, c2)])[0], want, magnitude)
 
     @pytest.mark.parametrize("s", [S_REF, 0.8 - 1.1j, 3.0 + 2.0j, 5.0 + 4.0j])
     def test_vanishing_class(self, s):
@@ -546,7 +537,7 @@ class TestImagesAgainstReference:
         # bound can reach, and must come out at rounding level
         z = cyl_to_plane(CylCoord(0.3, 1.0), ELL)
         w = cyl_to_plane(CylCoord(-0.5, 1.0 + math.pi), ELL)
-        quarter, half = mk.cyl_class_images(s, ELL, TWIST.angles, z, w)
+        quarter, half = mk.cyl_class_images(s, ELL, TWIST.angles, [(z, w)])[0]
         assert abs(half) <= 1e-15 * abs(quarter)
 
     @pytest.mark.parametrize(
@@ -560,7 +551,7 @@ class TestImagesAgainstReference:
         # |R| ~ 1e-5 of its images, where an absolute tail of 1e-10 left the
         # image route 3.7e-6 and 8.3e-7 off the Fourier route
         c1, c2 = CylCoord(*c1), CylCoord(*c2)
-        ki = mk.cyl_kernel_images(s, ELL, TWIST, cyl_to_plane(c1, ELL), cyl_to_plane(c2, ELL))
+        ki = mk.cyl_kernel_images(s, ELL, TWIST, [(c1, c2)])[0]
         kf = mk.cyl_kernel_fourier(s, ELL, TWIST, [(c1, c2)])[0]
         assert np.max(np.abs(ki - kf) / np.abs(ki)) <= 1e-10
 

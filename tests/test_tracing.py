@@ -3,7 +3,8 @@
 Its binners call abs() on the 2F1 argument z and on g_s's sigma, so both
 must stay scalars at the traced entries.  The mode functions send an
 array of r, as `modes` and `verify` pass it, to the 2F1 engine past the
-traced entry; a traced run of each command kind must still complete.
+traced entry, and the image routes an array of sigma to the g_s engine;
+a traced run of each command kind must still complete.
 """
 
 import json
@@ -48,8 +49,10 @@ def test_traced_commands_complete(tmp_path, capsys):
     for name in ("cyl_mode", "funnel_mode", "cusp_mode") + tracing.IMAGE_ROUTES + tracing.FOURIER_ROUTES:
         assert calls["model_kernels." + name] > 0, name
     assert sum(v for k, v in calls.items() if k.startswith("specfun.reg_hyp2f1.")) > 0
-    assert sum(v for k, v in calls.items() if k.startswith("free_resolvent.g_s.")) > 0
-    assert snap["counts"]["fourier.evals"] == 3
+    # the image routes take their near images through the array g_s engine,
+    # past the traced scalar entry
+    assert sum(v for k, v in calls.items() if k.startswith("free_resolvent.g_s.")) == 0
+    assert snap["counts"]["fourier.evals"] == snap["counts"]["images.evals"] == 3
 
 
 def test_traced_verify_completes(capsys):
