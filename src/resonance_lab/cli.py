@@ -33,6 +33,9 @@ from . import verify as vf
 from .errors import DomainError, NumericalError, ResonanceLabError
 from .geometry import CylCoord, _exp
 
+#: Most grid points of one `modes` call; 10,000 take 0.1-0.4 s.
+_MAX_GRID = 10_000
+
 _COMPLEX_RE = re.compile(
     r"^\s*(?P<re>[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
     r"(?:(?P<im>[+-]\d*(?:\.\d*)?(?:[eE][+-]?\d+)?)i)?\s*$"
@@ -206,8 +209,8 @@ def _cmd_modes(args) -> int:
     ell, t = _select_end(spec, args.end, args.index)
     s = parse_complex(args.s)
     n = args.n
-    if n < 2:
-        raise DomainError(f"--n must be at least 2, got {n}")
+    if not 2 <= n <= _MAX_GRID:
+        raise DomainError(f"--n must be from 2 to the grid cap {_MAX_GRID}, got {n}")
     rs = [args.r_min + (args.r_max - args.r_min) * i / (n - 1) for i in range(n)]
     if not all(map(math.isfinite, (args.kappa, args.r2, *rs))):
         raise DomainError("--kappa, --r2 and the grid from --r-min to --r-max must be finite")

@@ -10,8 +10,9 @@ quadratic transformation for c = 2b (DLMF 15.8(iii)) writes as
 with poles in s exactly at the non-positive integers.  The series' term
 ratio tends to u^2, so it ends within a few dozen terms away from the
 diagonal, and within about 260 at x = 1 + DIAG_DELTA.  `_g_s_rows` sums
-it for an array of x at one s, as the image routes take their near
-images; `g_s` is its one-element call.
+it for an array of x at one s, one row each in the series driver that the
+2F1 and I_nu share, as the image routes take their near images; `g_s` is
+its one-element call.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .errors import DiagonalError, NonConvergenceError, PoleError
+from .errors import DiagonalError, PoleError
 from .geometry import HPoint, sigma
 
 #: Kernels are never evaluated closer to the diagonal than this in sigma.
@@ -33,9 +34,6 @@ _LOG_TWO_SQRT_PI = math.log(2.0 * math.sqrt(math.pi))
 
 #: 2^27 + 1, Dekker's splitting factor for doubles.
 _SPLIT = 134217729.0
-
-#: Cells (rows x terms) of one block of the array series: 256 KB of complex.
-_CHUNK_CELLS = 1 << 14
 
 #: log Gamma(s + 1/2) - log Gamma(s) ~ (1/2) log s + sum_m _RATIO_COEFFS[m-1] s^(1-2m),
 #: the coefficients (2^(1-2m) - 2) B_2m / ((2m-1) 2m); 1e-16 off for |s| >= 8, Re s >= 0.
@@ -62,22 +60,20 @@ def _log_gamma_half_ratio(s: complex) -> complex:
 
 
 @functools.lru_cache(maxsize=64)
-def _series_start(s: complex) -> tuple[complex, int, float]:
-    """(log P, n0, t0): g_s(x) = P u^s sum_{n >= n0} t_n z^n with z = u^2, t_n0 = t0.
+def _series_start(s: complex) -> tuple[complex, int]:
+    """(log P, n0): g_s(x) = P u^s sum_{n >= n0} t_n, t_0 = 1, t_{n+1} = t_n (s+n)(n+1/2) z / ((c+n)(n+1)), z = u^2.
 
-    P = Gamma(s) / (2 sqrt(pi) Gamma(s + 1/2)), n0 = 0 and t0 = 1, unless
-    s + 1/2 = -m is in -N0.  Then the terms n <= m of F~ have a Gamma pole
-    in their denominator and vanish, the series starts at n0 = m + 1, and
-    Gamma(s) (s)_n0 = Gamma(1/2) leaves P = 1/2 and t0 = (1/2)_n0 / n0!.
-    |P| is about |s|^-1/2 away from the poles, far inside the double range.
+    P = Gamma(s) / (2 sqrt(pi) Gamma(s + 1/2)) and n0 = 0, unless s + 1/2 = -m
+    is in -N0.  Then the terms n <= m of F~ have a Gamma pole in their
+    denominator and vanish, the series starts at n0 = m + 1, and
+    Gamma(s) (s)_n0 = Gamma(1/2) leaves P = 1/2 and the ratios before n0
+    without (s+n)/(c+n): t_n0 = (1/2)_n0 z^n0 / n0!.  |P| is about |s|^-1/2
+    away from the poles, far inside the double range.
     """
     m = specfun._is_nonpositive_integer(s + 0.5)
     if m is None:
-        return _log_gamma_half_ratio(s) - _LOG_TWO_SQRT_PI, 0, 1.0
-    t0 = 1.0
-    for j in range(m + 1):
-        t0 *= (0.5 + j) / (j + 1)
-    return complex(-math.log(2.0)), m + 1, t0
+        return _log_gamma_half_ratio(s) - _LOG_TWO_SQRT_PI, 0
+    return complex(-math.log(2.0)), m + 1
 
 
 def _product_with_error(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,18 +94,17 @@ def _product_with_error(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
 def _g_s_rows(s: complex, x) -> np.ndarray:
     """g_s(x_j) for a 1-d array of x > 1 + DIAG_DELTA at one s not in -N0: the engine of `g_s`.
 
-    Row j sums the series in z_j = u_j^2, its terms t0 R_n z_j^n from one
-    shared cumulative product R_n of the ratios (s+n)(n+1/2)/((c+n)(n+1)),
-    in blocks of at most _CHUNK_CELLS rows x terms that continue R and each
-    row's sum as a term-by-term loop would: a row's value does not depend on
-    the other rows.  A row stops at its first term past n0 + 2 (and past
-    -Re s, beyond which the term ratio is at most z_j) whose geometric tail
-    bound |term| z_j / (1 - z_j) is at most 1e-16 of its sum.  s log u goes
-    to scaled_value as its rounded product, whose rounding error joins log P
-    in the mantissa: an exponent as large as |s log u| would otherwise cost
-    |s log u| ulps.  Past |s log u| = 2^53 that error goes into the exponent
-    instead, where e^error could leave the double range, so that a value
-    below the range is 0; only a value past it raises OverflowBudgetError.
+    Row j sums the series in z_j = u_j^2 of `_series_start` in
+    `specfun._series_rows`, whose rescaling by powers of two is exact: a
+    row's value does not depend on the other rows.  A row stops at its first
+    term past n0 + 2 (and past -Re s, beyond which the term ratio is at most
+    z_j) whose geometric tail bound |term| z_j / (1 - z_j) is at most 1e-16
+    of its sum.  s log u goes to scaled_value as its rounded product, whose
+    rounding error joins log P in the mantissa: an exponent as large as
+    |s log u| would otherwise cost |s log u| ulps.  Past |s log u| = 2^53
+    that error goes into the exponent instead, where e^error could leave the
+    double range, so that a value below the range is 0; only a value past it
+    raises OverflowBudgetError.
     """
     s = complex(s)
     x = np.asarray(x, dtype=float)
@@ -118,47 +113,31 @@ def _g_s_rows(s: complex, x) -> np.ndarray:
     inside = x > 1.0 + DIAG_DELTA
     if not inside.all():
         raise DiagonalError(f"sigma = {x[~inside][0]} within the diagonal guard 1 + {DIAG_DELTA}")
-    log_pref, n0, t0 = _series_start(s)
+    log_pref, n0 = _series_start(s)
     log_u = -2.0 * np.arcsinh(np.sqrt(x - 1.0))
     z = np.exp(2.0 * log_u)
-    tail = z / (1.0 - z)
     c = s + 0.5
     first_tail = max(n0 + 3, math.ceil(-s.real))
-    total = t0 * z**n0 + 0j
-    out = np.empty(x.size, dtype=complex)
-    live, lead, n = np.arange(x.size), complex(t0), n0
     top = float(z.max(initial=0.0))
-    geometric = 37.0 / -math.log(top) if top > 0.0 else 0.0
-    width = max(1, min(max(first_tail - n0, math.ceil(geometric)), _CHUNK_CELLS // max(x.size, 1)))
-    while live.size:
-        if n >= specfun._SERIES_CAP:
-            raise NonConvergenceError(f"g_s series did not converge within {n} terms (sigma = {x[live[0]]})")
-        k = np.arange(n, min(n + width, specfun._SERIES_CAP), dtype=float)
-        # t0 R_{k+1}, continuing t0 R_n product by product
-        coef = (s + k) * (k + 0.5) / ((c + k) * (k + 1.0))
-        coef[0] *= lead
-        coef = coef.cumprod()
-        terms = coef * z[live, None] ** (k + 1.0)
-        mags = np.abs(terms)
-        terms[:, 0] += total
-        sums = terms.cumsum(axis=1)
-        stop = mags * tail[live, None] <= 1e-16 * np.abs(sums)
-        stop[:, : max(first_tail - n - 1, 0)] = False  # the tail rule starts at term first_tail
-        hit = stop.any(axis=1)
-        if hit.all():
-            out[live] = sums[np.arange(live.size), stop.argmax(axis=1)]
-            break
-        out[live[hit]] = sums[hit, stop[hit].argmax(axis=1)]
-        live, total, lead, n = live[~hit], sums[~hit, -1], coef[-1], n + k.size
-        width = max(1, min(2 * width, _CHUNK_CELLS // live.size))
+    width = max(first_tail, n0 + math.ceil(37.0 / -math.log(top) if top > 0.0 else 0.0))
+
+    def ratio(live, k):
+        # term n+1 = term n (s+n)(n+1/2) z / ((c+n)(n+1)), with s+n for c+n before n0
+        den = c + k if k[0] >= n0 else s + k
+        return ((s + k) * (k + 0.5) / (den * (k + 1.0))) * z[live, None]
+
+    mant, twos = specfun._series_rows(ratio, x.size, z / (1.0 - z), first_tail, width, n0)
     prod, err = _product_with_error(np.array([[s.real], [s.imag]]), log_u)
+    if n0:  # a series of about z^n0: the powers of two past what a double holds go to the exponent
+        rest = twos - np.clip(twos, -960, 960)
+        twos, prod[0] = twos - rest, prod[0] + rest * math.log(2.0)
     # past |s log u| = 2^53, e^err may leave the double range: the error
     # joins the exponent, whose range scaled_value checks, and rounds away
     # there (re + err rounds to re)
     err[0, np.abs(err[0]) > 1.0] = 0.0
     exponent = np.empty(x.size, dtype=complex)
     exponent.real, exponent.imag = prod  # from its parts: an infinite part makes no NaN
-    return specfun.scaled_value(out * np.exp(log_pref + (err[0] + 1j * err[1])), exponent, "g_s")
+    return specfun.scaled_value(mant * np.ldexp(1.0, twos) * np.exp(log_pref + (err[0] + 1j * err[1])), exponent, "g_s")
 
 
 def g_s(s: complex, x: float) -> complex:

@@ -21,13 +21,14 @@ are geometrically negligible; cusp images decay only like |k|^(-2 Re s),
 so its far sums are twisted lattice sums S_xi, whose tails past a direct
 window `_sxi_tails` evaluates for every angle.  Fourier modes (`_mode_sum`)
 stop on a geometric tail estimate, times 10, below FOURIER_TAIL_TOL times
-the largest term so far.
+the largest term of the sum's first table or of the side so far.
 
 A Fourier route takes point pairs at one s and returns a (pairs, classes)
-array: `_mode_sum` advances every (pair, class) sum together, a block of k
-per round (8, or 2 high in the cusp, then doubling), with the stopping rule
-applied value by value, so that each sum stops where a mode-by-mode sum
-would.  Each distinct (r, r', |kappa|) is evaluated once.  Mode profiles
+array: `_mode_sum` advances the sides k > 0 and k < 0 of every (pair,
+class) sum together, as independent rows, a block of k per round (8, or 2
+high in the cusp, then doubling), with the stopping rule applied value by
+value, so that each side stops where a mode-by-mode sum would.  Each
+distinct (r, r', |kappa|) is evaluated once.  Mode profiles
 for the hyperbolic cylinder / funnel are built from the regularized
 hypergeometric function, cusp modes from modified Bessel functions of the
 shared order s - 1/2, one array call each; `cyl_mode`, `funnel_mode`,
@@ -387,10 +388,10 @@ def cyl_mode(s: complex, kappa, r, r2, ell: float):
 def _scan(values: np.ndarray, count, prev, scale: np.ndarray, size):
     """The stopping rule over one block of terms per row, the first count of each row valid.
 
-    prev is a row's last magnitude before it (NaN at the start of a side),
-    scale its largest so far.  Returns whether the row stops, its partial
-    sum, largest and last magnitude up to the stop (or the block's end), and
-    its next block: twice size, cut short where the last ratio says so.
+    prev is a row's last magnitude before it (NaN at its start), scale its
+    largest so far.  Returns whether the row stops, its partial sum, largest
+    and last magnitude up to the stop (or the block's end), and its next
+    block: twice size, cut short where the last ratio says so.
     """
     mags = np.abs(values)
     before = np.empty_like(mags)
@@ -400,8 +401,7 @@ def _scan(values: np.ndarray, count, prev, scale: np.ndarray, size):
     # a tail only where 0 < |term| < |term before|, at a ratio below 0.995
     stop = (ratio > 0.0) & (ratio < 0.995) & (10.0 * (mags * ratio / (1.0 - ratio)) < FOURIER_TAIL_TOL * scales)
     stop |= mags + before == 0.0
-    if isinstance(count, np.ndarray):  # else the whole block is valid
-        stop &= np.arange(values.shape[1]) < count[:, None]
+    stop &= np.arange(values.shape[1]) < count[:, None]
     hit = np.logical_or.reduce(stop, axis=1)
     last = np.where(hit, stop.argmax(axis=1), count - 1)
     rows = np.arange(values.shape[0])
@@ -414,46 +414,36 @@ def _scan(values: np.ndarray, count, prev, scale: np.ndarray, size):
     return hit, part, scale, prev, np.where(cut, np.maximum(1.0, np.ceil(ahead)), 2 * size).astype(int)
 
 
-def _mode_sum(terms, total: np.ndarray, first_block: int) -> np.ndarray:
-    """Sum terms(i, k) over k in Z for every sum i at once, adaptively; total holds the k = 0 terms.
+def _mode_sum(terms, scale: np.ndarray, first_block: int) -> np.ndarray:
+    """Sum terms(i, k) over k = 1, 2, ... for every row i at once, adaptively, from its largest magnitude scale.
 
-    terms takes the indices i of some sums and a 2-d array of k != 0, one
-    row per sum.  Every sum adds k = 1, 2, ... and then k = -1, -2, ..., in
-    blocks, the first of first_block modes.  It stops a side at the first
-    value whose tail, estimated geometrically from the last magnitude ratio
-    with a safety factor of 10 (the ratio still creeps toward its asymptote
-    when r and r' are close), is below FOURIER_TAIL_TOL of the largest term
-    so far, or at the second of two consecutive zeros.  A sum whose side +1
-    stops takes its first block of side -1 in the same round.  A side that
-    passes _MAX_FOURIER_MODES raises TruncationError.
+    terms takes the indices i of some rows and a 2-d array of k >= 1, one
+    row each.  Every row adds its terms in blocks, the first of first_block
+    modes, and stops at the first value whose tail, estimated geometrically
+    from the last magnitude ratio with a safety factor of 10 (the ratio
+    still creeps toward its asymptote when r and r' are close), is below
+    FOURIER_TAIL_TOL of the largest term so far, or at the second of two
+    consecutive zeros.  A row that passes _MAX_FOURIER_MODES raises
+    TruncationError.
     """
-    out = total.copy()
-    # the open sums, compacted as they end: index, side, next |k|, block
-    # size, last magnitude, largest magnitude so far, and partial sum
-    ids = np.arange(out.size)
-    side, lo, size = np.ones(out.size, dtype=int), np.ones(out.size, dtype=int), np.full(out.size, first_block)
-    prev, scale, acc = np.full(out.size, math.nan), np.abs(out), out.copy()
+    out = np.empty(scale.size, dtype=complex)
+    # the open rows, compacted as they end: index, next k, block size, last
+    # magnitude, largest magnitude so far, and partial sum
+    ids, lo, size = np.arange(out.size), np.ones(out.size, dtype=int), np.full(out.size, first_block)
+    prev, acc = np.full(out.size, math.nan), np.zeros(out.size, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         while ids.size:
             count = np.minimum(size, _MAX_FOURIER_MODES + 1 - lo)
             if count.min() < 1:
                 raise TruncationError(f"Fourier synthesis needs more than {_MAX_FOURIER_MODES} modes")
-            # one row per sum, padded with its last mode, which the scan leaves out
+            # one row per side, padded with its last mode, which the scan leaves out
             k = np.minimum(np.add.outer(lo, np.arange(count.max())), (lo + count - 1)[:, None])
-            hit, part, scale, prev, size = _scan(terms(ids, k * side[:, None]), count, prev, scale, size)
+            hit, part, scale, prev, size = _scan(terms(ids, k), count, prev, scale, size)
             acc += part
             lo += count
-            turn = (hit & (side > 0)).nonzero()[0]
-            if turn.size:  # side +1 is done: side -1 starts, with the scale so far
-                k = -np.arange(1, first_block + 1)[None, :].repeat(turn.size, axis=0)
-                hit[turn], part, scale[turn], prev[turn], size[turn] = _scan(
-                    terms(ids[turn], k), first_block, math.nan, scale[turn], first_block
-                )
-                acc[turn] += part
-                side[turn], lo[turn] = -1, 1 + first_block
             if hit.any():
                 out[ids[hit]] = acc[hit]
-                ids, side, lo, size, prev, scale, acc = (v[~hit] for v in (ids, side, lo, size, prev, scale, acc))
+                ids, lo, size, prev, scale, acc = (v[~hit] for v in (ids, lo, size, prev, scale, acc))
     return out
 
 
@@ -463,10 +453,11 @@ def _fourier_kernel(t: TwistSpec, pairs, profile, ell: float, first_block: int =
     kappa = k + theta_j; 2pi windings of the angles enter through the twist
     phase.  coords lists (radial_p, phase_p), by default ((r, r'), phi - phi');
     profile(kappa, r, r2) takes an array of |kappa| and r, r2 (scalars where
-    all rows share them), once per distinct (radial_p, |kappa|).  Every sum
-    takes k = 0 and its first block on each side: one call evaluates those
-    of every sum, a table that later rounds read.  Returns a (len(pairs),
-    classes) array.
+    all rows share them), once per distinct (radial_p, |kappa|).  The modes
+    k = -first_block..first_block of every sum are one call, a table that
+    later rounds read; the sides k > 0 and k < 0 of each sum are two rows of
+    one `_mode_sum`, each from the largest magnitude of the sum's table.
+    Returns a (len(pairs), classes) array.
     """
     if not t.is_unitary:
         raise DomainError("Fourier synthesis requires a unitary twist")
@@ -478,11 +469,9 @@ def _fourier_kernel(t: TwistSpec, pairs, profile, ell: float, first_block: int =
     radii, thetas = np.array(list(groups), dtype=float).reshape(-1, 2), np.array([c.theta for c in t.angles])
     grp, theta = group.repeat(thetas.size), thetas[None, :].repeat(len(pairs), axis=0).ravel()
     iphase = 1j * np.array([phase for _, phase in coords], dtype=float).repeat(thetas.size)
-    known, first = {}, None
+    known = {}
 
-    def terms(i: np.ndarray, k: np.ndarray) -> np.ndarray:
-        if first is not None and max(-k.min(), k.max()) <= first_block:
-            return first[i[:, None], k + first_block]
+    def modes(i: np.ndarray, k: np.ndarray) -> np.ndarray:
         kappa = k + theta[i, None]
         keys = list(zip(grp[i].repeat(k.shape[1]).tolist(), np.abs(kappa).ravel().tolist()))
         new = list(dict.fromkeys(key for key in keys if key not in known))
@@ -494,12 +483,19 @@ def _fourier_kernel(t: TwistSpec, pairs, profile, ell: float, first_block: int =
             known.update(zip(new, profile(sizes, r, r2).tolist()))
         return np.exp(kappa * iphase[i, None]) * np.array([known[key] for key in keys]).reshape(k.shape)
 
-    if not grp.size:
+    def terms(i: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # row i is the side k > 0 of sum i, row n + i its side k < 0
+        i, k = i % n, np.where(i < n, 1, -1)[:, None] * k
+        return first[i[:, None], k + first_block] if np.abs(k).max() <= first_block else modes(i, k)
+
+    n = grp.size
+    if not n:
         return np.zeros((len(pairs), thetas.size), dtype=complex)
-    first = terms(np.arange(grp.size), np.arange(-first_block, first_block + 1)[None, :].repeat(grp.size, axis=0))
+    first = modes(np.arange(n), np.arange(-first_block, first_block + 1)[None, :].repeat(n, axis=0))
+    sides = _mode_sum(terms, np.tile(np.abs(first).max(axis=1), 2), first_block)
     words = np.array([[c1.winding - c2.winding] for c1, c2 in pairs])
     lam = np.array([cls.eigenvalue for cls in t.angles])
-    return lam**words * (_mode_sum(terms, first[:, first_block], first_block).reshape(words.size, -1) / ell)
+    return lam**words * ((first[:, first_block] + sides[:n] + sides[n:]).reshape(words.size, -1) / ell)
 
 
 def cyl_kernel_fourier(s: complex, ell: float, t: TwistSpec, pairs) -> np.ndarray:

@@ -5,12 +5,15 @@ hypergeometric function (well-defined for every third parameter, including
 non-positive integers), and modified Bessel functions I_nu, K_nu of complex
 order and positive real argument.
 
-log_gamma and the 2F1 take arrays: `reg_hyp2f1_scaled` is one numpy engine
-that sums a block of series, one row per (a_j, b_j, z_j) with c shared, in
-column chunks, each row stopped on its own tail rule.  z is a scalar shared
-by every row or one value per row; a shared z takes the cheaper arithmetic
-of a scalar factor.  `_bessel_i_rows` and `_bessel_k_rows` take an array of
-x at one order; `bessel_i` and `bessel_k` are their one-element calls.
+log_gamma and the 2F1 take arrays.  Every series (the 2F1, I_nu and
+`free_resolvent`'s g_s) is summed by one numpy driver, `_series_rows`: a
+block of independent rows in column chunks, each stopped on its own tail
+rule and rescaled between chunks by exact powers of two, under one chunk
+bound, one overflow retry and one term cap.  `reg_hyp2f1_scaled` takes one
+row per (a_j, b_j, z_j) with c shared; z is a scalar shared by every row
+(the cheaper arithmetic of a scalar factor) or one value per row.
+`_bessel_i_rows` and `_bessel_k_rows` take an array of x at one order;
+`bessel_i` and `bessel_k` are their one-element calls.
 
 Accuracy envelope (documented, tested):
   * log_gamma: ~1e-13 relative on |z| <= 50 away from the poles -N0.  Its
@@ -20,7 +23,8 @@ Accuracy envelope (documented, tested):
     as a term-by-term loop: rounding that grows with the number of terms,
     about 5e-16 / (1 - |z|), plus an ulp of the exponent log|F| (1e-12 at
     log|F| ~ 6000); a row stops once its geometric tail bound is below
-    1e-16 of its sum; a row whose terms still grow at 100,000 terms raises.
+    1e-16 of its sum; a row whose terms still grow at 100,000 terms raises
+    at once, and every series raises past _SERIES_CAP = 100,000 terms.
   * bessel_i: ~2e-13 relative for |Re nu| <= 30, |Im nu| <= 10 and
     0 < x <= OVERFLOW_BUDGET_X, and for Re nu up to 200 (measured against
     mpmath); the limit is the ~1e-15 absolute error of log_gamma.
@@ -86,11 +90,11 @@ _SERIES_CAP = 100_000
 #: Most steps of log_gamma's recurrence; an array of 10,000 takes about 60 ms.
 _MAX_SHIFTS = 10_000
 
-#: Columns of the first chunk of the 2F1 series, at least; later chunks
-#: double.  No chunk holds more than _CHUNK_CELLS rows x columns, which
-#: bounds both, and keeps every array of a chunk at 64 KB or less.
+#: Columns of the first chunk of the 2F1 series, at least.  No chunk of a
+#: series holds more than _CHUNK_CELLS rows x columns, which keeps every
+#: array of a chunk (and each group of K quadrature nodes) at 128 KB or less.
 _FIRST_CHUNK = 64
-_CHUNK_CELLS = 1 << 12
+_CHUNK_CELLS = 1 << 13
 
 #: A chunk whose terms reach this magnitude is taken again, narrower.
 _BIG = 1e290
@@ -204,27 +208,85 @@ def reg_hyp2f1_scaled(a, b, c: complex, z):
     return _hyp2f1_rows(a, b, c, z)
 
 
+def _series_rows(ratio, size: int, tail, start: int, width: int, n0: int = 0):
+    """sum_{n >= n0} t_n for each of size rows j, as (m, twos) with the sum m_j 2^twos_j: the engine of every series.
+
+    t_0 = 1 and t_{n+1} = t_n ratio(rows, n)[j], for an index array rows of
+    the open rows (a slice while all are) and a float array n, one column
+    each.  Chunks of columns, the first width wide, then doubling, at most
+    _CHUNK_CELLS cells, take cumulative products and sums that continue each
+    row as a term-by-term loop would, and between chunks rescale a row's
+    last term and sum by one power of two, exactly, into twos_j (0 while no
+    row has one); a chunk whose terms reach _BIG is taken again a quarter as
+    wide.  The terms n < n0 are products only, each ratio's power of two set
+    apart into twos_j, in chunks that end at n0.  A row stops at its first
+    term n >= start with |t_n| tail_j <= 1e-16 |sum| (tail a scalar or per
+    row), which a zero term meets; one still open at _SERIES_CAP terms raises
+    NonConvergenceError.  Floating-point warnings are the caller's to set.
+    """
+    per_row = isinstance(tail, np.ndarray)
+    tail = 1e16 * (tail.reshape(-1, 1) if per_row else tail)
+    total = 1.0 if n0 == 0 else 0.0
+    out, live, twos, n, width = None, slice(None), 0, 0, max(1, min(width, _CHUNK_CELLS // max(size, 1)))
+    while True:
+        if n >= _SERIES_CAP:
+            raise NonConvergenceError(f"series did not converge within {_SERIES_CAP} terms")
+        k = np.arange(n, min(n + width, n0 if n < n0 else _SERIES_CAP), dtype=float)
+        terms = ratio(live, k)
+        if n < n0:  # |ratio| in [1, 2), times 2^two
+            two = np.frexp(np.abs(terms))[1] - 1
+            terms /= np.ldexp(1.0, two)
+        if n:
+            terms[:, 0] *= term
+        terms = terms.cumprod(axis=1)  # t_{n+1} .. t_{n+width}
+        mags = np.abs(terms)
+        if not mags.max(initial=0.0) < _BIG:
+            if width == 1:
+                raise OverflowBudgetError("series term ratio overflows a double")
+            width = max(1, width // 4)
+            continue
+        if n < n0:
+            twos = twos + two.sum(axis=1)
+        term = terms[:, -1].copy()
+        if n0 > n + 1:
+            terms[:, : n0 - n - 1] = 0.0
+        terms[:, 0] += total
+        sums = terms.cumsum(axis=1)
+        stop = mags * tail <= np.abs(sums)
+        if start > n + 1:
+            stop[:, : start - n - 1] = False
+        n += k.size
+        hit = stop.any(axis=1)
+        value = sums[np.arange(hit.size), stop.argmax(axis=1)]
+        if out is None:  # the first chunk: every row was open
+            if hit.all():
+                return value, twos
+            out, twos, live = value, twos + np.zeros(size, dtype=int), np.arange(size)
+        else:
+            out[live[hit]] = value[hit]
+            if hit.all():
+                return out, twos
+        live, term, total = live[~hit], term[~hit], sums[~hit, -1]
+        tail = tail[~hit] if per_row else tail
+        two = np.frexp(np.maximum(np.abs(term), np.abs(total)))[1]
+        term, total, twos[live] = term / np.ldexp(1.0, two), total / np.ldexp(1.0, two), twos[live] + two
+        width = max(1, min(2 * width, _CHUNK_CELLS // live.size))
+
+
 def _hyp2f1_rows(a, b, c: complex, z):
     """The 2F1 engine of `reg_hyp2f1_scaled`: F~(a_j, b_j; c; z_j) = m_j e^{E_j} per row j.
 
-    The series sum_n (a)_n (b)_n / Gamma(c+n) z^n / n! is summed in
-    chunks of columns, each by a cumulative product of the term ratios and
-    a cumulative sum.  The first chunk is as long as the largest |z_j|^n
-    takes to fall by 1e-16, at least _FIRST_CHUNK columns; each later one
-    doubles, and no chunk holds more than _CHUNK_CELLS rows x columns.
-    Between chunks each row is renormalised into its exponent E, which
-    also carries -log Gamma(c), so that large parameters (for which the
-    value itself overflows a double) are exact up to E.  A chunk whose
-    terms would overflow is taken again a quarter as wide.  A row stops at
-    the first term n > n0 + 2 whose geometric tail bound
-    |term| |z_j| / (1 - |z_j|) is at most 1e-16 of its sum, or that is 0,
-    and leaves the chunks.  For c in -N0 the terms with a Gamma pole
-    vanish and the series starts at n0 = 1 - c, from each row's z_j.
-    First, a row whose term ratio is still at least 1 at N = _SERIES_CAP - 1
-    raises NonConvergenceError (unless a or b in -N0 ends the series).
-
-    A z shared by every row stays a Python complex, a scalar factor of
-    every row; z per row is a column of the block.
+    The series sum_n (a)_n (b)_n / Gamma(c+n) z^n / n! in `_series_rows`,
+    with the tail factor |z_j| / (1 - |z_j|) from term n0 + 3 on, from a
+    first chunk as long as the largest |z_j|^n takes to fall by 1e-16 (at
+    least _FIRST_CHUNK columns).  |m| is in [1/2, 1) and E carries the rest
+    with -log Gamma(c), so that large parameters (for which the value itself
+    overflows a double) are exact up to E.  For c in -N0 the terms with a
+    Gamma pole vanish and the series starts at n0 = 1 - c, after n0 ratios
+    without their 1 / (c + n): Gamma(c + n0) = 1.  First, a row whose term
+    ratio is still at least 1 at N = _SERIES_CAP - 1 raises
+    NonConvergenceError (unless a or b in -N0 ends the series).  A z shared
+    by every row stays a Python complex; z per row is a column of the block.
     """
     per_row = getattr(z, "ndim", 0) > 0
     scalar = not (getattr(a, "ndim", 0) or getattr(b, "ndim", 0) or per_row)
@@ -243,83 +305,26 @@ def _hyp2f1_rows(a, b, c: complex, z):
     if top > 1.0 - GUARD_DELTA:
         raise DomainError(f"|z| = {top} exceeds the series guard {1.0 - GUARD_DELTA}")
 
-    rows = a.shape[0]
+    m = _is_nonpositive_integer(c)
+    n0, lg = (0, log_gamma(c)) if m is None else (m + 1, 0j)
+
+    def ratio(live, k):
+        # term n+1 = term n (a+n)(b+n) z / ((c+n)(n+1)), without c+n before n0
+        den = c + k if k[0] >= n0 else 1.0
+        return (a[live] + k) * (b[live] + k) * ((z[live] if per_row else z) / (den * (k + 1.0)))
+
     # terms still growing at the cap (rows one by one only where a bound over all fails)
     big_n, cap_ratio = _SERIES_CAP - 1.0, abs((c + _SERIES_CAP - 1.0) * _SERIES_CAP)
-    with np.errstate(over="ignore", invalid="ignore"):
+    width = n0 + max(_FIRST_CHUNK, math.ceil(37.0 / -math.log(top) if 0.0 < top < 1.0 else 0.0))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if (np.abs(a).max(initial=0.0) + big_n) * (np.abs(b).max(initial=0.0) + big_n) * top >= cap_ratio:
             ends = [(p.imag == 0.0) & (p.real <= 0.0) & (p.real == np.round(p.real)) for p in (a, b)]
             if (np.abs((a + big_n) * (b + big_n) * z) >= cap_ratio)[~(ends[0] | ends[1])].any():
                 raise NonConvergenceError(f"hypergeometric series did not converge within {_SERIES_CAP} terms")
-    m = _is_nonpositive_integer(c)
-    if m is not None:
-        # Gamma(c+n) is singular for n <= m, so those terms vanish; start
-        # at n = m+1 where Gamma(c+n) = Gamma(n-m) = 1, as the product of
-        # the ratios (a+j)(b+j) z / (j+1), kept in [1/2, 1) by exact powers of 2
-        n0 = m + 1
-        term = np.ones(rows, dtype=complex)
-        twos = np.zeros(rows, dtype=int)
-        zs = z[:, 0] if per_row else z
-        for j in range(min(n0, _SERIES_CAP)):
-            term = term * ((a[:, 0] + j) * (b[:, 0] + j) * (zs / (j + 1.0)))
-            k = np.frexp(np.abs(term))[1]
-            term = np.ldexp(term.real, -k) + 1j * np.ldexp(term.imag, -k)
-            twos += k
-        exponent = twos * math.log(2.0)
-    else:
-        n0 = 0
-        lg = log_gamma(c)
-        term = np.full(rows, cmath.exp(complex(0.0, -lg.imag)))
-        exponent = np.full(rows, -lg.real)
-
-    mant = np.empty(rows, dtype=complex)
-    live = np.arange(rows)
-    total = term
-    tail_factor = az / (1.0 - az)  # one per row, a column, for z per row
-    geometric = 37.0 / -math.log(top) if 0.0 < top < 1.0 else 0.0
-    width = max(1, min(max(_FIRST_CHUNK, math.ceil(geometric)), _CHUNK_CELLS // max(rows, 1)))
-    n = n0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while live.size:
-            if n >= _SERIES_CAP:
-                raise NonConvergenceError(
-                    f"hypergeometric series did not converge within {_SERIES_CAP} terms (|z| = {top})"
-                )
-            k = np.arange(n, min(n + width, _SERIES_CAP), dtype=float)
-            # term n+1 = term n * (a+n)(b+n) z / ((c+n)(n+1))
-            terms = np.cumprod((a + k) * (b + k) * (z / ((c + k) * (k + 1.0))), axis=1)
-            terms *= term[:, None]
-            mags = np.abs(terms)
-            if not mags.max() < _BIG:
-                if width == 1:
-                    raise OverflowBudgetError("hypergeometric term ratio overflows a double")
-                width = max(1, width // 4)
-                continue
-            term = terms[:, -1].copy()
-            terms[:, 0] += total
-            sums = np.cumsum(terms, axis=1)
-            # |term| |z| / (1 - |z|) <= 1e-16 |sum|, which a zero term also meets
-            stop = mags * tail_factor <= 1e-16 * np.maximum(np.abs(sums), 1e-300)
-            if n < n0 + 2:
-                stop[:, : n0 + 2 - n] = False  # the tail rule starts at term n0 + 3
-            n += k.size
-            hit = stop.any(axis=1)
-            if hit.all():
-                mant[live] = sums[np.arange(live.size), stop.argmax(axis=1)]
-                break
-            total = sums[:, -1]
-            if hit.any():
-                mant[live[hit]] = sums[hit, stop[hit].argmax(axis=1)]
-                keep = ~hit
-                live, a, b, term, total = live[keep], a[keep], b[keep], term[keep], total[keep]
-                if per_row:
-                    z, tail_factor = z[keep], tail_factor[keep]
-            scale = np.maximum(np.abs(term), np.abs(total))
-            scale[scale == 0.0] = 1.0
-            term /= scale
-            total = total / scale
-            exponent[live] += np.log(scale)
-            width = max(1, min(2 * width, _CHUNK_CELLS // live.size))
+        mant, twos = _series_rows(ratio, a.shape[0], az / (1.0 - az), n0 + 3, width, n0)
+    two = np.frexp(np.abs(mant))[1]
+    mant = mant * (cmath.exp(complex(0.0, -lg.imag)) / np.ldexp(1.0, two))
+    exponent = two * math.log(2.0) + (twos * math.log(2.0) - lg.real)
     if scalar:
         return complex(mant[0]), float(exponent[0])
     return mant, exponent
@@ -353,34 +358,18 @@ def _i_series(nu: complex, x: np.ndarray, shift) -> np.ndarray:
     """e^shift_j I_nu(x_j) per row j, by the ascending series, its prefactor in one exponent.
 
     I_nu(x) = (x/2)^nu / Gamma(nu+1) sum_m t_m, t_{m+1} = t_m (x/2)^2 / ((m+1)(nu+m+1)),
-    t_0 = 1, with the prefactor and shift in one exponent.  The terms are
-    cumulative products in chunks of at most _CHUNK_CELLS cells, each
-    continuing a row's last term and sum as a term-by-term loop would; a row
-    stops at the first m > 2 with |t_m| <= 1e-17 |sum|.  I_{-n} = I_n.
+    t_0 = 1, through `_series_rows` from a first chunk past the terms' peak
+    near m = x/2; a row stops at the first m > 2 with |t_m| <= 1e-17 |sum|
+    (a tail factor of 10).  I_{-n} = I_n.
     """
     n = _is_nonpositive_integer(nu)
     if n:
         nu = complex(n)
     q = 0.25 * x * x
-    mant = np.ones(x.size, dtype=complex)
-    live = np.arange(x.size)
-    term = total = mant[live]
-    # the terms peak near m = x/2; rows leave as they stop, and chunks widen
-    m, width = 0, max(1, min(16 + int(x.max(initial=0.0)), _CHUNK_CELLS // max(x.size, 1)))
+    ratio = lambda live, k: q[live, None] / ((k + 1.0) * (nu + k + 1.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        while live.size and m < _SERIES_CAP:
-            k = np.arange(m, m + width, dtype=float)
-            terms = q[live, None] / ((k + 1.0) * (nu + k + 1.0))
-            terms[:, 0] *= term
-            terms = terms.cumprod(axis=1)
-            sums = np.concatenate([total[:, None], terms], axis=1).cumsum(axis=1)[:, 1:]
-            stop = (np.abs(terms) <= 1e-17 * np.abs(sums)) & (k > 1.0)
-            hit = stop.any(axis=1)
-            mant[live[hit]] = sums[hit, stop[hit].argmax(axis=1)]
-            live, term, total, m = live[~hit], terms[~hit, -1], sums[~hit, -1], m + width
-            width = max(1, min(2 * width, _CHUNK_CELLS // max(live.size, 1)))
-    mant[live] = total  # rows still open at _SERIES_CAP
-    return scaled_value(mant, nu * np.log(0.5 * x) - log_gamma(nu + 1.0) + shift, "I_nu")
+        mant, twos = _series_rows(ratio, x.size, 10.0, 3, 16 + int(x.max(initial=0.0)))
+    return scaled_value(mant * np.ldexp(1.0, twos), nu * np.log(0.5 * x) - log_gamma(nu + 1.0) + shift, "I_nu")
 
 
 def _k_quadrature(nu: complex, x: np.ndarray, shift: np.ndarray) -> np.ndarray:

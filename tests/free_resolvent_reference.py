@@ -52,7 +52,10 @@ def g_s_series(s: complex, x: float) -> complex:
         raise PoleError(f"spectral parameter s = {s} lies on the pole set")
     if not x > 1.0 + DIAG_DELTA:
         raise DiagonalError(f"sigma = {x} within the diagonal guard 1 + {DIAG_DELTA}")
-    log_pref, n0, t0 = _series_start(s)
+    log_pref, n0 = _series_start(s)
+    t0 = 1.0  # (1/2)_n0 / n0!, the first term's coefficient
+    for j in range(n0):
+        t0 *= (0.5 + j) / (j + 1)
     log_u = -2.0 * math.asinh(math.sqrt(x - 1.0))
     z = math.exp(2.0 * log_u)
     term = complex(t0 * z**n0)

@@ -8,8 +8,10 @@ domain.  Rows named `escape-*` once exited 1 with a traceback (a
 ZeroDivisionError for an infinite ell, an OverflowError in g_s at huge
 Re s) or wrote NaN or Infinity into the `count` JSON, and rows named
 `hang-*` did not return (log_gamma's recurrence summed about -Re s
-logarithms); they must return the one code given with them.  Every row
-returns within a second, and its stderr is under 200 characters.
+logarithms), and rows named `slow-*` took 1.4-4 s (a `modes` grid of
+100,000 points, evaluated in full); they must return the one code given
+with them.  Every row returns within a second, and its stderr is under 200
+characters.
 """
 
 import json
@@ -105,7 +107,11 @@ def _rows():
         ("modes-cylinder-profile-guard", _GOOD, _modes("cylinder", "2+0.3i", "4", "3", "5"), 2),
         ("modes-funnel-profile-guard", _GOOD, _modes("funnel", "2+0.3i", "5", "3", "5"), 2),
         ("modes-funnel-negative-r", _GOOD, _modes("funnel", "2+0.3i", "1", "-1", "2"), 2),
+        ("modes-n-past-the-cap", _GOOD, _modes("cylinder", "2+0.3i", "1", "0", "2")[:-1] + ["10001"], 2),
     ]
+    # grids far past the cap of 10,000 points exit 2 before the grid is built
+    for end in ("cylinder", "funnel", "cusp"):
+        rows.append((f"slow-modes-n-100000-{end}", _GOOD, _modes(end, "2+0.3i", "1", "0", "2")[:-1] + ["100000"], 2))
     # extreme radii, and coincident points
     for value in ("nan", "-1", "1e-300", "inf"):
         tiny = value == "1e-300"

@@ -65,6 +65,22 @@ def test_gs_below_the_double_range_is_zero(s):
         assert fr.g_s(s, x) == 0.0
 
 
+@pytest.mark.parametrize("s,x", [(-60.5, 1e2), (-40.5, 1e3), (-40.5, 1e6)])
+def test_pole_start_past_the_normal_range(s, x):
+    # s + 1/2 = -m far from the diagonal: the series alone, about z^(m+1),
+    # is below the normal range while g_s is not, and the powers of two that
+    # a double cannot hold go to the exponent (they were 1.2e-5 off and 0)
+    import mpmath as mp
+
+    with mp.workdps(40):
+        s_, x_, n0 = mp.mpf(s), mp.mpf(x), int(0.5 - s)
+        u = (mp.sqrt(x_) - mp.sqrt(x_ - 1)) ** 2
+        # F~(s, 1/2; s + 1/2; u^2) from its first term, n0 = m + 1 (DLMF 15.2.3)
+        f = mp.rf(s_, n0) * mp.rf(0.5, n0) / mp.factorial(n0) * u ** (2 * n0) * mp.hyp2f1(s_ + n0, n0 + 0.5, n0 + 1, u * u)
+        want = complex(mp.gamma(s_) / (2 * mp.sqrt(mp.pi)) * u**s_ * f)
+    assert abs(fr.g_s(s, x) - want) <= 1e-13 * abs(want)
+
+
 class TestGsGrid:
     """g_s against mpmath and against its former formula, on a grid that
     reaches the diagonal guard, Re s = 200 and s + 1/2 in -N0."""
@@ -93,7 +109,8 @@ class TestGsGrid:
         assert worst <= (1e-14 if abs(s) <= 20 else worst_slow)
 
     def test_without_the_2f1_engine(self, monkeypatch):
-        # g_s sums its own scalar series: the array 2F1 engine is not called
+        # g_s sums its series in u^2 in the series driver it shares with the
+        # 2F1, not through the 2F1 engine: reg_hyp2f1_scaled is not called
         points = [(s, x) for s in (0.15, 2 + 0.3j, 60 + 40j) for x in (1.0011, 1.5, 1e3)]
         want = [fr.g_s(s, x) for s, x in points]
 

@@ -611,6 +611,36 @@ class TestFourierAgainstReference:
             # both sides on one grid theta + j, each point once
             assert len(seen) == len(set(seen)) == max(seen) - min(seen) + 1
 
+    @pytest.mark.parametrize("route", ["cylinder", "funnel"])
+    @pytest.mark.parametrize("dr", [0.05, 0.2])
+    def test_largest_mode_below_zero(self, route, dr):
+        # theta = 3/4: |k + theta| is least at k = -1, so the largest mode of
+        # the first table lies on the side k < 0, from whose magnitude both
+        # sides of the sum start
+        fast, slow, r = self.ROUTES[route]
+        mode = mk.cyl_mode if route == "cylinder" else mk.funnel_mode
+        assert np.argmax(np.abs(mode(S_REF, np.arange(-8, 9) + 0.75, r, r + dr, ELL))) == 7
+        t = TwistSpec.from_angles([(0.75, 1), (0.25, 1)])
+        c1, c2 = CylCoord(r, 1.0), CylCoord(r + dr, 2.5)
+        got = fast(S_REF, ELL, t, [(c1, c2)])[0]
+        want = slow(S_REF, ELL, t, c1, c2)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (got, want)
+
+    def test_both_sides_in_each_round(self, monkeypatch):
+        # r and r' 0.05 apart: each round after the first table advances
+        # both sides of every sum in one profile call, two 2F1 engine calls:
+        # the table and three rounds
+        from resonance_lab import specfun
+
+        calls = []
+        engine = specfun._hyp2f1_rows
+        monkeypatch.setattr(specfun, "_hyp2f1_rows", lambda *a: calls.append(a) or engine(*a))
+        c1, c2 = CylCoord(0.3, 1.0), CylCoord(0.35, 2.5)
+        got = mk.cyl_kernel_fourier(S_REF, ELL, TWIST, [(c1, c2)])[0]
+        assert len(calls) <= 8
+        want = fref.cyl_kernel_fourier(S_REF, ELL, TWIST, c1, c2)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
     def test_first_blocks_in_one_call(self, monkeypatch):
         # r and r' 1.5 apart: every side of both classes ends inside its
         # first block, so one profile call evaluates every mode the sums take

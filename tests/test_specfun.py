@@ -316,6 +316,22 @@ class TestArrayEngine:
             sf.reg_hyp2f1_scaled(np.array([2.0, s + 1j]), np.array([2.0, s - 1j]), s + 0.5, 0.5)
         assert time.perf_counter() - t0 < 0.05
 
+    @pytest.mark.parametrize("engine", ["hyp2f1", "g_s", "bessel_i"])
+    def test_one_cap_for_every_series(self, monkeypatch, engine):
+        # every series runs in one driver: a row still open at _SERIES_CAP
+        # terms raises, and none returns its partial sum
+        from resonance_lab import free_resolvent as fr
+        from resonance_lab.errors import NonConvergenceError
+
+        calls = {
+            "hyp2f1": lambda: sf._hyp2f1_rows(np.array([2.0 + 1j]), np.array([2.0 - 1j]), 2.5, 0.9),
+            "g_s": lambda: fr._g_s_rows(self.S, np.array([1.01, 3.0])),
+            "bessel_i": lambda: sf._bessel_i_rows(1.5 + 0.3j, np.array([2.0, 300.0])),
+        }
+        monkeypatch.setattr(sf, "_SERIES_CAP", 20)
+        with pytest.raises(NonConvergenceError, match="20 terms"):
+            calls[engine]()
+
     def test_terminating_row_at_the_cap(self):
         # a = -5 ends the series after six terms, however large b z is
         import mpmath as mp
