@@ -13,6 +13,9 @@ or overflow).
 CSV writes each float as "%.17g"; JSON writes Python's shortest repr, which
 json.dumps also uses.  Both read back to the same double, and with fixed sort
 order identical configurations produce byte-identical artifacts.
+A listing is merged before --out is opened, so one that fails writes no
+file; its rows are then formatted and written in blocks, one join of
+literal and value pieces per block, each distinct value formatted once.
 """
 
 from __future__ import annotations
@@ -69,15 +72,16 @@ def _load_spec(path: str) -> rz.SurfaceSpec:
     return rz.SurfaceSpec.from_json_dict(data)
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(pieces, out_path: str | None) -> None:
+    """Write the text pieces in turn to out_path, or to stdout."""
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise DomainError(f"cannot write {out_path}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _select_end(spec: rz.SurfaceSpec, end: str, index: int):
@@ -90,49 +94,90 @@ def _select_end(spec: rz.SurfaceSpec, end: str, index: int):
     return pool[index]
 
 
-#: One JSON listing row as json.dumps(indent=2, sort_keys=True) lays it out:
-#: im, mult, re.  Its encoder is pure Python once indent is set.
-_JSON_ROW = '    {\n      "im": %s,\n      "mult": %d,\n      "re": %s\n    }'
+#: Rows per block of a streamed listing.
+_BLOCK_ROWS = 1 << 14
+
+#: The literals around a JSON listing row's values (im, mult, re) as
+#: json.dumps(indent=2, sort_keys=True) lays them out; every row after the
+#: first opens with the comma that closes the row before.
+_JSON_OPEN = '    {\n      "im": '
+_JSON_ROW = (",\n" + _JSON_OPEN, ',\n      "mult": ', ',\n      "re": ', "\n    }")
 
 
-def _listing_rows(rs: rz.ResonanceSet, conv: str, row: str, order: tuple, sep: str = "") -> str:
-    """The rows of a listing, joined by `sep`, with each coordinate as `conv % x`.
+def _column_text(x: np.ndarray, conv: str, runs: bool) -> np.ndarray:
+    """`conv % v` of every value of x, as an object array.
 
-    A lattice listing repeats its coordinates (43,008 rows may hold 449
-    distinct real parts), so each distinct value is formatted once and
-    gathered back by index.  Values are keyed by bit pattern, never by
-    float equality, which would merge -0.0 with 0.0.  `order` names the
-    columns that `row` takes, in turn: "re", "im" and "mult".
+    A lattice listing repeats its values (43,008 rows may hold 449 distinct
+    real parts), so each distinct value is formatted once: each run of
+    equal bit patterns of a sorted column, or else each distinct bit
+    pattern.  Bit patterns, not float equality, which would merge -0.0
+    with 0.0.
     """
-    cols = {"mult": rs.mult.tolist()}
-    for name in ("re", "im"):
-        keys, inverse = np.unique(getattr(rs, name).view(np.int64), return_inverse=True)
-        text = np.array([conv % x for x in keys.view(np.float64).tolist()], dtype=object)
-        cols[name] = text[inverse].tolist()
-    flat = [None] * (len(order) * len(rs))
-    for i, name in enumerate(order):
-        flat[i::len(order)] = cols[name]
-    return sep.join([row] * len(rs)) % tuple(flat)
+    bits = x.view(np.int64)
+    if runs:
+        new = np.empty(len(x), dtype=bool)
+        new[:1] = True
+        np.not_equal(bits[1:], bits[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        text = np.array([conv % v for v in x[starts].tolist()], dtype=object)
+        return np.repeat(text, np.diff(starts, append=len(x)))
+    keys, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([conv % v for v in keys.view(x.dtype).tolist()], dtype=object)
+    return text[inverse]
+
+
+def _listing_rows(rs: rz.ResonanceSet, conv: str, order: tuple, literals: tuple, first: str):
+    """The rows of a listing as text, in blocks of _BLOCK_ROWS rows.
+
+    A row is literals[0], order[0], literals[1], ... literals[-1], with the
+    columns of `order` ("re", "im", "mult") in turn, each coordinate as
+    `conv % x`; `first` replaces literals[0] in the first row.  A block is
+    one join of the interleaved pieces.
+    """
+    cols = {
+        "re": _column_text(rs.re, conv, runs=True),
+        "im": _column_text(rs.im, conv, runs=False),
+        "mult": _column_text(rs.mult, "%d", runs=False),
+    }
+    row = [None] * (len(literals) + len(order))
+    row[::2] = literals
+    for lo in range(0, len(rs), _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        pieces = row * min(_BLOCK_ROWS, len(rs) - lo)
+        for i, name in enumerate(order):
+            pieces[2 * i + 1::len(row)] = cols[name][block].tolist()
+        if lo == 0:
+            pieces[0] = first
+        yield "".join(pieces)
+
+
+def _listing_text(spec: rz.SurfaceSpec, radius: float, rs: rz.ResonanceSet, output: str):
+    """The CSV or JSON text of a listing, as a stream of pieces."""
+    if output == "csv":
+        yield "re,im,mult\n"
+        yield from _listing_rows(rs, "%.17g", ("re", "im", "mult"), ("", ",", ",", "\n"), "")
+        return
+    doc = {
+        "spec": spec.to_json_dict(),
+        "radius": radius,
+        "total_multiplicity": rs.total_multiplicity(),
+        "resonances": [],
+    }
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if not len(rs):
+        yield text
+        return
+    head, tail = text.split('"resonances": []', 1)
+    yield head + '"resonances": [\n'
+    yield from _listing_rows(rs, "%r", ("im", "mult", "re"), _JSON_ROW, _JSON_OPEN)
+    yield "\n  ]" + tail
 
 
 def _cmd_resonances(args) -> int:
     spec = _load_spec(args.spec)
+    # merged before --out is opened: a listing that fails leaves no file
     rs = rz.surface_resonances(spec, args.radius)
-    if args.output == "csv":
-        rows = _listing_rows(rs, "%.17g", "%s,%s,%d\n", ("re", "im", "mult"))
-        _emit("re,im,mult\n" + rows, args.out)
-    else:
-        doc = {
-            "spec": spec.to_json_dict(),
-            "radius": args.radius,
-            "total_multiplicity": rs.total_multiplicity(),
-            "resonances": [],
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True)
-        if len(rs):
-            items = _listing_rows(rs, "%r", _JSON_ROW, ("im", "mult", "re"), ",\n")
-            text = text.replace('"resonances": []', f'"resonances": [\n{items}\n  ]', 1)
-        _emit(text + "\n", args.out)
+    _emit(_listing_text(spec, args.radius, rs, args.output), args.out)
     return 0
 
 
@@ -148,7 +193,7 @@ def _cmd_count(args) -> int:
     if args.output == "csv":
         lines = ["r,N"]
         lines += [f"{_fmt(r)},{n}" for r, n in table]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
         if fit:
             sys.stderr.write(
                 f"growth_fit coefficient={_fmt(fit['coefficient'])} "
@@ -160,7 +205,7 @@ def _cmd_count(args) -> int:
             "table": [{"r": r, "N": n} for r, n in table],
             "growth_fit": fit,
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit([json.dumps(doc, indent=2, sort_keys=True) + "\n"], args.out)
     return 0
 
 
@@ -182,7 +227,7 @@ def _cmd_kernel(args) -> int:
                 lines.append(
                     f"{method},{_fmt(cls.theta)},{cls.mult},{_fmt(v.real)},{_fmt(v.imag)}"
                 )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     else:
         doc = {
             "end": args.end,
@@ -200,7 +245,7 @@ def _cmd_kernel(args) -> int:
             doc["max_rel_diff"] = float(
                 np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300))
             )
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit([json.dumps(doc, indent=2, sort_keys=True) + "\n"], args.out)
     return 0
 
 
@@ -221,7 +266,7 @@ def _cmd_modes(args) -> int:
         values = mode(s, args.kappa, np.array(rs), args.r2, ell).tolist()
     lines = ["r,re,im"]
     lines += [f"{_fmt(r)},{_fmt(v.real)},{_fmt(v.imag)}" for r, v in zip(rs, values)]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 

@@ -7,10 +7,14 @@ Cylinder resonances form the lattice
 funnel resonances shift the real parts to the negative odd integers; a
 cusp contributes the single point 1/2 with the multiplicity of the
 eigenvalue 1.  Listings enumerate the lattice points and merge coinciding
-ones with their multiplicities; for rational angles the merge keys are
-exact integers.  `census` does not enumerate: N(r) is additive in
-multiplicities, so it counts the integers of one open interval per real
-part, in O(r) work per radius, and merges nothing.
+ones with their multiplicities.  Each end enumerates its points in runs
+sorted by (Re, Im), one run per class and sign, and merges them with one
+stable sort on one complex key: exact integers packed into two doubles
+for rational angles, the points rounded to COLLISION_TOL otherwise.  The
+union of the merged ends is again a merge of sorted runs.  `census` does
+not enumerate: N(r) is additive in multiplicities, so it counts the
+integers of one open interval per real part, in O(r) work per radius,
+and merges nothing.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ _MAX_DENOM = 1_000_000
 _CENSUS_BLOCK = 1 << 15
 
 #: Largest N(radius) that `surface_resonances` lists; a listing holds about
-#: 350 bytes per row.
+#: 300 bytes per row.
 _MAX_LISTED = 4_000_000
 
 #: Work `census` may do, in real parts walked over all radii, classes and
@@ -157,54 +161,108 @@ def _as_fraction(x: float) -> Fraction | None:
     return fr if abs(float(fr) - x) < 1e-12 else None
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im, filled in place: no float temporaries, signed zeros kept."""
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
 def _merge_lattice(
-    re: np.ndarray, im: np.ndarray, mult: np.ndarray, radius: float, keys=None
+    re: np.ndarray, im: np.ndarray, mult: np.ndarray, radius: float, key=None
 ) -> ResonanceSet:
     """Aggregate multiplicities of coinciding points.
 
-    Points merge when their key arrays agree; without keys they merge by
-    rounding to COLLISION_TOL.  Two distinct groups closer than
-    1000 * COLLISION_TOL raise a warning.  A group sits at the
+    Points merge when their complex keys agree; without a key they merge
+    by rounding to COLLISION_TOL.  Both keys sort as (Re, Im), and the
+    callers pass points in runs sorted by key, which one stable sort (numpy's
+    timsort) merges in about O(n log runs).  A group sits at the
     multiplicity-weighted mean of its points: loc * mult summed from +0.0
     in generation order, then divided by the total mult, as Python's
     complex arithmetic does it.  The zero cross terms of its complex
     product and quotient (re*m - im*0.0, (sr + si*0.0)/m) only change the
     sign of a zero, which the sum from +0.0 absorbs, so they are left out.
+    Every two distinct groups closer than 1000 * COLLISION_TOL raise a
+    warning (see `_near_collisions`).
     """
-    if keys is None:
-        keys = (np.rint(re / COLLISION_TOL), np.rint(im / COLLISION_TOL))
+    if key is None:
+        key = np.empty(len(re), dtype=complex)
+        for part, x in ((key.real, re), (key.imag, im)):
+            np.rint(np.divide(x, COLLISION_TOL, out=part), out=part)
     # stable, so the points of a group keep their generation order
-    order = np.lexsort(keys[::-1])
-    new = np.zeros(len(order), dtype=bool)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.empty(len(order), dtype=bool)
     new[:1] = True
-    for key in keys:
-        k = key[order]
-        new[1:] |= k[1:] != k[:-1]
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    del key
     starts = np.flatnonzero(new)
     sizes = np.diff(starts, append=len(order))
-    mult = mult[order]
-    term_re = re[order] * mult
-    term_im = im[order] * mult
-    re = np.zeros(len(starts))
-    im = np.zeros(len(starts))
-    for k in range(int(sizes.max(initial=0))):
-        g = sizes > k
-        re[g] += term_re[starts[g] + k]
-        im[g] += term_im[starts[g] + k]
-    mult = np.add.reduceat(mult, starts) if len(starts) else mult
+    point_mult = mult[order]
+    term_re = re[order] * point_mult
+    term_im = im[order] * point_mult
+    del order
+    # the sums start from +0.0, which turns a first term -0.0 into 0.0
+    re = 0.0 + term_re[starts]
+    im = 0.0 + term_im[starts]
+    mult = point_mult[starts]
+    # the few groups of more than one point add their later points in turn
+    big = np.flatnonzero(sizes > 1)
+    for k in range(1, int(sizes.max(initial=0))):
+        big = big[sizes[big] > k]
+        re[big] += term_re[starts[big] + k]
+        im[big] += term_im[starts[big] + k]
+        mult[big] += point_mult[starts[big] + k]
     # numpy's complex division would multiply by 1/mult: not the same bits
     re /= mult
     im /= mult
-    final = np.lexsort((mult, im, re))
+    final = np.argsort(_complex(re, im), kind="stable")
     re, im, mult = re[final], im[final], mult[final]
-    d = np.hypot(re[:-1] - re[1:], im[:-1] - im[1:])
-    for i in np.flatnonzero((COLLISION_TOL < d) & (d < 1000.0 * COLLISION_TOL)).tolist():
+    if ((re[1:] == re[:-1]) & (im[1:] == im[:-1])).any():
+        # distinct groups at one location (exact keys 1e-12 apart may round
+        # to one double) go by mult
+        by_mult = np.argsort(mult, kind="stable")
+        final = by_mult[np.argsort(_complex(re, im)[by_mult], kind="stable")]
+        re, im, mult = re[final], im[final], mult[final]
+    for i, j, d in _near_collisions(re, im):
         warnings.warn(
             f"near-collision of lattice points at {complex(re[i], im[i])} and "
-            f"{complex(re[i + 1], im[i + 1])} (distance {d[i]:.2e})",
+            f"{complex(re[j], im[j])} (distance {d:.2e})",
             stacklevel=3,
         )
     return ResonanceSet(re, im, mult, radius)
+
+
+def _near_collisions(re: np.ndarray, im: np.ndarray) -> list[tuple[int, int, float]]:
+    """(i, j, |s_i - s_j|) of the row pairs i < j, of rows sorted by (re, im),
+    with COLLISION_TOL < |s_i - s_j| < 1000 * COLLISION_TOL, in (i, j) order.
+
+    Rows closer than the reach in Re s lie in one run of the sorted real
+    parts, each within the reach of the one before.  In a stable order by
+    (run, Im s) the rows of a run within the reach in Im s are contiguous,
+    so a window that widens while any of its pairs is that close finds
+    every candidate pair.
+    """
+    reach = 1000.0 * COLLISION_TOL
+    run = np.zeros(len(re))
+    run[1:] = np.cumsum(np.diff(re) >= reach)
+    order = np.argsort(_complex(run, im), kind="stable")
+    run, ims = run[order], im[order]
+    t = np.flatnonzero((run[1:] == run[:-1]) & (ims[1:] - ims[:-1] < reach))
+    pairs = []
+    k = 1
+    while len(t):
+        pairs.append(np.sort(np.stack([order[t], order[t + k]]), axis=0))
+        # a pair k + 1 apart is near only if the pair k apart is
+        k += 1
+        t = t[t + k < len(order)]
+        t = t[(run[t + k] == run[t]) & (ims[t + k] - ims[t] < reach)]
+    if not pairs:
+        return []
+    i, j = np.concatenate(pairs, axis=1)
+    d = np.hypot(re[i] - re[j], im[i] - im[j])
+    near = (COLLISION_TOL < d) & (d < reach)
+    return sorted(zip(i[near].tolist(), j[near].tolist(), d[near].tolist()))
 
 
 def _require_radius(radius: float) -> None:
@@ -238,43 +296,53 @@ def _lattice_points(
     """Enumerate union over classes and p = +-1 of
     (-real_base - real_step*N0) + p (log_abs + 2 pi i (theta + m)) / ell,
     keeping |s| < radius (strict), multiplicities aggregated.
+
+    Each class and sign is one block of points in (Re, Im) order, so the
+    merge sorts 2 * classes presorted runs.
     """
     _require_radius(radius)
     if not t.angles:
         return ResonanceSet((), (), (), radius)
     omega = 2.0 * math.pi / ell
     # exact merge keys are possible when every angle is rational and all
-    # moduli vanish; p*(theta + m) is then an integer plus one of finitely
-    # many fractions in [0, 1), and the key is (n, integer, fraction id)
+    # moduli vanish: p*(theta + m) is then an integer whole + p*m plus one
+    # of finitely many fractions in [0, 1).  The key -n + i ((whole + p*m) F
+    # + fraction id), with F fractions numbered in increasing order, sorts
+    # as (Re, Im) and is exact: |whole + p*m| is below the listing cap
     fracs = [_as_fraction(c.theta) for c in t.angles]
     exact = t.is_unitary and all(f is not None for f in fracs)
-    fraction_ids: dict[Fraction, int] = {}
+    if exact:
+        parts = sorted({p * fr - math.floor(p * fr) for fr in fracs for p in (1, -1)})
+        fraction_ids = {part: i for i, part in enumerate(parts)}
     blocks = []
     for cls, fr in zip(t.angles, fracs):
         shift = cls.log_abs / ell
         n_max = _last_real_part(ell, cls, radius, real_base, real_step)
         for p in (1, -1):
-            n_real = np.arange(real_base, n_max + 1, real_step)
+            n_real = np.arange(real_base, n_max + 1, real_step)[::-1]
             re = -n_real + p * shift
             keep = np.abs(re) < radius
             n_real, re = n_real[keep], re[keep]
             im_bound = np.sqrt(radius * radius - re * re)
             m_lo = np.floor(-im_bound / omega - cls.theta).astype(np.int64) - 1
             m_hi = np.ceil(im_bound / omega - cls.theta).astype(np.int64) + 1
+            # m runs up for p = 1 and down for p = -1: Im s increases
             count = m_hi - m_lo + 1
             row = np.repeat(np.arange(len(re)), count)
-            m = np.arange(len(row)) + np.repeat(m_lo - (np.cumsum(count) - count), count)
+            first = m_lo if p == 1 else m_hi
+            m = p * np.arange(len(row)) + np.repeat(first - p * (np.cumsum(count) - count), count)
             re_pts, im_pts = re[row], p * omega * (cls.theta + m)
             inside = np.hypot(re_pts, im_pts) < radius
             row, m = row[inside], m[inside]
             block = [re_pts[inside], im_pts[inside], np.full(len(row), cls.mult)]
             if exact:
                 whole = math.floor(p * fr)
-                frac_id = fraction_ids.setdefault(p * fr - whole, len(fraction_ids))
-                block += [n_real[row], whole + p * m, np.full(len(row), frac_id)]
+                frac_id = fraction_ids[p * fr - whole]
+                block.append(_complex(-n_real[row], (whole + p * m) * len(parts) + frac_id))
             blocks.append(block)
-    re, im, mult, *keys = (np.concatenate(col) for col in zip(*blocks))
-    return _merge_lattice(re, im, mult, radius, tuple(keys) if exact else None)
+    re, im, mult, *key = (np.concatenate(col) for col in zip(*blocks))
+    del blocks
+    return _merge_lattice(re, im, mult, radius, key[0] if exact else None)
 
 
 def cylinder_resonances(ell: float, t: TwistSpec, radius: float) -> ResonanceSet:

@@ -24,9 +24,25 @@ def merge_lattice(points, radius):
         entry[1] += mult
     merged = [(loc_sum / m, m) for loc_sum, m in groups.values()]
     merged.sort(key=lambda r: (r[0].real, r[0].imag, r[1]))
-    for (a, _), (b, _) in zip(merged[:-1], merged[1:]):
+    # every pair closer than the reach lies in one cell of a grid of that
+    # width or in two neighbouring cells
+    reach = 1000.0 * COLLISION_TOL
+    cells = {}
+    for i, (loc, _) in enumerate(merged):
+        cells.setdefault((math.floor(loc.real / reach), math.floor(loc.imag / reach)), []).append(i)
+    pairs = sorted(
+        (i, j)
+        for (x, y), members in cells.items()
+        for dx in (-1, 0, 1)
+        for dy in (-1, 0, 1)
+        for i in members
+        for j in cells.get((x + dx, y + dy), ())
+        if i < j
+    )
+    for i, j in pairs:
+        a, b = merged[i][0], merged[j][0]
         d = abs(a - b)
-        if COLLISION_TOL < d < 1000.0 * COLLISION_TOL:
+        if COLLISION_TOL < d < reach:
             warnings.warn(
                 f"near-collision of lattice points at {a} and {b} (distance {d:.2e})",
                 stacklevel=3,

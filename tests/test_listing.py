@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import listing_reference as ref
 from resonance_lab import cli
 from resonance_lab import resonances as rz
-from resonance_lab.errors import DomainError
+from resonance_lab.errors import DomainError, NumericalError
 from resonance_lab.twist import TwistSpec
 
 TWO_PI = 2.0 * math.pi
@@ -77,6 +78,12 @@ EDGE_SPECS = [
     rz.SurfaceSpec(),
     # a twist without classes has no lattice
     rz.SurfaceSpec(funnels=((1.0, TwistSpec(angles=())),), cylinders=((1.0, TwistSpec(angles=())),)),
+    # a modulus moves points 5e-7 off the trivial lattice's columns: near
+    # pairs in neighbouring real parts, never adjacent in (Re, Im) order
+    rz.SurfaceSpec(cylinders=(
+        (TWO_PI, TRIVIAL),
+        (TWO_PI, TwistSpec.from_angles([(0.0, 1)], [math.pi * 1e-6])),
+    )),
 ]
 
 
@@ -137,6 +144,16 @@ class TestAgainstReference:
         rows = listing_rows(rz.cylinder_resonances(1.1, shifted, 4.0))
         # summed from +0.0, as the complex sum did: no -0.0 survives the merge
         assert [math.copysign(1.0, im) for _, im, _ in rows if im == 0.0] == [1.0] * 9
+
+    def test_exact_groups_at_one_location(self):
+        # theta = 1e-6 and 1/999,999 have distinct exact keys, but theta + m
+        # rounds to one double for |m| near 10^4: groups at one location,
+        # listed by mult whatever the order of their keys
+        t = TwistSpec.from_angles([(1.0 / 1_000_000, 1), (1.0 / 999_999, 2)])
+        rows = listing_rows(rz.cylinder_resonances(TWO_PI * 1e4, t, 1.0))
+        assert sum(a[:2] == b[:2] for a, b in zip(rows, rows[1:])) > 9000
+        want = [(loc.real, loc.imag, m) for loc, m in ref.lattice_points(TWO_PI * 1e4, t, 1.0, 0, 1)]
+        assert packed(rows) == packed(want)
 
     def test_multiplicity_checked_per_set(self):
         with pytest.raises(DomainError, match="multiplicity"):
@@ -220,6 +237,49 @@ class TestCliOutput:
         assert_cli_writes(tmp_path, spec, 60.0, cli_reference(spec, 60.0, rows))
 
 
+def write_spec(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_json_dict()))
+    return path
+
+
+class TestStreamedWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "spec,radius",
+        [(mixed_spec(np.random.default_rng(5)), 60.0), CLI_CASES[2]],
+        ids=["benchmark-scale", "empty"],
+    )
+    def test_stdout_and_out_agree(self, tmp_path, capsys, spec, radius, fmt):
+        # the benchmark-scale listing has about 21,000 rows: more than one block
+        argv = ["resonances", "--spec", str(write_spec(tmp_path, spec)),
+                "--radius", repr(radius), "--output", fmt]
+        assert cli.main(argv) == 0
+        text = capsys.readouterr().out
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == text.encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("failure,rc", [("over-the-cap", 2), ("numerical", 3)])
+    def test_failed_listing_leaves_no_file(self, tmp_path, monkeypatch, capsys, failure, rc, fmt):
+        spec = rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),))
+        radius = 1e16
+        if failure == "numerical":
+            def fail(spec, radius):
+                raise NumericalError("no listing")
+
+            monkeypatch.setattr(rz, "surface_resonances", fail)
+            radius = 5.0
+        out = tmp_path / "out"
+        argv = ["resonances", "--spec", str(write_spec(tmp_path, spec)), "--radius", repr(radius),
+                "--output", fmt, "--out", str(out)]
+        assert cli.main(argv) == rc
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+
 class TestListingAtScale:
     """The listing against `census`, at radii where a per-point loop is slow."""
 
@@ -232,6 +292,22 @@ class TestListingAtScale:
         assert rz.census(spec, 400.0, 1) == [(400.0, 503_404)]
         # the per-point listing took 3.7 s here; the array listing 0.25 s
         assert elapsed < 2.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_trivial_cylinder_r400_memory_per_row(self, tmp_path, fmt):
+        # README: the peak stays in the merge, about 295 bytes per row; the
+        # writer streams blocks of rows and adds little to it
+        path = write_spec(tmp_path, rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),)))
+        argv = ["resonances", "--spec", str(path), "--radius", "400", "--output", fmt,
+                "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            rc = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak <= 360 * 251_702
 
     def test_twisted_funnel_and_non_unitary_cylinder(self):
         spec = rz.SurfaceSpec(funnels=((1.0, EXAMPLE),), cylinders=((0.9, NON_UNITARY),))

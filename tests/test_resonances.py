@@ -186,6 +186,25 @@ class TestNearCollisionWarning:
             "(-4-6.2831852443477345j) (distance 6.28e-08)"
         )
 
+    def test_pairs_in_neighbouring_real_parts(self):
+        # a modulus moves the second lattice 5e-7 off the real parts of the
+        # first: each point of the first meets its shifted neighbours on the
+        # left and on the right, which are not adjacent in (Re, Im) order
+        shifted = TwistSpec.from_angles([(0.0, 1)], [math.pi * 1e-6])
+        spec = rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL), (TWO_PI, shifted)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rs = rz.surface_resonances(spec, 3.0)
+        near = [str(w.message) for w in caught if str(w.message).endswith("(distance 5.00e-07)")]
+        # 15 points of the first lattice, two neighbours each
+        assert (len(rs), len(near)) == (46, 30)
+        assert near[0] == (
+            "near-collision of lattice points at (-2.0000005-2j) and (-2-2j) (distance 5.00e-07)"
+        )
+        assert near[5] == (
+            "near-collision of lattice points at (-2-2j) and (-1.9999995-2j) (distance 5.00e-07)"
+        )
+
     def test_exact_lattices_never_warn(self):
         spec = rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),), funnels=((TWO_PI, TRIVIAL),))
         with warnings.catch_warnings(record=True) as caught:
