@@ -43,6 +43,10 @@ _CENSUS_BLOCK = 1 << 15
 #: 300 bytes per row.
 _MAX_LISTED = 4_000_000
 
+#: Near-collision warnings one merge gives pair by pair; one more warning
+#: counts the rest.
+_MAX_NEAR_WARNINGS = 100
+
 #: Work `census` may do, in real parts walked over all radii, classes and
 #: signs (100-170 ns each); each radius, class and sign adds the fixed cost
 #: of its numpy calls, about _CENSUS_CALL_COST real parts.
@@ -183,7 +187,8 @@ def _merge_lattice(
     product and quotient (re*m - im*0.0, (sr + si*0.0)/m) only change the
     sign of a zero, which the sum from +0.0 absorbs, so they are left out.
     Every two distinct groups closer than 1000 * COLLISION_TOL raise a
-    warning (see `_near_collisions`).
+    warning, up to _MAX_NEAR_WARNINGS pairs, and one more warning counts
+    the pairs past them (see `_near_collisions`).
     """
     if key is None:
         key = np.empty(len(re), dtype=complex)
@@ -224,45 +229,79 @@ def _merge_lattice(
         by_mult = np.argsort(mult, kind="stable")
         final = by_mult[np.argsort(_complex(re, im)[by_mult], kind="stable")]
         re, im, mult = re[final], im[final], mult[final]
-    for i, j, d in _near_collisions(re, im):
+    pairs, total = _near_collisions(re, im)
+    for i, j, d in pairs:
         warnings.warn(
             f"near-collision of lattice points at {complex(re[i], im[i])} and "
             f"{complex(re[j], im[j])} (distance {d:.2e})",
             stacklevel=3,
         )
+    if total > len(pairs):
+        warnings.warn(
+            f"{total - len(pairs)} more near-collisions of lattice points "
+            f"(distance below {1000.0 * COLLISION_TOL:.2e})",
+            stacklevel=3,
+        )
     return ResonanceSet(re, im, mult, radius)
 
 
-def _near_collisions(re: np.ndarray, im: np.ndarray) -> list[tuple[int, int, float]]:
-    """(i, j, |s_i - s_j|) of the row pairs i < j, of rows sorted by (re, im),
-    with COLLISION_TOL < |s_i - s_j| < 1000 * COLLISION_TOL, in (i, j) order.
+def _near_collisions(re: np.ndarray, im: np.ndarray) -> tuple[list[tuple[int, int, float]], int]:
+    """The row pairs i < j, of rows sorted by (re, im), with
+    COLLISION_TOL < |s_i - s_j| < 1000 * COLLISION_TOL: the first
+    _MAX_NEAR_WARNINGS of them as (i, j, |s_i - s_j|) in (i, j) order, and
+    the number of all of them.
 
-    Rows closer than the reach in Re s lie in one run of the sorted real
-    parts, each within the reach of the one before.  In a stable order by
-    (run, Im s) the rows of a run within the reach in Im s are contiguous,
-    so a window that widens while any of its pairs is that close finds
-    every candidate pair.
+    Two grids of strips in Re s, 8 reaches wide and offset by half a strip,
+    hold each such pair in one strip: the second grid takes the pairs that
+    the first splits, whose rows lie within 2 reaches of a strip's edge.  In
+    a stable order by (strip, Im s) the rows of a strip within the reach in
+    Im s are contiguous, so a window that widens while any of its pairs is
+    that close finds every candidate pair.  A candidate pair lies in a box
+    of 8 x 1 reaches, so there are O(rows + pairs closer than the reach) of
+    them; they are taken one window width at a time, keeping only the first
+    pairs, so the memory stays linear in the rows.
     """
     reach = 1000.0 * COLLISION_TOL
-    run = np.zeros(len(re))
-    run[1:] = np.cumsum(np.diff(re) >= reach)
-    order = np.argsort(_complex(run, im), kind="stable")
-    run, ims = run[order], im[order]
-    t = np.flatnonzero((run[1:] == run[:-1]) & (ims[1:] - ims[:-1] < reach))
-    pairs = []
-    k = 1
-    while len(t):
-        pairs.append(np.sort(np.stack([order[t], order[t + k]]), axis=0))
-        # a pair k + 1 apart is near only if the pair k apart is
-        k += 1
-        t = t[t + k < len(order)]
-        t = t[(run[t + k] == run[t]) & (ims[t + k] - ims[t] < reach)]
-    if not pairs:
-        return []
-    i, j = np.concatenate(pairs, axis=1)
+    width = 8.0 * reach
+    n = len(re)
+    keys, total = np.empty(0, dtype=np.int64), 0
+    for second in (False, True):
+        u = re / width
+        if second:
+            # the rows within 2 reaches of an edge of the first grid
+            rows = np.flatnonzero(np.abs(u - np.floor(u + 0.5)) > 0.25)
+            strip = np.floor(u[rows])
+        else:
+            rows, strip = slice(None), np.floor(u + 0.5)
+        del u
+        order = np.argsort(_complex(strip, im[rows]), kind="stable")
+        rows = np.arange(n)[rows][order]
+        strip = strip[order]
+        same = strip[1:] == strip[:-1]
+        del order, strip
+        ims = im[rows]
+        t = np.flatnonzero(same & (np.diff(ims) < reach))
+        k = 1
+        while len(t):
+            a, b = rows[t], rows[t + k]
+            d = np.hypot(re[a] - re[b], im[a] - im[b])
+            near = (COLLISION_TOL < d) & (d < reach)
+            a, b = a[near], b[near]
+            if second:
+                # the first pass found the pairs that its grid does not split
+                split = np.floor(re[a] / width + 0.5) != np.floor(re[b] / width + 0.5)
+                a, b = a[split], b[split]
+            total += len(a)
+            keys = np.concatenate((keys, np.minimum(a, b) * n + np.maximum(a, b)))
+            if len(keys) > _MAX_NEAR_WARNINGS:
+                keys = np.partition(keys, _MAX_NEAR_WARNINGS - 1)[:_MAX_NEAR_WARNINGS]
+            # a pair k + 1 apart is a candidate only if the pair k apart is
+            k += 1
+            t = t[t + k < len(rows)]
+            t = t[same[t + k - 1] & (ims[t + k] - ims[t] < reach)]
+    i, j = np.divmod(np.sort(keys), max(n, 1))
     d = np.hypot(re[i] - re[j], im[i] - im[j])
-    near = (COLLISION_TOL < d) & (d < reach)
-    return sorted(zip(i[near].tolist(), j[near].tolist(), d[near].tolist()))
+    return list(zip(i.tolist(), j.tolist(), d.tolist())), total
 
 
 def _require_radius(radius: float) -> None:
@@ -297,8 +336,13 @@ def _lattice_points(
     (-real_base - real_step*N0) + p (log_abs + 2 pi i (theta + m)) / ell,
     keeping |s| < radius (strict), multiplicities aggregated.
 
-    Each class and sign is one block of points in (Re, Im) order, so the
-    merge sorts 2 * classes presorted runs.
+    Each class and sign is one block of points, by n descending and m
+    ascending: Re s ascends, and Im s ascends within a real part for p = 1
+    and descends for p = -1.  The merge's timsort takes each block of p = 1
+    as one run and each real part of a block of p = -1 as one descending
+    run, which it reverses.  m ascends in both, as in the per-point
+    reference, because points of one block that merge (omega below about
+    COLLISION_TOL) are summed in this order.
     """
     _require_radius(radius)
     if not t.angles:
@@ -326,11 +370,9 @@ def _lattice_points(
             im_bound = np.sqrt(radius * radius - re * re)
             m_lo = np.floor(-im_bound / omega - cls.theta).astype(np.int64) - 1
             m_hi = np.ceil(im_bound / omega - cls.theta).astype(np.int64) + 1
-            # m runs up for p = 1 and down for p = -1: Im s increases
             count = m_hi - m_lo + 1
             row = np.repeat(np.arange(len(re)), count)
-            first = m_lo if p == 1 else m_hi
-            m = p * np.arange(len(row)) + np.repeat(first - p * (np.cumsum(count) - count), count)
+            m = np.arange(len(row)) + np.repeat(m_lo - (np.cumsum(count) - count), count)
             re_pts, im_pts = re[row], p * omega * (cls.theta + m)
             inside = np.hypot(re_pts, im_pts) < radius
             row, m = row[inside], m[inside]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from resonance_lab.resonances import COLLISION_TOL, _as_fraction
+from resonance_lab.resonances import _MAX_NEAR_WARNINGS, COLLISION_TOL, _as_fraction
 
 
 def merge_lattice(points, radius):
@@ -39,14 +39,23 @@ def merge_lattice(points, radius):
         for j in cells.get((x + dx, y + dy), ())
         if i < j
     )
+    near = []
     for i, j in pairs:
         a, b = merged[i][0], merged[j][0]
         d = abs(a - b)
         if COLLISION_TOL < d < reach:
-            warnings.warn(
-                f"near-collision of lattice points at {a} and {b} (distance {d:.2e})",
-                stacklevel=3,
-            )
+            near.append((a, b, d))
+    for a, b, d in near[:_MAX_NEAR_WARNINGS]:
+        warnings.warn(
+            f"near-collision of lattice points at {a} and {b} (distance {d:.2e})",
+            stacklevel=3,
+        )
+    if len(near) > _MAX_NEAR_WARNINGS:
+        warnings.warn(
+            f"{len(near) - _MAX_NEAR_WARNINGS} more near-collisions of lattice points "
+            f"(distance below {reach:.2e})",
+            stacklevel=3,
+        )
     return merged
 
 

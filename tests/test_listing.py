@@ -84,6 +84,14 @@ EDGE_SPECS = [
         (TWO_PI, TRIVIAL),
         (TWO_PI, TwistSpec.from_angles([(0.0, 1)], [math.pi * 1e-6])),
     )),
+    # near pairs at -n +- 3.4e-6, 3.8e-6 and 4.3e-6: on either side of, and
+    # next to, -n +- 4e-6, where the near-collision scan's first grid of
+    # strips has an edge
+    rz.SurfaceSpec(cylinders=(
+        (TWO_PI, TwistSpec.from_angles([(0.0, 1)], [TWO_PI * 3.4e-6])),
+        (TWO_PI, TwistSpec.from_angles([(0.0, 1)], [TWO_PI * 3.8e-6])),
+        (TWO_PI, TwistSpec.from_angles([(0.0, 1)], [TWO_PI * 4.3e-6])),
+    )),
 ]
 
 
@@ -154,6 +162,19 @@ class TestAgainstReference:
         assert sum(a[:2] == b[:2] for a, b in zip(rows, rows[1:])) > 9000
         want = [(loc.real, loc.imag, m) for loc, m in ref.lattice_points(TWO_PI * 1e4, t, 1.0, 0, 1)]
         assert packed(rows) == packed(want)
+
+    @pytest.mark.parametrize("radius", [1e-7, 3e-7])
+    def test_points_of_one_block_that_merge(self, radius):
+        # omega = pi 1e-10 and 4e-11 lie below COLLISION_TOL: consecutive m
+        # of one class and sign round to one key, so a group sums points of
+        # one block, which must come in the reference's order of m for
+        # p = -1 as well as for p = 1
+        spec = rz.SurfaceSpec(cylinders=(
+            (2e10, TwistSpec.from_angles([(math.sqrt(2.0) - 1.0, 1)])),
+            (2e10, TwistSpec.from_angles([(0.0, 1)], [1.0])),
+            (5e10, TwistSpec.from_angles([(0.3 + 1e-9 * math.sqrt(2.0), 2), (0.7, 1)], [0.5, 0.0])),
+        ))
+        assert_same_listing(spec, radius)
 
     def test_multiplicity_checked_per_set(self):
         with pytest.raises(DomainError, match="multiplicity"):
@@ -295,7 +316,7 @@ class TestListingAtScale:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_trivial_cylinder_r400_memory_per_row(self, tmp_path, fmt):
-        # README: the peak stays in the merge, about 295 bytes per row; the
+        # README: the peak stays in the merge, about 300 bytes per row; the
         # writer streams blocks of rows and adds little to it
         path = write_spec(tmp_path, rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),)))
         argv = ["resonances", "--spec", str(path), "--radius", "400", "--output", fmt,

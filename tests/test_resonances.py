@@ -205,6 +205,37 @@ class TestNearCollisionWarning:
             "near-collision of lattice points at (-2-2j) and (-1.9999995-2j) (distance 5.00e-07)"
         )
 
+    def test_dense_column_warns_a_bounded_number_of_times(self):
+        # omega = 2 pi 1e-9: each point has 159 neighbours closer than 1e-6
+        # on either side, about 1.5e6 near pairs among 9,549 rows.  The first
+        # _MAX_NEAR_WARNINGS pairs in row order warn one by one, one more
+        # warning counts the rest, and the memory stays linear in the rows
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rs = rz.cylinder_resonances(1e9, TRIVIAL, 3e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rs) == 9549 and not rs.re.any()
+        reach = 1000.0 * rz.COLLISION_TOL
+        # one column sorted by Im s: a pair k rows apart is im[k:] - im[:-k] apart
+        gaps = [rs.im[k:] - rs.im[:-k] for k in range(1, 201)]
+        near = [(rz.COLLISION_TOL < d) & (d < reach) for d in gaps]
+        assert not near[-1].any()
+        total = sum(int(mask.sum()) for mask in near)
+        assert total > 1_500_000
+        limit = rz._MAX_NEAR_WARNINGS
+        expected = [
+            f"near-collision of lattice points at {complex(0.0, rs.im[0])} and "
+            f"{complex(0.0, rs.im[k])} (distance {gaps[k - 1][0]:.2e})"
+            for k in range(1, limit + 1)
+        ]
+        expected.append(f"{total - limit} more near-collisions of lattice points (distance below 1.00e-06)")
+        assert [str(w.message) for w in caught] == expected
+        assert peak < 600 * len(rs)
+
     def test_exact_lattices_never_warn(self):
         spec = rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),), funnels=((TWO_PI, TRIVIAL),))
         with warnings.catch_warnings(record=True) as caught:
