@@ -45,7 +45,9 @@ class CylCoord:
     phi is reduced to [0, 2pi) on construction; the winding number of the
     raw angle is kept so that mode sums can apply the twist phase for
     each full 2pi shift (the frequencies kappa are non-integer, so a
-    2pi shift is not the identity on kernel values).
+    2pi shift is not the identity on kernel values).  A winding is below
+    2^62 in size, so that the difference of two, to which the routes raise
+    the twist phases as numpy integers, fits a 64-bit integer.
     """
 
     r: float
@@ -62,6 +64,8 @@ class CylCoord:
             w += 1
         if phi < 0.0:
             phi = 0.0
+        if abs(self.winding + w) >= 2**62:
+            raise DomainError(f"angle phi = {self.phi} winds {self.winding + w} times; a winding must be below 2^62")
         if w != 0 or phi != self.phi:
             object.__setattr__(self, "phi", phi)
             object.__setattr__(self, "winding", self.winding + w)

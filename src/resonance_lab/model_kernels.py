@@ -234,10 +234,12 @@ def _cyl_class_images(s: complex, ell: float, classes, points, near=None) -> np.
         rows = todo[m[todo] == m[todo[0]]][: max(1, _BLOCK_IMAGES // int(m[todo[0]]))]
         k = edge[rows, None] + sign[rows, None] * np.arange(1, m[rows[0]] + 1)
         x = k * ell + big_l[pair[rows], None]
-        tau = k[..., None] * moduli - s.real * log_sigma(x, pair[rows])[..., None]
-        # sigma_{k+1} / sigma_k >= e^ell / (1 + e^{-|x_k|})^2 further out
-        shrink = sign[rows, None] * moduli - s.real * (ell - 2.0 * np.log1p(np.exp(-np.abs(x[:, -1:]))))
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # near the top of the double range Re s times log sigma overflows to
+        # -inf: no far image counts, and the series' log_gamma(2s) raises
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            tau = k[..., None] * moduli - s.real * log_sigma(x, pair[rows])[..., None]
+            # sigma_{k+1} / sigma_k >= e^ell / (1 + e^{-|x_k|})^2 further out
+            shrink = sign[rows, None] * moduli - s.real * (ell - 2.0 * np.log1p(np.exp(-np.abs(x[:, -1:]))))
             rest = tau[:, -1] + shrink - np.log(-np.expm1(shrink))
             ends = ((shrink < 0.0) & (rest <= tau.max(axis=1) - _WINDOW_CUT)).all(axis=1)
         m[rows[~ends]] *= 2
@@ -627,9 +629,9 @@ def cusp_kernel(s: complex, ell, t: TwistSpec, pairs) -> np.ndarray:
     )
 
 
-def _lattice_window(s: complex, a: float, b: float) -> int:
-    """Last |k| summed term by term before the S_xi tails take over, at most 2^62."""
-    return int(min(max(64.0, 8.0 + abs(a), 8.0 + 3.0 * b, 8.0 + 2.0 * abs(s)), 2.0**62))
+def _lattice_window(s: complex, b: float) -> int:
+    """Last |k| summed term by term before the S_xi tails take over, at most 2^62; for |a| <= 1."""
+    return int(min(max(64.0, 8.0 + 3.0 * b, 8.0 + 2.0 * abs(s)), 2.0**62))
 
 
 def cusp_class_images(s: complex, thetas, planes) -> np.ndarray:
@@ -662,7 +664,7 @@ def cusp_class_images(s: complex, thetas, planes) -> np.ndarray:
         k_near += (big_l > 0.25 * ((k_near + 1.0 - np.abs(a)) ** 2 + b2)) & (k_near <= _MAX_IMAGES)
         k_near -= (k_near > 3) & (big_l <= 0.25 * ((k_near - np.abs(a)) ** 2 + b2))
     k_near = k_near.astype(np.int64)
-    window = np.array([_lattice_window(s, ai, bi) for ai, bi in zip(a.tolist(), b.tolist())], dtype=np.int64)
+    window = np.array([_lattice_window(s, bi) for bi in b.tolist()], dtype=np.int64)
     _check_budget(2 * k_near + 1, 2 * (window - k_near))
     log_l = np.log(big_l)
 
@@ -842,7 +844,8 @@ def _sxi_tails(theta, p: np.ndarray, a, b, start, log_scale=0.0) -> np.ndarray:
 def s_xi_direct(xi_angle: float, s: complex, a: float, b: float) -> complex:
     """Twisted lattice sum sum_k xi^k (|k+a|^2 + b^2)^{-s}, xi = e^{2 pi i xi_angle}.
 
-    Direct summation over |k| <= `_lattice_window` and `_sxi_tails` beyond;
+    Direct summation over |k| <= `_lattice_window` and `_sxi_tails` beyond,
+    at a reduced into [0, 1) by S(s; a + m, b) = xi^-m S(s; a, b);
     requires Re s > 1/2 + MARGIN.
     """
     s = complex(s)
@@ -850,12 +853,17 @@ def s_xi_direct(xi_angle: float, s: complex, a: float, b: float) -> complex:
         raise DomainError(f"xi_angle must lie in [0, 1), got {xi_angle}")
     if not b > 0.0:
         raise DomainError(f"b must be positive, got {b}")
+    if not math.isfinite(a):
+        raise DomainError(f"a must be finite, got {a}")
     if s.real <= 0.5 + MARGIN:
         raise DomainError(f"direct sum needs Re s > {0.5 + MARGIN}, got {s.real}")
-    window = _lattice_window(s, a, b)
+    m = math.floor(a)
+    a -= m
+    window = _lattice_window(s, b)
     k = np.arange(-window, window + 1)
     terms = np.exp(2j * math.pi * (xi_angle * k % 1.0) - s * np.log((k + a) ** 2 + b * b))
-    return complex(terms.sum() + _sxi_tails(xi_angle, np.array([s]), a, b, window + 1)[0])
+    total = terms.sum() + _sxi_tails(xi_angle, np.array([s]), a, b, window + 1)[0]
+    return complex(cmath.exp(-2j * math.pi * (xi_angle * m % 1.0)) * total)
 
 
 def s_xi_continued(xi_angle: float, s: complex, a: float, b: float) -> complex:

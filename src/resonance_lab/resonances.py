@@ -11,10 +11,12 @@ ones with their multiplicities.  Each end enumerates its points in runs
 sorted by (Re, Im), one run per class and sign, and merges them with one
 stable sort on one complex key: exact integers packed into two doubles
 for rational angles, the points rounded to COLLISION_TOL otherwise.  The
-union of the merged ends is again a merge of sorted runs.  `census` does
-not enumerate: N(r) is additive in multiplicities, so it counts the
-integers of one open interval per real part, in O(r) work per radius,
-and merges nothing.
+union of the merged ends is again a merge of sorted runs, and the only
+set scanned for near collisions.  Each class and sign walks only the real
+parts within r of its centre p log_abs/ell.  `census` does not
+enumerate: N(r) is additive in multiplicities, so it counts the integers
+of one open interval per real part, in O(r) work per radius, and merges
+nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ _CENSUS_BLOCK = 1 << 15
 #: 300 bytes per row.
 _MAX_LISTED = 4_000_000
 
-#: Near-collision warnings one merge gives pair by pair; one more warning
+#: Near-collision warnings one listing gives pair by pair; one more warning
 #: counts the rest.
 _MAX_NEAR_WARNINGS = 100
 
@@ -186,9 +188,6 @@ def _merge_lattice(
     complex arithmetic does it.  The zero cross terms of its complex
     product and quotient (re*m - im*0.0, (sr + si*0.0)/m) only change the
     sign of a zero, which the sum from +0.0 absorbs, so they are left out.
-    Every two distinct groups closer than 1000 * COLLISION_TOL raise a
-    warning, up to _MAX_NEAR_WARNINGS pairs, and one more warning counts
-    the pairs past them (see `_near_collisions`).
     """
     if key is None:
         key = np.empty(len(re), dtype=complex)
@@ -229,19 +228,6 @@ def _merge_lattice(
         by_mult = np.argsort(mult, kind="stable")
         final = by_mult[np.argsort(_complex(re, im)[by_mult], kind="stable")]
         re, im, mult = re[final], im[final], mult[final]
-    pairs, total = _near_collisions(re, im)
-    for i, j, d in pairs:
-        warnings.warn(
-            f"near-collision of lattice points at {complex(re[i], im[i])} and "
-            f"{complex(re[j], im[j])} (distance {d:.2e})",
-            stacklevel=3,
-        )
-    if total > len(pairs):
-        warnings.warn(
-            f"{total - len(pairs)} more near-collisions of lattice points "
-            f"(distance below {1000.0 * COLLISION_TOL:.2e})",
-            stacklevel=3,
-        )
     return ResonanceSet(re, im, mult, radius)
 
 
@@ -311,22 +297,25 @@ def _require_radius(radius: float) -> None:
         raise DomainError(f"radius must be finite, got {radius}")
 
 
-def _last_real_part(ell: float, cls, r: float, real_base: int, real_step: int) -> int:
-    """Largest n whose real parts -n + p log_abs/ell can hold a point of cls in |s| < r.
+def _real_parts(ell: float, cls, p: int, r: float, real_base: int, real_step: int) -> range:
+    """The n of real_base + real_step*N0 whose real parts -n + p log_abs/ell
+    can hold a point of cls in |s| < r, as a range: its two ends, O(1).
 
     Every point of the class has |Im s| >= omega min(theta, 1 - theta), so
     |Re s| < sqrt(r^2 - (omega min(theta, 1 - theta))^2); one real step of
-    margin leaves every decision to the callers' strict hypot test.  Raises
-    DomainError where `_interval_count`'s interval ends, which move by 1.0,
-    would not stay exact integers.
+    margin, and ends rounded outward to integers, leave every decision to
+    the callers' strict tests.  Raises DomainError where `_interval_count`'s
+    interval ends, which move by 1.0, would not stay exact integers.
     """
     omega = 2.0 * math.pi / ell
-    shift = abs(cls.log_abs / ell)
-    if not r + shift + r / omega < 2.0**52:
+    centre = p * cls.log_abs / ell
+    if not r + abs(centre) + r / omega < 2.0**52:
         raise DomainError(f"N({r}) is too large to count in floating point")
     gap = omega * min(cls.theta, 1.0 - cls.theta)
     reach = min(math.sqrt(max(r * r - gap * gap, 0.0)) + real_step, r)
-    return int(math.ceil(reach + shift)) + real_base
+    # the grid's n from floor(centre - reach) to ceil(centre + reach)
+    first = max(math.floor(centre - reach), real_base)
+    return range(first + (real_base - first) % real_step, math.ceil(centre + reach) + 1, real_step)
 
 
 def _lattice_points(
@@ -361,9 +350,9 @@ def _lattice_points(
     blocks = []
     for cls, fr in zip(t.angles, fracs):
         shift = cls.log_abs / ell
-        n_max = _last_real_part(ell, cls, radius, real_base, real_step)
         for p in (1, -1):
-            n_real = np.arange(real_base, n_max + 1, real_step)[::-1]
+            n = _real_parts(ell, cls, p, radius, real_base, real_step)
+            n_real = np.arange(n.start, n.stop, n.step)[::-1]
             re = -n_real + p * shift
             keep = np.abs(re) < radius
             n_real, re = n_real[keep], re[keep]
@@ -424,6 +413,10 @@ def surface_resonances(spec: SurfaceSpec, radius: float) -> ResonanceSet:
     not the resonance set of a glued surface.  Each end is merged first,
     then the ends together.  N(radius) is counted first: a listing of more
     than _MAX_LISTED raises DomainError before anything is enumerated.
+    Every two distinct points of the union closer than 1000 * COLLISION_TOL
+    raise a warning, up to _MAX_NEAR_WARNINGS pairs, and one more warning
+    counts the pairs past them (see `_near_collisions`); the ends' own
+    listings are not checked.
     """
     _require_radius(radius)
     n = _count(spec, radius, _MAX_LISTED)
@@ -442,7 +435,21 @@ def surface_resonances(spec: SurfaceSpec, radius: float) -> ResonanceSet:
         for col in ("re", "im", "mult")
     )
     inside = np.hypot(re, im) < radius
-    return _merge_lattice(re[inside], im[inside], mult[inside], radius)
+    merged = _merge_lattice(re[inside], im[inside], mult[inside], radius)
+    pairs, total = _near_collisions(merged.re, merged.im)
+    for i, j, d in pairs:
+        warnings.warn(
+            f"near-collision of lattice points at {complex(merged.re[i], merged.im[i])} and "
+            f"{complex(merged.re[j], merged.im[j])} (distance {d:.2e})",
+            stacklevel=2,
+        )
+    if total > len(pairs):
+        warnings.warn(
+            f"{total - len(pairs)} more near-collisions of lattice points "
+            f"(distance below {1000.0 * COLLISION_TOL:.2e})",
+            stacklevel=2,
+        )
+    return merged
 
 
 def _interval_count(
@@ -456,8 +463,9 @@ def _interval_count(
     ends are estimated in floating point and then moved with the
     enumeration's own predicate (np.hypot is the libm hypot behind
     abs(complex)), so points on the circle count exactly as enumerated.
-    The real parts go in blocks of _CENSUS_BLOCK, which bounds the memory;
-    the count stops after the first block that takes it past limit.
+    The real parts of each class and sign go in blocks of _CENSUS_BLOCK,
+    which bounds the memory; the count stops after the first block that
+    takes it past limit.
     """
     omega = 2.0 * math.pi / ell
     stride = real_step * _CENSUS_BLOCK
@@ -465,10 +473,10 @@ def _interval_count(
     for cls in t.angles:
         shift = cls.log_abs / ell
         theta = cls.theta
-        n_max = _last_real_part(ell, cls, r, real_base, real_step)
-        for start in range(real_base, n_max + 1, stride):
-            n_real = np.arange(start, min(start + stride, n_max + 1), real_step, dtype=float)
-            for p in (1, -1):
+        for p in (1, -1):
+            n = _real_parts(ell, cls, p, r, real_base, real_step)
+            for start in n[::_CENSUS_BLOCK]:
+                n_real = np.arange(start, min(start + stride, n.stop), real_step, dtype=float)
                 re = -n_real + p * shift
                 re = re[np.abs(re) < r]
                 half = np.sqrt(r * r - re * re) / omega
@@ -487,8 +495,8 @@ def _interval_count(
                 while (step := (lo <= hi) & ~inside(hi)).any():
                     hi -= step
                 total += cls.mult * int(np.maximum(hi - lo + 1.0, 0.0).sum())
-            if total > limit:
-                return total
+                if total > limit:
+                    return total
     return total
 
 
@@ -521,7 +529,7 @@ def census(spec: SurfaceSpec, r_max: float, n_samples: int) -> list[tuple[float,
     radii = [r_max * (i + 1) / n_samples for i in range(n_samples)] if walk <= _MAX_CENSUS_WALK else []
     for r in radii:
         for ell, cls, base, step in classes:
-            walk += 2 * ((_last_real_part(ell, cls, r, base, step) - base) // step + 1)
+            walk += sum(len(_real_parts(ell, cls, p, r, base, step)) for p in (1, -1))
     if walk > _MAX_CENSUS_WALK:
         raise DomainError(
             f"census would walk about {walk} real parts, more than {_MAX_CENSUS_WALK}; "

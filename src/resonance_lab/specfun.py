@@ -124,11 +124,13 @@ def log_gamma(z):
     half-plane, which keeps the principal branch on C \\ (-inf, 0].
 
     Raises PoleError at the poles z in {0, -1, -2, ...}, and
-    OverflowBudgetError where the recurrence would take more than
-    _MAX_SHIFTS steps (Re z < -9999.5).
+    OverflowBudgetError at a non-finite z or where the recurrence would
+    take more than _MAX_SHIFTS steps (Re z < -9999.5).
     """
     if isinstance(z, (int, float, complex)) or np.ndim(z) == 0:  # np.ndim costs 1.7 us
         z = complex(z)
+        if not cmath.isfinite(z):
+            raise OverflowBudgetError(f"log_gamma of the non-finite argument {z}")
         if _is_nonpositive_integer(z) is not None:
             raise PoleError(f"log_gamma pole at z = {z}")
         _check_shifts(z.real)
@@ -136,6 +138,9 @@ def log_gamma(z):
         n = max(math.ceil(0.5 - z.real), 0)
         return _log_gamma_lanczos(z + n, cmath.log) - sum(cmath.log(z + j) for j in range(n))
     z = np.asarray(z, dtype=complex)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise OverflowBudgetError(f"log_gamma of the non-finite argument {complex(z[~finite][0])}")
     poles = _nonpositive_integers(z)
     if poles.any():
         raise PoleError(f"log_gamma pole at z = {complex(z[poles][0])}")

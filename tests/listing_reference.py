@@ -14,7 +14,7 @@ from resonance_lab.resonances import _MAX_NEAR_WARNINGS, COLLISION_TOL, _as_frac
 
 
 def merge_lattice(points, radius):
-    """Sorted (location, mult) pairs of the merged points, with warnings."""
+    """Sorted (location, mult) pairs of the merged points."""
     groups = {}
     for loc, mult, key in points:
         if key is None:
@@ -24,6 +24,11 @@ def merge_lattice(points, radius):
         entry[1] += mult
     merged = [(loc_sum / m, m) for loc_sum, m in groups.values()]
     merged.sort(key=lambda r: (r[0].real, r[0].imag, r[1]))
+    return merged
+
+
+def warn_near_collisions(merged):
+    """One warning per pair of merged points in the near-collision band."""
     # every pair closer than the reach lies in one cell of a grid of that
     # width or in two neighbouring cells
     reach = 1000.0 * COLLISION_TOL
@@ -56,7 +61,6 @@ def merge_lattice(points, radius):
             f"(distance below {reach:.2e})",
             stacklevel=3,
         )
-    return merged
 
 
 def lattice_points(ell, t, radius, real_base, real_step):
@@ -104,4 +108,6 @@ def surface_resonances(spec, radius):
         for loc, mult in merged
         if abs(loc) < radius
     ]
-    return merge_lattice(points, radius)
+    merged = merge_lattice(points, radius)
+    warn_near_collisions(merged)
+    return merged

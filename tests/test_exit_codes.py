@@ -6,12 +6,15 @@ Infinity.  The table covers malformed specs, extreme spectral parameters,
 extreme radii, coincident points and `modes` grids that leave a profile's
 domain.  Rows named `escape-*` once exited 1 with a traceback (a
 ZeroDivisionError for an infinite ell, an OverflowError in g_s at huge
-Re s) or wrote NaN or Infinity into the `count` JSON, and rows named
-`hang-*` did not return (log_gamma's recurrence summed about -Re s
-logarithms), and rows named `slow-*` took 1.4-4 s (a `modes` grid of
-100,000 points, evaluated in full); they must return the one code given
-with them.  Every row returns within a second, and its stderr is under 200
-characters.
+Re s, an OverflowError or ValueError in log_gamma at a non-finite
+argument, an OverflowError on a cusp winding past 2^63) or wrote NaN or
+Infinity into the `count` JSON, and rows named `hang-*` did not return
+(log_gamma's recurrence summed about -Re s logarithms), and rows named
+`slow-*` took 1.4-4 s (a `modes` grid of 100,000 points, evaluated in
+full; a lattice walked from Re s = 0 to its centre 3e7 away, or a count
+that exited 2 on the census budget of that walk); they must return the
+one code given with them.  Every row returns within a second, and its
+stderr is under 200 characters.
 """
 
 import json
@@ -120,6 +123,30 @@ def _rows():
             (f"{'escape-' if tiny else ''}r-max-{value}", _GOOD, ["count", "--r-max", value], 0 if tiny else None),
             (f"r-max-{value}-csv", _GOOD, ["count", "--r-max", value, "--output", "csv"], None),
         ]
+    # a class whose real parts centre on log_abs / ell = 3e7: only the
+    # few within the radius are walked, not all from Re s = 0 on
+    shifted = {"cylinders": [{"ell": 1e-7, "twist": {"angles": [{"theta": 0.0, "mult": 1, "log_abs": 3.0}]}}]}
+    rows += [
+        ("slow-shifted-lattice-resonances", shifted, ["resonances", "--radius", "2"], 0),
+        ("slow-shifted-lattice-count", shifted, ["count", "--r-max", "2"], 0),
+    ]
+    # non-finite arguments of log_gamma: 2s on the image routes, s + i kappa in the modes
+    for end in ("cylinder", "funnel"):
+        rows += [
+            (f"escape-log-gamma-inf-{end}-images", _GOOD, _kernel(end, "1e308+1e308i", "images"), 3),
+            (f"escape-log-gamma-nan-{end}-modes", _GOOD,
+             ["modes", "--end", end, "--s=2+0.3i", "--kappa", "1e308", "--r2", "0.5",
+              "--r-min", "0.1", "--r-max", "1", "--n", "5"], 3),
+        ]
+    # an angle that winds more than 2^62 times, on every end and method
+    for end in ("cylinder", "funnel", "cusp"):
+        for method in ("images", "fourier", "both"):
+            escape = "escape-" if end == "cusp" and method != "fourier" else ""
+            rows.append((f"{escape}winding-6e19-{end}-{method}", _GOOD,
+                         _kernel(end, method=method, coords=("0.1", "6e19", "0.2", "1")), 2))
+    # windings just below 2^62 either way: their difference still fits 64 bits
+    rows.append(("winding-difference-cusp-images", _GOOD,
+                 _kernel("cusp", method="images", coords=("0.1", "2.89e19", "0.2", "-2.89e19")), 0))
     no_points = {"cusps": [{"twist": {"angles": [{"theta": 0.5, "mult": 1}]}}]}
     rows.append(("escape-count-without-resonances", no_points, ["count", "--r-max", "40"], 0))
     for end in ("cylinder", "funnel", "cusp"):

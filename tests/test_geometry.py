@@ -119,6 +119,15 @@ class TestEndCoordinates:
             assert 0.0 <= c.phi < 2 * math.pi
             assert abs(c.phi + 2 * math.pi * c.winding - raw) < 1e-12
 
+    def test_winding_below_2_to_62(self):
+        # the difference of two windings must fit a 64-bit integer
+        assert CylCoord(0.0, -2.89e19).winding == -4_599_577_855_355_775_488
+        for phi in (2.9e19, -2.9e19):
+            with pytest.raises(DomainError, match=r"must be below 2\^62"):
+                CylCoord(0.0, phi)
+        with pytest.raises(DomainError, match=r"must be below 2\^62"):
+            CylCoord(0.0, 1.0, 2**62)
+
     @pytest.mark.parametrize("r,phi", [(0.2, math.inf), (0.2, math.nan), (math.nan, 1.0), (-math.inf, 1.0)])
     def test_nonfinite_coordinates_rejected(self, r, phi):
         with pytest.raises(DomainError):

@@ -4,6 +4,7 @@ import cmath
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,23 @@ class TestSXi:
             lhs = mk.s_xi_direct(xia, 1.5, 1.3, 1.0)
             rhs = mk.s_xi_direct(xia, 1.5, 0.3, 1.0) / xi
             assert abs(lhs - rhs) / abs(rhs) < 1e-10
+
+    @pytest.mark.parametrize(
+        "s,a,b,want",
+        [
+            (2.0, -100.0, 40.0, 2.4543692606170e-05),
+            (1.2, 55.5, 20.0, 0.0378010309274362),
+            (2.0, -1000.0, 300.0, 5.8177641733144e-08),
+        ],
+    )
+    def test_direct_at_large_a(self, s, a, b, want):
+        # summed at a itself, the window did not reach far enough past
+        # k = -a for the tails, which gave -5.2e50, -1.2e64 and NaN here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = mk.s_xi_direct(0.0, s, a, b)
+        assert abs(d - want) <= 1e-12 * want
+        assert abs(d - mk.s_xi_continued(0.0, s, a, b)) <= 1e-12 * want
 
     def test_overlap_agreement(self):
         for s in (0.75, 1.5, 2.0 + 2.0j):

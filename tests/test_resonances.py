@@ -214,7 +214,7 @@ class TestNearCollisionWarning:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                rs = rz.cylinder_resonances(1e9, TRIVIAL, 3e-5)
+                rs = rz.surface_resonances(rz.SurfaceSpec(cylinders=((1e9, TRIVIAL),)), 3e-5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -235,6 +235,32 @@ class TestNearCollisionWarning:
         expected.append(f"{total - limit} more near-collisions of lattice points (distance below 1.00e-06)")
         assert [str(w.message) for w in caught] == expected
         assert peak < 600 * len(rs)
+
+    def test_near_pair_within_one_end_warns_once(self):
+        # a modulus of pi 1e-6 puts the p = +-1 points of theta = 0 at
+        # -n +- 5e-7: 1e-6 apart in one end, which only the union scans
+        shifted = TwistSpec.from_angles([(0.0, 1)], [math.pi * 1e-6])
+        spec = rz.SurfaceSpec(cylinders=((TWO_PI, shifted),))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rs = rz.surface_resonances(spec, 0.5)
+        assert [(p.location, p.mult) for p in rs] == [(-5e-7 + 0j, 1), (5e-7 + 0j, 1)]
+        assert [str(w.message) for w in caught] == [
+            "near-collision of lattice points at (-5e-07+0j) and (5e-07+0j) (distance 1.00e-06)"
+        ]
+        # the warning names the caller of surface_resonances
+        assert caught[0].filename == __file__
+
+    @pytest.mark.parametrize(
+        "listing,ell,radius", [(rz.cylinder_resonances, 1e9, 3e-5), (rz.funnel_resonances, 1e7, 1.0001)]
+    )
+    def test_end_listings_do_not_warn(self, listing, ell, radius):
+        # columns of points 2 pi / ell < 1e-6 apart, on Re s = 0 and -1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rs = listing(ell, TRIVIAL, radius)
+        assert len(rs) > 9000 and (np.diff(rs.im) < 1000.0 * rz.COLLISION_TOL).all()
+        assert caught == []
 
     def test_exact_lattices_never_warn(self):
         spec = rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),), funnels=((TWO_PI, TRIVIAL),))
@@ -466,6 +492,17 @@ class TestCensusBudget:
         # 8 radii up to 1e5 walk about 9e5 real parts
         spec = rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),))
         assert rz.census(spec, 1e5, 8)[-1][0] == 1e5
+
+    def test_shifted_lattice_walks_only_its_reach(self):
+        # log_abs / ell = 3e8: the real parts within the radius lie 3e8 steps
+        # from Re s = 0, where a walk from n = 0 took about 19 s and 7.5 GB to list
+        spec = rz.SurfaceSpec(cylinders=((1e-8, TwistSpec.from_angles([(0.0, 1)], [3.0])),))
+        t0 = time.perf_counter()
+        table = rz.census(spec, 2.0, 8)
+        rs = rz.surface_resonances(spec, 2.0)
+        assert time.perf_counter() - t0 < 0.5
+        assert table == [(0.25 * (i + 1), 1 if i < 4 else 3) for i in range(8)]
+        assert [(p.location, p.mult) for p in rs] == [(-1 + 0j, 1), (0j, 1), (1 + 0j, 1)]
 
 
 class TestGrowthFit:

@@ -102,6 +102,14 @@ class TestLogGamma:
             with pytest.raises(OverflowBudgetError, match="recurrence"):
                 sf.log_gamma(np.array([1.5, bad]))
 
+    @pytest.mark.parametrize("bad", [complex(math.inf, math.inf), complex(math.nan, 1.0), complex(0.5, -math.inf), math.inf])
+    def test_non_finite_argument(self, bad):
+        # math.ceil of the shift count raised OverflowError or ValueError here
+        with pytest.raises(OverflowBudgetError, match="non-finite"):
+            sf.log_gamma(bad)
+        with pytest.raises(OverflowBudgetError, match="non-finite"):
+            sf.log_gamma(np.array([1.5, bad]))
+
     def test_accuracy_sweep_against_mpmath(self):
         # 1e-12 relative on |z| <= 50 away from the poles
         import mpmath as mp
