@@ -52,7 +52,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, PoleError, TruncationError
+from .errors import DomainError, OverflowBudgetError, PoleError, TruncationError
 from .free_resolvent import _g_s_rows, g_s
 from .geometry import TWO_PI, CylCoord, HPoint, cusp_to_plane, cyl_to_plane
 from .specfun import log_gamma
@@ -602,6 +602,8 @@ def cusp_mode(s: complex, kappa, y, y2):
     if zero.any():
         if abs(s - 0.5) < 1e-12:
             raise PoleError("cusp zero mode has its pole at s = 1/2")
+        if not math.hypot(s.real, s.imag) < specfun.OVERFLOW_BUDGET_Z:
+            raise OverflowBudgetError(f"cusp zero mode needs |s| < {specfun.OVERFLOW_BUDGET_Z:g}, got {s}")
         log_value = s * np.log(lo[zero]) + (1.0 - s) * np.log(hi[zero])
         out[zero] = specfun.scaled_value(1.0 / (2.0 * s - 1.0), log_value, "cusp zero mode")
     if not zero.all():
@@ -738,40 +740,41 @@ def kernel(end: str, method: str, s: complex, ell, t: TwistSpec, pairs) -> np.nd
 _TAIL_STEP = 0.15
 _TAIL_CUT = 42.0
 
-#: Frequencies per block of the continued S_xi's dual sum (31 nodes x 4096: 1 MB);
-#: a block takes only the nodes at which one of its frequencies is above e^-700.
-_FREQ_BLOCK = 4096
+#: Most terms of `_sum_tail`'s binomial series, and its Euler-Maclaurin weights B_2k / 2k
+#: times C(m, j - m), j = 2k - 1, per k (rows) and m (columns): e_j's sum in alpha = 2 v0 beta,
+#: beta = 1 / q0, is (2 v0)^-j sum_m C(-p, m) C(m, j - m) (4 v0^2 beta)^m.
+_MAX_BINOMIAL = 200
+_EM_WEIGHTS = np.array([[bern / (j + 1) * math.comb(m, j - m) if m <= j else 0.0 for m in range(16)]
+                        for j, bern in zip(range(1, 16, 2), specfun.BERNOULLI)])
 
 
 def _sum_tail(p: np.ndarray, a, b, start, log_scale) -> np.ndarray:
     """sum_{k >= start} f_p(k), f_p(k) = (((k+a)^2 + b^2) e^-log_scale)^-p, per row of a, b, start and log_scale and per p.
 
     Euler-Maclaurin: the integral from `start` (a binomial series in
-    (b/(start+a))^2, which is also its continuation below Re p = 1/2),
-    f(start)/2, and eight Bernoulli corrections from the Taylor
-    coefficients e_j of (1 + alpha x + beta x^2)^-p = f(start + x)/f(start).
-    The rows take the binomial series' terms until every row has stopped.
-    a, b, start and log_scale are columns (rows, 1), or scalars.
+    r = (b/v0)^2, v0 = start + a, which is also its continuation below
+    Re p = 1/2), f(start)/2, and eight Bernoulli corrections from the Taylor
+    coefficients e_j of (1 + alpha x + beta x^2)^-p = f(start + x)/f(start),
+    e_j = sum_m C(-p, m) C(m, j-m) alpha^(2m-j) beta^(j-m).  The C(-p, m) are
+    one running product, to where a majorant of the series' terms,
+    prod_i (|p| + i)/(i + 1) r, is below 1e-17 / (2|p| + 1) (or _MAX_BINOMIAL).
+    a, b, start and log_scale are scalars or arrays whose last axis has length 1.
     """
     v0 = start + a
     q0 = v0 * v0 + b * b
     r = (b / v0) ** 2
-    integral = np.zeros(np.broadcast(p, r).shape, dtype=complex)
-    binom = np.ones_like(integral)
-    for m in range(200):
-        term = binom * r**m / (2.0 * p + 2.0 * m - 1.0)
-        integral += term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(integral)):
-            break
-        binom = binom * (-p - m) / (m + 1.0)
+    big_p = float(np.abs(p).max())
+    i = np.arange(_MAX_BINOMIAL - 1.0)
+    small = np.cumsum(np.log((big_p + i) / (i + 1.0) * float(np.max(r)))) < math.log(1e-17 / (2.0 * big_p + 1.0))
+    m = np.arange(max(2 + int(np.argmax(small)) if small.any() else _MAX_BINOMIAL, _EM_WEIGHTS.shape[1]))
+    pm = np.asarray(p)[:, None]
+    binom = np.cumprod(np.concatenate([np.ones(pm.shape), (-pm - m[:-1]) / m[1:]], axis=-1), axis=-1)
+    r, g, two_v0 = (np.asarray(x)[..., None] for x in (r, 4.0 * v0 * v0 / q0, 2.0 * v0))
+    integral = (binom * r**m / (2.0 * pm + 2.0 * m - 1.0)).sum(axis=-1)
     integral *= v0 * np.exp(-p * (2.0 * np.log(v0) - log_scale))
-    alpha, beta = 2.0 * v0 / q0, 1.0 / q0
-    e_prev, e = np.ones_like(integral), -p * alpha
-    corr = np.zeros_like(integral)
-    for j in range(1, 2 * len(specfun.BERNOULLI)):
-        if j % 2:
-            corr += specfun.BERNOULLI[j // 2] / (j + 1) * e
-        e_prev, e = e, -(alpha * (p + j) * e + beta * (2.0 * p + j - 1.0) * e_prev) / (j + 1)
+    k = _EM_WEIGHTS.shape[1]
+    j = np.arange(1.0, k, 2.0)
+    corr = ((binom[:, :k] * g**m[:k]) @ _EM_WEIGHTS.T * two_v0**-j).sum(axis=-1)
     return integral + np.exp(-p * (np.log(q0) - log_scale)) * (0.5 - corr)
 
 
@@ -800,7 +803,9 @@ def _sxi_tails(theta, p: np.ndarray, a, b, start, log_scale=0.0) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     zero = theta == 0.0
     if zero.any():
-        euler = _sum_tail(p, a, b, start, log_scale) + _sum_tail(p, -a, b, start, log_scale)
+        # both sides in one call: a and -a on a leading axis
+        euler = _sum_tail(p, np.reshape([a, -a], (2, -1, 1)), b, start, log_scale).sum(axis=0)
+        euler = euler.reshape(np.broadcast(a, p).shape)
         if zero.all():
             return np.repeat(euler[..., None], theta.size, axis=-1) if theta.ndim else euler
     th = theta[~zero] if theta.ndim else theta  # the contour's angles: a scalar, or a last axis
@@ -871,12 +876,19 @@ def s_xi_continued(xi_angle: float, s: complex, a: float, b: float) -> complex:
 
     S_xi(s; a, b) = sqrt(pi) b^{1-2s} / Gamma(s) * [ I(s) + [xi = 1] Gamma(s - 1/2) ],
 
-    where I(s) integrates e^{-u} u^{s-1/2} against the dual theta sum, less
-    its zero frequency, over t = log u: there the sum's rise at u ~ pi^2 b^2
-    is as wide as its decay at u ~ 1.  Valid for all s; for xi = 1 the poles
-    sit at s in 1/2 - N0 (from the separated Gamma(s - 1/2) term).
+    where I(s) integrates e^{-u} u^{s-1/2} against the dual theta sum less
+    its zero frequency, D(u) = sum_{f = k+lam != 0} e^{-pi^2 b^2 f^2/u - 2 pi i a f},
+    over t = log u by `_quad.trapezoid`: the integrand is analytic for
+    |Im t| < pi/2 and falls double-exponentially at both ends.  For
+    u > 4 pi b^2, D is its Poisson form sqrt(u/pi)/b sum_m e^{2 pi i lam m}
+    e^{-u (m+a)^2/b^2} - [xi = 1]; each form takes the fixed terms that hold
+    all within e^-40 of its largest, with a reduced into [-1/2, 1/2] by
+    S(s; a + m, b) = xi^-m S(s; a, b).  Valid for all s; for xi = 1 the poles
+    sit at s in 1/2 - N0 (from the separated Gamma(s - 1/2) term).  I cancels
+    to about e^{-pi |Im s|/2} of its integrand: past |Im s| ~ 15, where
+    rounding leaves under 9 digits, the rule raises QuadratureError.
     """
-    from ._quad import gauss_legendre_adaptive
+    from ._quad import trapezoid
 
     s = complex(s)
     if not (0.0 <= xi_angle < 1.0):
@@ -887,43 +899,35 @@ def s_xi_continued(xi_angle: float, s: complex, a: float, b: float) -> complex:
     if lam == 0.0 and specfun._is_nonpositive_integer(s - 0.5) is not None:
         raise PoleError(f"S_1 has a pole at s = {s}")
 
+    a0 = round(a)
+    a -= a0
     pib2 = math.pi * math.pi * b * b
     m_min = 1.0 if lam == 0.0 else min(lam, 1.0 - lam)
+    # within e^-40 of the largest term: |f| <= 7.3 at u <= 4 pi b^2, |m + a| <= 1.9 above;
+    # the phase e^{-2 pi i a f} is pinned by the index-shift identity
+    freq = np.arange(-8, 8) + lam
+    freq = freq[freq != 0.0]
+    m = np.arange(-2.0, 3.0)
+    dual_phase, direct_phase = np.exp(-2j * math.pi * a * freq), np.exp(2j * math.pi * (lam * m % 1.0))
+    freq2, dist2 = freq * freq, (m + a) ** 2
 
     def integrand(t: np.ndarray) -> np.ndarray:
         u = np.exp(t)
-        # frequencies past kmax are below e^-700 at every node
-        kmax = int(math.sqrt(float(u.max()) * 700.0 / pib2)) + 2
-        freq = np.arange(-kmax, kmax + 1) + lam
-        freq = freq[freq != 0.0]
-        blocks = np.split(freq, range(_FREQ_BLOCK, freq.size, _FREQ_BLOCK))
-        dual = 0.0
-        for f in blocks:
-            # the dual sum leaves out the zero frequency; its phase is
-            # e^{-2 pi i a (k+lam)}: the sign is pinned by the index-shift
-            # identity S(s; a+1, b) = xi^{-1} S(s; a, b)
-            term = lambda u: np.exp(np.multiply.outer(-pib2 / u, f * f)) @ np.exp(-2j * math.pi * a * f)
-            least = 0.0 if len(blocks) == 1 or f[0] < 0.0 < f[-1] else min(abs(f[0]), abs(f[-1]))
-            if least:
-                # the block's terms are above e^-700 only at u >= pi^2 b^2 least^2 / 700
-                at = u >= pib2 * least * least / 700.0
-                block = np.zeros(u.shape, dtype=complex)
-                block[at] = term(u[at])
-                dual = dual + block
-            else:
-                dual = dual + term(u)
-        return np.exp(-u + (s - 0.5) * t) * dual
+        k = np.searchsorted(u, 4.0 * math.pi * b * b, "right")  # t ascends: the dual form's nodes come first
+        v = u[k:]
+        direct = np.sqrt(v / math.pi) / b * (np.exp(np.multiply.outer(-v / (b * b), dist2)) @ direct_phase)
+        d = np.concatenate([np.exp(np.multiply.outer(-pib2 / u[:k], freq2)) @ dual_phase, direct - (lam == 0.0)])
+        return np.exp(-u + (s - 0.5) * t) * d
 
+    gamma_term = cmath.exp(log_gamma(s - 0.5)) if lam == 0.0 else 0.0
     # upper limit: e^{-U} U^{Re s - 1/2} < 1e-16
     U = 45.0
     while U - max(s.real - 0.5, 0.0) * math.log(U) < 37.0:
         U += 5.0
-    # lower limit: below u = (pi b m_min)^2 / 700 every dual term is under e^-700
-    t_min = 2.0 * math.log(math.pi * b * m_min) - math.log(700.0)
-    integral = gauss_legendre_adaptive(integrand, t_min, math.log(U), 1e-12)
-    if lam == 0.0:
-        integral += cmath.exp(log_gamma(s - 0.5))
+    # lower limit: below u = (pi b m_min)^2 / 700 every dual term is under e^-700 (at large b, beyond U too)
+    t_min = min(2.0 * math.log(math.pi * b * m_min) - math.log(700.0), math.log(U))
+    integral = trapezoid(integrand, t_min, math.log(U), 0.25, 1e-13, gamma_term)  # settles at h = 1/8 for b ~ 1
     pref = cmath.exp(
-        0.5 * math.log(math.pi) + (1.0 - 2.0 * s) * math.log(b) - log_gamma(s)
+        0.5 * math.log(math.pi) + (1.0 - 2.0 * s) * math.log(b) - log_gamma(s) - 2j * math.pi * (lam * a0 % 1.0)
     )
-    return pref * integral
+    return pref * (integral + gamma_term)

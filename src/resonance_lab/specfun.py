@@ -18,7 +18,8 @@ row per (a_j, b_j, z_j) with c shared; z is a scalar shared by every row
 Accuracy envelope (documented, tested):
   * log_gamma: ~1e-13 relative on |z| <= 50 away from the poles -N0.  Its
     recurrence takes ceil(1/2 - Re z) steps, at most _MAX_SHIFTS = 10,000:
-    below Re z = -9999.5 it raises OverflowBudgetError.
+    below Re z = -9999.5 it raises OverflowBudgetError, as it does from
+    |z| = OVERFLOW_BUDGET_Z = 1e305 on.
   * reg_hyp2f1: direct series on |z| <= 1 - GUARD_DELTA (= 1e-3), the same
     as a term-by-term loop: rounding that grows with the number of terms,
     about 5e-16 / (1 - |z|), plus an ulp of the exponent log|F| (1e-12 at
@@ -78,6 +79,10 @@ GUARD_DELTA = 1e-3
 #: Largest Bessel argument accepted before raising OverflowBudgetError.
 OVERFLOW_BUDGET_X = 600.0
 
+#: Bound on |z| for log_gamma (and |s| for the cusp zero mode) before raising
+#: OverflowBudgetError: z log z, about 7.1e307 at the bound, stays inside a double.
+OVERFLOW_BUDGET_Z = 1e305
+
 #: K_nu switches from the reflection formula to quadrature above this x.
 K_SERIES_X_MAX = 2.0
 
@@ -124,13 +129,14 @@ def log_gamma(z):
     half-plane, which keeps the principal branch on C \\ (-inf, 0].
 
     Raises PoleError at the poles z in {0, -1, -2, ...}, and
-    OverflowBudgetError at a non-finite z or where the recurrence would
-    take more than _MAX_SHIFTS steps (Re z < -9999.5).
+    OverflowBudgetError at a z that is non-finite or not below
+    OVERFLOW_BUDGET_Z in modulus, or where the recurrence would take more
+    than _MAX_SHIFTS steps (Re z < -9999.5).
     """
     if isinstance(z, (int, float, complex)) or np.ndim(z) == 0:  # np.ndim costs 1.7 us
         z = complex(z)
-        if not cmath.isfinite(z):
-            raise OverflowBudgetError(f"log_gamma of the non-finite argument {z}")
+        if not math.hypot(z.real, z.imag) < OVERFLOW_BUDGET_Z:  # also False at inf and NaN
+            raise OverflowBudgetError(f"log_gamma argument {z} is non-finite or past |z| = {OVERFLOW_BUDGET_Z:g}")
         if _is_nonpositive_integer(z) is not None:
             raise PoleError(f"log_gamma pole at z = {z}")
         _check_shifts(z.real)
@@ -138,9 +144,10 @@ def log_gamma(z):
         n = max(math.ceil(0.5 - z.real), 0)
         return _log_gamma_lanczos(z + n, cmath.log) - sum(cmath.log(z + j) for j in range(n))
     z = np.asarray(z, dtype=complex)
-    finite = np.isfinite(z)
-    if not finite.all():
-        raise OverflowBudgetError(f"log_gamma of the non-finite argument {complex(z[~finite][0])}")
+    inside = np.abs(z) < OVERFLOW_BUDGET_Z  # also False at inf and NaN
+    if not inside.all():
+        bad = complex(z[~inside][0])
+        raise OverflowBudgetError(f"log_gamma argument {bad} is non-finite or past |z| = {OVERFLOW_BUDGET_Z:g}")
     poles = _nonpositive_integers(z)
     if poles.any():
         raise PoleError(f"log_gamma pole at z = {complex(z[poles][0])}")

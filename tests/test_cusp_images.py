@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import images_reference as ref
+import sxi_reference
 from resonance_lab import model_kernels as mk
 from resonance_lab.errors import DomainError, PoleError, TruncationError
 from resonance_lab.geometry import CylCoord
@@ -141,6 +142,20 @@ class TestSXiTails:
         for i in range(3):
             want = [mk._sxi_tails(theta, np.array([pj]), a[i], b[i], int(start[i]), log_scale[i])[0] for pj in p]
             assert np.all(np.abs(got[i] - want) <= 1e-13 * np.abs(want)), (i, np.max(np.abs(got[i] - want) / np.abs(want)))
+
+    def test_sum_tail_against_loop(self):
+        # one array pass against the term-by-term loop, p = s + n for n < 8
+        # as the image n-series takes them, one row or three
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            p = complex(rng.uniform(0.15, 6.0), rng.uniform(-5.0, 5.0)) + np.arange(8)
+            a, b = rng.uniform(-1.0, 1.0, 3), rng.uniform(0.1, 20.0, 3)
+            start, log_scale = mk._lattice_window(p[0], 20.0) + 1 + np.arange(3), rng.uniform(-1.0, 1.0, 3)
+            rows = tuple(v[:, None] for v in (a, b, start, log_scale))
+            for args in ((a[0], b[0], int(start[0]), log_scale[0]), rows):
+                got, want = mk._sum_tail(p, *args), sxi_reference.sum_tail_loop(p, *args)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
     @pytest.mark.parametrize("theta,s", [(0.1, 1.5), (0.05, 2.0 + 2.0j), (0.15, 0.75)])
     def test_small_angle_sums(self, theta, s):

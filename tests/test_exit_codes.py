@@ -12,9 +12,11 @@ Infinity into the `count` JSON, and rows named `hang-*` did not return
 (log_gamma's recurrence summed about -Re s logarithms), and rows named
 `slow-*` took 1.4-4 s (a `modes` grid of 100,000 points, evaluated in
 full; a lattice walked from Re s = 0 to its centre 3e7 away, or a count
-that exited 2 on the census budget of that walk); they must return the
-one code given with them.  Every row returns within a second, and its
-stderr is under 200 characters.
+that exited 2 on the census budget of that walk), and rows named `warn-*`
+printed RuntimeWarnings before their message (log_gamma and the cusp zero
+mode overflowing at a finite |s| near the largest double); they must
+return the one code given with them.  Every row returns within a second,
+and its stderr is under 200 characters.
 """
 
 import json
@@ -138,6 +140,10 @@ def _rows():
              ["modes", "--end", end, "--s=2+0.3i", "--kappa", "1e308", "--r2", "0.5",
               "--r-min", "0.1", "--r-max", "1", "--n", "5"], 3),
         ]
+    # a finite s past log_gamma's |z| budget, and past the cusp zero mode's
+    for end in ("cylinder", "funnel", "cusp"):
+        rows.append((f"warn-s-1e308+1e308i-{end}-fourier", _GOOD,
+                     _kernel(end, "1e308+1e308i", "fourier", ("0.1", "1", "0.7", "2")), 3))
     # an angle that winds more than 2^62 times, on every end and method
     for end in ("cylinder", "funnel", "cusp"):
         for method in ("images", "fourier", "both"):

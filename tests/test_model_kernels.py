@@ -14,7 +14,7 @@ import images_reference as ref
 import sxi_reference
 from verify_reference import mode_tolerance
 from resonance_lab import model_kernels as mk
-from resonance_lab.errors import DomainError, PoleError, TruncationError
+from resonance_lab.errors import DomainError, PoleError, QuadratureError, TruncationError
 from resonance_lab.geometry import TWO_PI, CylCoord, HPoint, cyl_to_plane, sigma
 from resonance_lab.twist import TwistSpec
 
@@ -467,15 +467,36 @@ class TestSXi:
                 want = sxi_reference.s_xi_continued(xia, s, a, b)
                 assert abs(mk.s_xi_continued(xia, s, a, b) - want) <= 1e-12 * abs(want)
 
-    @pytest.mark.parametrize("b,bound", [(0.01, 1e-10), (2e-3, 1e-8)])
-    def test_small_b(self, b, bound):
+    @pytest.mark.parametrize("xia", [0.0, 0.1, 1.0 / 3.0, 0.5, 0.9])
+    def test_against_panel_reference(self, xia):
+        # the adaptive Gauss-Legendre panels in log u, on the grid above
+        for s in (0.15 + 0.3j, 0.75, 1.5, 2.0 + 2.0j, -0.7 + 0.4j, -2.3 + 1.0j, 12.0 + 0.3j):
+            for a, b in ((0.0, 1.0), (0.3, 0.5), (-1.7, 2.5)):
+                want = sxi_reference.s_xi_continued_panels(xia, s, a, b)
+                assert abs(mk.s_xi_continued(xia, s, a, b) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("b", [0.01, 2e-3, 1e-3])
+    def test_small_b(self, b):
         # the dual sum rises at u ~ pi^2 b^2: integrated in u, no node of
-        # the first panel saw it and b = 0.01 read 1.3e-10 in place of 37
+        # the first panel saw it and b = 0.01 read 1.3e-10 in place of 37;
+        # the panels in log u were 3.4e-12 / 1.8e-9 / 1.6e-8 off here
         d = mk.s_xi_direct(0.25, 1.5, 0.3, b)
-        assert abs(mk.s_xi_continued(0.25, 1.5, 0.3, b) - d) <= bound * abs(d)
+        assert abs(mk.s_xi_continued(0.25, 1.5, 0.3, b) - d) <= 1e-12 * abs(d)
+
+    @pytest.mark.parametrize("im_s", [5.0, 10.0])
+    def test_continued_at_moderate_imaginary_s(self, im_s):
+        d = mk.s_xi_direct(0.25, 1.5 + 1j * im_s, 0.3, 1.0)
+        assert abs(mk.s_xi_continued(0.25, 1.5 + 1j * im_s, 0.3, 1.0) - d) <= 1e-10 * abs(d)
+
+    @pytest.mark.parametrize("im_s", [20.0, 40.0])
+    def test_continued_fails_where_it_cancels(self, im_s):
+        # the integral is about e^{-pi |Im s| / 2} of its integrand: it
+        # returned values 1.2e-3 and 5.5e9 off the direct sum here
+        with pytest.raises(QuadratureError, match="cancels"):
+            mk.s_xi_continued(0.25, 1.5 + 1j * im_s, 0.3, 1.0)
 
     def test_memory_bounded_at_small_b(self):
-        # 56,000 frequencies at the first panel's nodes, summed in blocks
+        # a few frequencies per node whatever b is; once 56,000, in blocks
         tracemalloc.start()
         try:
             mk.s_xi_continued(0.25, 1.5, 0.3, 2e-3)

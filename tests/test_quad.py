@@ -1,4 +1,4 @@
-"""Gauss-Legendre rules of `_quad`: fixed panels and adaptive bisection."""
+"""The rules of `_quad`: Gauss-Legendre panels, fixed and adaptively bisected, and the trapezoid rule."""
 
 import math
 import time
@@ -59,3 +59,31 @@ class TestPanels:
 
     def test_empty_interval(self):
         assert _quad.gauss_legendre_adaptive(np.cos, 1.0, 1.0, 1e-12) == 0.0
+
+
+class TestTrapezoid:
+    def test_gaussian(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-x * x)
+
+        got = _quad.trapezoid(f, -7.0, 7.0, 0.5, 1e-13)
+        assert abs(got - math.sqrt(math.pi)) <= 1e-15
+        # the first step's 29 nodes, then only the new midpoints of each halving
+        assert sizes[0] == 29 and sizes[1:] == [28 * 2**i for i in range(len(sizes) - 1)]
+
+    def test_node_budget(self):
+        t0 = time.perf_counter()
+        with pytest.raises(QuadratureError, match="not settled"):
+            _quad.trapezoid(lambda x: np.sin(1e12 * x), 0.0, 1.0, 0.5, 1e-13)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_cancellation_floor(self):
+        # the integral of (1 - 2x^2) e^-x^2 is 0: no digit of it is above the rounding of |f|'s
+        f = lambda x: (1.0 - 2.0 * x * x) * np.exp(-x * x)
+        with pytest.raises(QuadratureError, match="cancels"):
+            _quad.trapezoid(f, -7.0, 7.0, 0.5, 1e-13)
+        # next to a value of size 1, the same sum is accurate enough
+        assert abs(_quad.trapezoid(f, -7.0, 7.0, 0.5, 1e-13, 1.0)) <= 1e-15
