@@ -35,10 +35,10 @@ from .resonances import (
     SurfaceSpec,
     census,
     counting_function,
+    counting_law,
     cusp_resonances,
     cylinder_resonances,
     funnel_resonances,
-    growth_fit,
     surface_resonances,
 )
 from .scattering import (
@@ -73,6 +73,7 @@ __all__ = [
     "bessel_k",
     "census",
     "counting_function",
+    "counting_law",
     "cusp_kernel",
     "cusp_kernel_images",
     "cusp_mode",
@@ -90,7 +91,6 @@ __all__ = [
     "funnel_mode",
     "funnel_resonances",
     "g_s",
-    "growth_fit",
     "log_gamma",
     "poisson_mode",
     "reg_hyp2f1",

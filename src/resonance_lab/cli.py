@@ -2,7 +2,7 @@
 
 Commands:
   resonances  enumerate a surface spec's model-end resonances to a CSV/JSON census
-  count       counting-function table (r, N(r)) with a growth-law fit
+  count       counting-function table (r, N(r)) and its counting law A r^2 + B r + C
   kernel      evaluate a model kernel at one coordinate pair
   modes       tabulate a mode function along an r-grid
   verify      run the cross-oracle verification suite
@@ -184,26 +184,15 @@ def _cmd_resonances(args) -> int:
 def _cmd_count(args) -> int:
     spec = _load_spec(args.spec)
     table = rz.census(spec, args.r_max, args.samples)
-    fit_rows = [row for row in table if row[0] >= args.fit_min]
-    try:
-        coeff, spread = rz.growth_fit(fit_rows)
-        fit = {"coefficient": coeff, "rel_spread": spread}
-    except ResonanceLabError:
-        fit = None
+    law = dict(zip("ABC", rz.counting_law(spec)))
     if args.output == "csv":
-        lines = ["r,N"]
-        lines += [f"{_fmt(r)},{n}" for r, n in table]
-        _emit(["\n".join(lines) + "\n"], args.out)
-        if fit:
-            sys.stderr.write(
-                f"growth_fit coefficient={_fmt(fit['coefficient'])} "
-                f"rel_spread={_fmt(fit['rel_spread'])}\n"
-            )
+        _emit(["r,N\n"] + [f"{_fmt(r)},{n}\n" for r, n in table], args.out)
+        sys.stderr.write("counting law " + " ".join(f"{k}={_fmt(v)}" for k, v in law.items()) + "\n")
     else:
         doc = {
             "spec": spec.to_json_dict(),
             "table": [{"r": r, "N": n} for r, n in table],
-            "growth_fit": fit,
+            "law": law,
         }
         _emit([json.dumps(doc, indent=2, sort_keys=True) + "\n"], args.out)
     return 0
@@ -220,14 +209,12 @@ def _cmd_kernel(args) -> int:
     methods = ("images", "fourier") if args.method == "both" else (args.method,)
     results = {m: mk.kernel(args.end, m, s, ell, t, [(c1, c2)])[0] for m in methods}
     if args.output == "csv":
-        lines = ["method,theta,mult,re,im"]
-        for method in sorted(results):
-            vals = results[method]
-            for cls, v in zip(t.angles, vals):
-                lines.append(
-                    f"{method},{_fmt(cls.theta)},{cls.mult},{_fmt(v.real)},{_fmt(v.imag)}"
-                )
-        _emit(["\n".join(lines) + "\n"], args.out)
+        rows = [
+            f"{method},{_fmt(cls.theta)},{cls.mult},{_fmt(v.real)},{_fmt(v.imag)}\n"
+            for method in sorted(results)
+            for cls, v in zip(t.angles, results[method])
+        ]
+        _emit(["method,theta,mult,re,im\n"] + rows, args.out)
     else:
         doc = {
             "end": args.end,
@@ -264,9 +251,7 @@ def _cmd_modes(args) -> int:
     else:
         mode = mk.cyl_mode if args.end == "cylinder" else mk.funnel_mode
         values = mode(s, args.kappa, np.array(rs), args.r2, ell).tolist()
-    lines = ["r,re,im"]
-    lines += [f"{_fmt(r)},{_fmt(v.real)},{_fmt(v.imag)}" for r, v in zip(rs, values)]
-    _emit(["\n".join(lines) + "\n"], args.out)
+    _emit(["r,re,im\n"] + [f"{_fmt(r)},{_fmt(v.real)},{_fmt(v.imag)}\n" for r, v in zip(rs, values)], args.out)
     return 0
 
 
@@ -298,11 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radius", type=float, required=True)
     sp.set_defaults(func=_cmd_resonances)
 
-    sp = sub.add_parser("count", help="counting-function table and growth fit")
+    sp = sub.add_parser("count", help="counting-function table and counting law")
     add_common(sp)
     sp.add_argument("--r-max", type=float, required=True)
     sp.add_argument("--samples", type=int, default=8)
-    sp.add_argument("--fit-min", type=float, default=0.0)
     sp.set_defaults(func=_cmd_count)
 
     sp = sub.add_parser("kernel", help="evaluate a model kernel at a point pair")

@@ -449,7 +449,20 @@ def _mode_sum(terms, scale: np.ndarray, first_block: int) -> np.ndarray:
     return out
 
 
-def _fourier_kernel(t: TwistSpec, pairs, profile, ell: float, first_block: int = _FIRST_BLOCK, coords=None):
+def _check_mode_count(radii: np.ndarray, ell: float) -> None:
+    """TruncationError for the first (r, r') whose cylinder or funnel sum needs more than _MAX_FOURIER_MODES.
+
+    Modes fall like e^{-omega |kappa| |gd(r) - gd(r')|}, gd(r) = atan(sinh r):
+    the sum needs 1/1.4 to 1 times ln(1e16) / (omega |gd(r) - gd(r')|) modes,
+    and fails here where that estimate passes twice the cap.
+    """
+    gd = 2.0 * np.arctan(np.tanh(0.5 * radii))  # atan(sinh r), without overflow
+    slow = TWO_PI / ell * np.abs(gd[:, 0] - gd[:, 1]) * (2 * _MAX_FOURIER_MODES) < math.log(1e16)
+    for r, r2 in radii[slow][:1].tolist():
+        raise TruncationError(f"Fourier synthesis needs more than {_MAX_FOURIER_MODES} modes at r = {r:g}, r' = {r2:g}")
+
+
+def _fourier_kernel(t: TwistSpec, pairs, profile, ell: float, first_block: int = _FIRST_BLOCK, coords=None, predict=False):
     """Per pair p and class j: lambda_j^(w1 - w2) sum_k e^{i kappa phase_p} profile(|kappa|, radial_p) / ell.
 
     kappa = k + theta_j; 2pi windings of the angles enter through the twist
@@ -459,7 +472,8 @@ def _fourier_kernel(t: TwistSpec, pairs, profile, ell: float, first_block: int =
     k = -first_block..first_block of every sum are one call, a table that
     later rounds read; the sides k > 0 and k < 0 of each sum are two rows of
     one `_mode_sum`, each from the largest magnitude of the sum's table.
-    Returns a (len(pairs), classes) array.
+    With predict, `_check_mode_count` follows the table, where a pair outside
+    a profile's domain fails first.  Returns a (len(pairs), classes) array.
     """
     if not t.is_unitary:
         raise DomainError("Fourier synthesis requires a unitary twist")
@@ -494,6 +508,8 @@ def _fourier_kernel(t: TwistSpec, pairs, profile, ell: float, first_block: int =
     if not n:
         return np.zeros((len(pairs), thetas.size), dtype=complex)
     first = modes(np.arange(n), np.arange(-first_block, first_block + 1)[None, :].repeat(n, axis=0))
+    if predict:
+        _check_mode_count(radii, ell)
     sides = _mode_sum(terms, np.tile(np.abs(first).max(axis=1), 2), first_block)
     words = np.array([[c1.winding - c2.winding] for c1, c2 in pairs])
     lam = np.array([cls.eigenvalue for cls in t.angles])
@@ -507,7 +523,7 @@ def cyl_kernel_fourier(s: complex, ell: float, t: TwistSpec, pairs) -> np.ndarra
     with kappa = k + theta_j; 2pi windings of the angles enter through the
     twist phase lambda_j^(w - w').
     """
-    return _fourier_kernel(t, list(pairs), lambda kap, r, r2: cyl_mode(s, kap, r, r2, ell), ell)
+    return _fourier_kernel(t, list(pairs), lambda kap, r, r2: cyl_mode(s, kap, r, r2, ell), ell, predict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +595,7 @@ def funnel_kernel(s: complex, ell: float, t: TwistSpec, pairs) -> np.ndarray:
 
 def funnel_kernel_fourier(s: complex, ell: float, t: TwistSpec, pairs) -> np.ndarray:
     """Funnel resolvent kernel via the mode functions (same 1/ell prefactor), one row per pair."""
-    return _fourier_kernel(t, list(pairs), lambda kap, r, r2: funnel_mode(s, kap, r, r2, ell), ell)
+    return _fourier_kernel(t, list(pairs), lambda kap, r, r2: funnel_mode(s, kap, r, r2, ell), ell, predict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +830,8 @@ def _sxi_tails(theta, p: np.ndarray, a, b, start, log_scale=0.0) -> np.ndarray:
     cut = _TAIL_CUT + math.pi * float(np.abs(p.imag).max())
     x = np.arange(
         -math.asinh(cut / (math.pi * (1.0 - th.max()))),
-        math.asinh(min(cut / (math.pi * th.min()), 1e300)) + _TAIL_STEP,
+        # a quotient of Python floats, inf without a warning at a subnormal angle
+        math.asinh(min(cut / (math.pi * float(th.min())), 1e300)) + _TAIL_STEP,
         _TAIL_STEP,
     )
     y = 0.5 * np.sinh(x)
@@ -925,7 +942,10 @@ def s_xi_continued(xi_angle: float, s: complex, a: float, b: float) -> complex:
     while U - max(s.real - 0.5, 0.0) * math.log(U) < 37.0:
         U += 5.0
     # lower limit: below u = (pi b m_min)^2 / 700 every dual term is under e^-700 (at large b, beyond U too)
-    t_min = min(2.0 * math.log(math.pi * b * m_min) - math.log(700.0), math.log(U))
+    reach = math.pi * b * m_min
+    t_min = min(2.0 * math.log(reach) - math.log(700.0), math.log(U)) if reach else -math.inf
+    if t_min < math.log(np.finfo(float).tiny):
+        raise OverflowBudgetError(f"S_xi continuation at angle {xi_angle:g}, b = {b:g} needs u below the smallest normal double")
     integral = trapezoid(integrand, t_min, math.log(U), 0.25, 1e-13, gamma_term)  # settles at h = 1/8 for b ~ 1
     pref = cmath.exp(
         0.5 * math.log(math.pi) + (1.0 - 2.0 * s) * math.log(b) - log_gamma(s) - 2j * math.pi * (lam * a0 % 1.0)

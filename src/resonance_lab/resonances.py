@@ -1,5 +1,5 @@
 """Exact resonance-multiset enumeration for model ends, counting functions
-and growth-law fits.
+and their closed-form counting law.
 
 Cylinder resonances form the lattice
     union over eigenvalues lambda, signs p = +-1:
@@ -16,7 +16,8 @@ set scanned for near collisions.  Each class and sign walks only the real
 parts within r of its centre p log_abs/ell.  `census` does not
 enumerate: N(r) is additive in multiplicities, so it counts the integers
 of one open interval per real part, in O(r) work per radius, and merges
-nothing.
+nothing.  `counting_law` reads the law N(r) = A r^2 + B r + C + E(r) off
+the spec.
 """
 
 from __future__ import annotations
@@ -507,10 +508,9 @@ def _lattice_ends(spec: SurfaceSpec) -> list[tuple[float, TwistSpec, int, int]]:
 
 def _count(spec: SurfaceSpec, r: float, limit: float = math.inf) -> int:
     """N(r) of the spec by `_interval_count`; a count past limit may stop early."""
-    cusp_mult = sum(c.mult for t in spec.cusps for c in t.angles if c.theta == 0.0)
     return sum(
         _interval_count(ell, t, r, base, step, limit) for ell, t, base, step in _lattice_ends(spec)
-    ) + (cusp_mult if r > 0.5 else 0)
+    ) + (counting_law(spec)[2] if r > 0.5 else 0)
 
 
 def census(spec: SurfaceSpec, r_max: float, n_samples: int) -> list[tuple[float, int]]:
@@ -538,25 +538,16 @@ def census(spec: SurfaceSpec, r_max: float, n_samples: int) -> list[tuple[float,
     return [(r, _count(spec, r)) for r in radii]
 
 
-def growth_fit(table: list[tuple[float, int]]) -> tuple[float, float]:
-    """Least-squares coefficient c of N(r) ~ c r^2 and its relative spread.
+def counting_law(spec: SurfaceSpec) -> tuple[float, float, int]:
+    """(A, B, C) of the counting law N(r) = A r^2 + B r + C + E(r), r > 1/2.
 
-    Needs at least 5 radii spanning a factor >= 4, and raises
-    InsufficientDataError where c or the spread is not a positive finite
-    number: no resonance inside the radii (c = 0), or radii so small that
-    r^2 underflows.
+    A column at real part x holds about 2 sqrt(r^2 - x^2) ell / 2 pi points.
+    By Euler-Maclaurin over the real parts, A = sum_cyl mult ell/2 +
+    sum_funnel mult ell/4, and B = sum_cyl mult ell/pi is the f(0)/2 term of
+    the cylinder columns nearest Re s = 0 (funnel columns sit at odd
+    negative integers); C counts the cusps' theta = 0 point 1/2.
     """
-    rs = np.array([r for r, _ in table], dtype=float)
-    ns = np.array([n for _, n in table], dtype=float)
-    if len(rs) < 5 or rs.min() <= 0.0 or rs.max() / rs.min() < 4.0:
-        raise InsufficientDataError(
-            "growth fit needs >= 5 radii spanning a factor >= 4"
-        )
-    r2 = rs * rs
-    with np.errstate(all="ignore"):
-        coeff = float((ns * r2).sum() / (r2 * r2).sum())
-        ratios = ns / r2
-        spread = float((ratios.max() - ratios.min()) / coeff)
-    if not (0.0 < coeff < math.inf and math.isfinite(spread)):
-        raise InsufficientDataError(f"growth fit has no finite coefficient (c = {coeff}, spread = {spread})")
-    return coeff, spread
+    cylinders = sum(cls.mult * ell for ell, t in spec.cylinders for cls in t.angles)
+    funnels = sum(cls.mult * ell for ell, t in spec.funnels for cls in t.angles)
+    cusps = sum(cls.mult for t in spec.cusps for cls in t.angles if cls.theta == 0.0)
+    return cylinders / 2.0 + funnels / 4.0, cylinders / math.pi, cusps

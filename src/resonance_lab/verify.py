@@ -269,17 +269,17 @@ def check_resonance_example() -> CheckResult:
 
 
 def check_counting() -> CheckResult:
+    """N(5) = 78 on the 2 pi trivial cylinder, by enumeration and by interval
+    count, and |N(r) - A r^2 - B r| <= 3 r^(2/3) from r = 10 to 1000 (README)."""
     ell = 2.0 * math.pi
     t0 = TwistSpec.trivial()
-    rs = rz.cylinder_resonances(ell, t0, 5.0)
-    n5 = rz.counting_function(rs, 5.0)
     spec = rz.SurfaceSpec(cylinders=((ell, t0),))
-    table = [row for row in rz.census(spec, 400.0, 8) if row[0] >= 100.0]
-    coeff, spread = rz.growth_fit(table)
-    ok = n5 == 78 and abs(coeff - ell / 2.0) / (ell / 2.0) <= 0.1
-    return CheckResult(
-        "counting_and_growth", ok, f"N(5) = {n5}, growth coeff {coeff:.4f} (ell/2 = {ell/2:.4f})"
-    )
+    n5 = rz.counting_function(rz.cylinder_resonances(ell, t0, 5.0), 5.0)
+    a, b, _ = rz.counting_law(spec)
+    radii = (10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
+    worst = max(abs(rz._count(spec, r) - a * r * r - b * r) / r ** (2.0 / 3.0) for r in radii)
+    ok = n5 == 78 and rz._count(spec, 5.0) == n5 and worst <= 3.0
+    return CheckResult("counting_and_growth", ok, f"N(5) = {n5}, max |E| / r^(2/3) {worst:.3e}")
 
 
 ALL_CHECKS = (

@@ -51,7 +51,7 @@ def test_criterion_2_untwisted_count_and_growth():
     # the check asserts N(5) = 78; the lattice count by brute force must agree
     brute = 2 * sum(1 for n in range(6) for m in range(-5, 6) if n * n + m * m < 25)
     report_checks(
-        2, "N(5) = 78 and growth ~ ell/2 on [100, 400]",
+        2, "N(5) = 78 and N(r) = A r^2 + B r + O(r^(2/3)) on [10, 1000]",
         [vf.check_counting()], t0, 10.0,
         extra_ok=brute == 78, extra=f"brute-force oracle N(5) = {brute}",
     )

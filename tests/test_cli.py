@@ -144,18 +144,23 @@ class TestResonancesCommand:
 
 
 class TestCountCommand:
-    def test_table_and_fit(self, spec_file, capsys):
-        rc = cli.main(
-            [
-                "count", "--spec", spec_file, "--r-max", "40", "--samples", "6",
-                "--fit-min", "5",
-            ]
-        )
+    def test_table_and_law(self, spec_file, capsys):
+        # the 2 pi cylinder, diag(i, -1) at ell = 1 as a funnel, and a cusp of
+        # two theta = 0 classes: A = pi + 1/2, B = 2, C = 2
+        rc = cli.main(["count", "--spec", spec_file, "--r-max", "40", "--samples", "6"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["table"]) == 6
-        assert doc["growth_fit"]["coefficient"] > 0
+        assert doc["law"] == {"A": math.pi + 0.5, "B": 2.0, "C": 2}
+        for row in doc["table"]:
+            r = row["r"]
+            assert abs(row["N"] - (math.pi + 0.5) * r * r - 2.0 * r - 2) <= 3.0 * r ** (2.0 / 3.0)
 
+    def test_csv_law_on_stderr(self, spec_file, capsys):
+        rc = cli.main(["count", "--spec", spec_file, "--r-max", "40", "--samples", "6", "--output", "csv"])
+        out, err = capsys.readouterr()
+        assert rc == 0 and out.startswith("r,N\n") and len(out.splitlines()) == 7
+        assert err == f"counting law A={math.pi + 0.5:.17g} B=2 C=2\n"
 
     def test_census_budget_exit_2(self, spec_file, capsys):
         # about 1e12 real parts to walk: refused before counting
@@ -172,23 +177,27 @@ class TestCountCommand:
 
     @pytest.mark.parametrize("output", ["json", "csv"])
     @pytest.mark.parametrize("case", ["no-resonance", "r-max-1e-300"])
-    def test_fit_without_finite_coefficient(self, case, output, spec_file, tmp_path, capsys):
-        # no point inside r_max (c = 0), or r^2 underflowing to 0: no fit,
-        # printed as null in JSON and left out of the CSV's stderr
+    def test_law_without_resonances(self, case, output, spec_file, tmp_path, capsys):
+        # no point inside r_max, or r^2 underflowing to 0 (only the double
+        # point s = 0 of the 2 pi cylinder is inside): the law, read off the
+        # spec, is finite and strict JSON
         if case == "no-resonance":
             spec_file = tmp_path / "cusp.json"
             spec_file.write_text(json.dumps({"cusps": [{"twist": {"angles": [{"theta": 0.5, "mult": 1}]}}]}))
         r_max = "40" if case == "no-resonance" else "1e-300"
+        law = {"A": 0.0, "B": 0.0, "C": 0} if case == "no-resonance" else {"A": math.pi + 0.5, "B": 2.0, "C": 2}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = cli.main(["count", "--spec", str(spec_file), "--r-max", r_max, "--output", output])
         out, err = capsys.readouterr()
-        assert rc == 0 and err == ""
+        assert rc == 0
         if output == "json":
             doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"{token} in JSON"))
-            assert doc["growth_fit"] is None and len(doc["table"]) == 8
+            assert doc["law"] == law and len(doc["table"]) == 8
+            assert all(row["N"] == (0 if case == "no-resonance" else 2) for row in doc["table"])
         else:
             assert out.startswith("r,N\n") and len(out.splitlines()) == 9
+            assert err == "counting law " + " ".join(f"{k}={v:.17g}" for k, v in law.items()) + "\n"
 
 
 def _mp_cylinder_images(s, r1, phi1, r2, phi2, ell=2.0 * math.pi, reach=3):

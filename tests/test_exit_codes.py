@@ -12,11 +12,15 @@ Infinity into the `count` JSON, and rows named `hang-*` did not return
 (log_gamma's recurrence summed about -Re s logarithms), and rows named
 `slow-*` took 1.4-4 s (a `modes` grid of 100,000 points, evaluated in
 full; a lattice walked from Re s = 0 to its centre 3e7 away, or a count
-that exited 2 on the census budget of that walk), and rows named `warn-*`
+that exited 2 on the census budget of that walk; a near-diagonal Fourier
+sum that ran every mode up to the cap, for 6-17 s), and rows named `warn-*`
 printed RuntimeWarnings before their message (log_gamma and the cusp zero
-mode overflowing at a finite |s| near the largest double); they must
-return the one code given with them.  Every row returns within a second,
-and its stderr is under 200 characters.
+mode overflowing at a finite |s| near the largest double, the S_xi tails at
+a subnormal angle); they must return the one code given with them, and the
+suite's `error::RuntimeWarning` filter fails them on any RuntimeWarning.
+Every row returns within a second, and its stderr is under 200 characters.
+Only a row that expects 2 may be refused by argparse (a retired flag), which
+exits 2 after its usage line.
 """
 
 import json
@@ -153,6 +157,18 @@ def _rows():
     # windings just below 2^62 either way: their difference still fits 64 bits
     rows.append(("winding-difference-cusp-images", _GOOD,
                  _kernel("cusp", method="images", coords=("0.1", "2.89e19", "0.2", "-2.89e19")), 0))
+    # near-diagonal Fourier sums: about 12,000 modes, more than the cap of 3,000
+    rows += [
+        ("slow-fourier-near-diagonal-cylinder", _GOOD, _kernel("cylinder", method="fourier", coords=("0.3", "1", "0.3005", "2")), 3),
+        ("slow-fourier-near-diagonal-funnel", _GOOD, _kernel("funnel", method="fourier", coords=("0.5", "1", "0.5005", "2")), 3),
+        # outside a profile's domain the pair is malformed first
+        ("fourier-near-diagonal-past-profile-guard", _GOOD, _kernel("cylinder", method="fourier", coords=("-5", "1", "-5.0001", "2")), 2),
+    ]
+    # a subnormal angle: the images take it as theta = 0, and its first mode overflows I_nu
+    subnormal = {"cusps": [{"twist": {"angles": [{"theta": 5e-324, "mult": 1}]}}]}
+    for method, code in (("fourier", 3), ("images", 0), ("both", 3)):
+        rows.append((f"warn-subnormal-angle-{method}", subnormal, _kernel("cusp", method=method), code))
+    rows.append(("count-retired-fit-min", _GOOD, ["count", "--r-max", "10", "--fit-min", "100"], 2))
     no_points = {"cusps": [{"twist": {"angles": [{"theta": 0.5, "mult": 1}]}}]}
     rows.append(("escape-count-without-resonances", no_points, ["count", "--r-max", "40"], 0))
     for end in ("cylinder", "funnel", "cusp"):
@@ -174,13 +190,18 @@ def test_exit_code(name, spec, argv, expect, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     start = time.perf_counter()
-    rc = cli.main([argv[0], "--spec", str(path), *argv[1:]])
+    refused = False
+    try:
+        rc = cli.main([argv[0], "--spec", str(path), *argv[1:]])
+    except SystemExit as exc:
+        rc, refused = exc.code, True
     assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert len(err) < 200, err
     assert rc in (0, 2, 3) if expect is None else rc == expect, err
+    assert expect == 2 or not refused, err
     assert "Traceback" not in err
     if rc == 0 and "csv" not in argv:
         json.loads(out, parse_constant=_strict)
     else:
-        assert rc == 0 or err.startswith(("error: ", "numerical failure: "))
+        assert rc == 0 or err.startswith("usage: " if refused else ("error: ", "numerical failure: "))

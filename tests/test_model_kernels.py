@@ -14,7 +14,7 @@ import images_reference as ref
 import sxi_reference
 from verify_reference import mode_tolerance
 from resonance_lab import model_kernels as mk
-from resonance_lab.errors import DomainError, PoleError, QuadratureError, TruncationError
+from resonance_lab.errors import DomainError, OverflowBudgetError, PoleError, QuadratureError, TruncationError
 from resonance_lab.geometry import TWO_PI, CylCoord, HPoint, cyl_to_plane, sigma
 from resonance_lab.twist import TwistSpec
 
@@ -166,6 +166,34 @@ class TestTruncation:
                 mk.funnel_kernel_fourier(S_REF, ELL, TWIST, [(c1, c2)])[0]
             else:
                 mk.cyl_kernel_fourier(S_REF, ELL, TWIST, [(c1, c2)])[0]
+
+    @pytest.mark.parametrize("route", ["cylinder", "funnel"])
+    def test_fourier_mode_cap_past_the_estimate(self, monkeypatch, route):
+        # the pair's estimate, about 25 modes, is within twice the cap, and its
+        # 19 modes pass the cap in the sum itself
+        monkeypatch.setattr(mk, "_MAX_FOURIER_MODES", 15)
+        c1, c2 = CylCoord(0.6, 1.0), CylCoord(0.9, 2.5)
+        fourier = mk.funnel_kernel_fourier if route == "funnel" else mk.cyl_kernel_fourier
+        with pytest.raises(TruncationError, match="needs more than 15 modes$"):
+            fourier(S_REF, ELL, TWIST, [(c1, c2)])
+
+    @pytest.mark.parametrize("route", ["cylinder", "funnel"])
+    @pytest.mark.parametrize("r,r2", [(0.3, 0.3005), (0.5, 0.5005), (0.3, 0.3)])
+    def test_fourier_mode_estimate_fails_fast(self, route, r, r2):
+        # about 12,000 modes, and none ever for equal r: these ran every mode
+        # up to the cap, for 6-17 s, before they failed
+        fourier = mk.funnel_kernel_fourier if route == "funnel" else mk.cyl_kernel_fourier
+        pairs = [(CylCoord(0.6, 1.0), CylCoord(0.9, 2.5)), (CylCoord(r, 1.0), CylCoord(r2, 2.0))]
+        t0 = time.perf_counter()
+        with pytest.raises(TruncationError, match=f"needs more than 3000 modes at r = {r:g}, r' = {r2:g}"):
+            fourier(S_REF, ELL, TWIST, pairs)
+        assert time.perf_counter() - t0 < 0.2
+
+    @pytest.mark.parametrize("route", ["cylinder", "funnel"])
+    def test_fourier_mode_estimate_lets_a_close_pair_through(self, route):
+        # dr = 0.01 sums about 430 modes against an estimate of about 600
+        ki, kf = (mk.kernel(route, m, S_REF, ELL, TWIST, [(CylCoord(0.3, 1.0), CylCoord(0.31, 2.0))]) for m in ("images", "fourier"))
+        assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-8
 
     @pytest.mark.parametrize("end,method", [("disc", "images"), ("cusp", "both")])
     def test_kernel_without_route(self, end, method):
@@ -510,6 +538,23 @@ class TestSXi:
         assert abs(v) > 1e3
         with pytest.raises(PoleError):
             mk.s_xi_continued(0.0, 0.5, 0.2, 1.0)
+
+    @pytest.mark.parametrize("s", [2.0 + 0.3j, 1.5, 0.8 + 1.0j])
+    def test_subnormal_angle_is_theta_zero(self, s):
+        # the contour tails' upper limit overflowed, with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = mk.s_xi_direct(5e-324, s, 0.3, 1.0)
+        want = mk.s_xi_direct(0.0, s, 0.3, 1.0)
+        assert abs(d - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("xia,b", [(5e-324, 1.0), (0.25, 1e-300), (5e-324, 5e-324)])
+    def test_continued_below_the_normal_range_fails(self, xia, b):
+        # its integral would start below the smallest normal u: it divided by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowBudgetError, match="smallest normal double"):
+                mk.s_xi_continued(xia, 1.5, 0.3, b)
 
     def test_nonunit_xi_is_pole_free(self):
         v = mk.s_xi_continued(0.25, 0.5, 0.2, 1.0)

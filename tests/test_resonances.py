@@ -1,4 +1,4 @@
-"""Resonance lattices, counting functions and growth fits."""
+"""Resonance lattices, counting functions and the counting law."""
 
 import math
 import time
@@ -505,43 +505,65 @@ class TestCensusBudget:
         assert [(p.location, p.mult) for p in rs] == [(-1 + 0j, 1), (0j, 1), (1 + 0j, 1)]
 
 
-class TestGrowthFit:
+#: Model specs of the counting law: the 2 pi trivial cylinder, diag(i, -1)
+#: at ell = 1, a cylinder with an irrational angle and moduli, a funnel, and
+#: a funnel, a cylinder and a cusp together.
+LAW_SPECS = {
+    "two-pi-cylinder": rz.SurfaceSpec(cylinders=((2.0 * math.pi, TRIVIAL),)),
+    "diag-cylinder": rz.SurfaceSpec(cylinders=((1.0, EXAMPLE),)),
+    "moduli-cylinder": rz.SurfaceSpec(
+        cylinders=((1.3, TwistSpec.from_angles([(0.25, 1), (math.sqrt(2.0) - 1.0, 2)], [0.4, -0.3])),)
+    ),
+    "funnel": rz.SurfaceSpec(funnels=((1.7, TwistSpec.from_angles([(0.25, 1), (0.5, 2)])),)),
+    "funnel-cylinder-cusp": rz.SurfaceSpec(
+        funnels=((1.7, TwistSpec.from_angles([(0.25, 1), (0.5, 2)])),),
+        cylinders=((1.0, EXAMPLE),),
+        cusps=(TwistSpec.trivial(2),),
+    ),
+}
+
+
+def law_error(spec, r):
+    """|N(r) - A r^2 - B r - C| / r^(2/3), N by the interval count."""
+    a, b, c = rz.counting_law(spec)
+    return abs(rz._count(spec, r) - a * r * r - b * r - c) / r ** (2.0 / 3.0)
+
+
+class TestCountingLaw:
     def test_cylinder_coefficient(self):
+        # A = ell/2 and B = ell/pi per class, and the census keeps to them
         ell = 2.0 * math.pi
         spec = rz.SurfaceSpec(cylinders=((ell, TRIVIAL),))
-        table = [r for r in rz.census(spec, 400.0, 8) if r[0] >= 100.0]
-        coeff, spread = rz.growth_fit(table)
-        assert abs(coeff - ell / 2.0) / (ell / 2.0) < 0.10
-        assert spread < 0.05
+        a, b, c = rz.counting_law(spec)
+        assert (a, b, c) == (ell / 2.0, ell / math.pi, 0)
+        for r, n in rz.census(spec, 400.0, 8):
+            assert abs(n - a * r * r - b * r) <= 3.0 * r ** (2.0 / 3.0)
 
-    def test_cylinder_coefficient_far_out(self):
-        # N(r) ~ (ell/2) r^2 on radii up to 1e4, well past enumeration's reach
-        ell = TWO_PI
-        spec = rz.SurfaceSpec(cylinders=((ell, TRIVIAL),))
+    @pytest.mark.parametrize("name", list(LAW_SPECS))
+    def test_model_specs_far_out(self, name):
+        # E(r) within 3 r^(2/3) at 12 radii up to 1e4, well past enumeration's
+        # reach; the largest measured is 2.19, on the 2 pi cylinder at r = 10
         t0 = time.perf_counter()
-        coeff, _ = rz.growth_fit(rz.census(spec, 1e4, 8))
+        worst = max(law_error(LAW_SPECS[name], r) for r in np.geomspace(10.0, 1e4, 12))
         assert time.perf_counter() - t0 < 1.0
-        assert abs(coeff - ell / 2.0) < 1e-3
+        assert worst <= 3.0
 
     def test_funnel_half_density(self):
+        # a funnel's real parts are the odd negative integers: half the
+        # cylinder's A, and no column at Re s = 0, so no r term
         ell = 2.0 * math.pi
         cyl = rz.SurfaceSpec(cylinders=((ell, TRIVIAL),))
         fun = rz.SurfaceSpec(funnels=((ell, TRIVIAL),))
-        c_cyl, _ = rz.growth_fit([r for r in rz.census(cyl, 400.0, 8) if r[0] >= 100.0])
-        c_fun, _ = rz.growth_fit([r for r in rz.census(fun, 400.0, 8) if r[0] >= 100.0])
-        assert abs(c_fun - 0.5 * c_cyl) / (0.5 * c_cyl) < 0.15
+        assert rz.counting_law(fun) == (0.5 * rz.counting_law(cyl)[0], 0.0, 0)
+        for r in (100.0, 200.0, 400.0):
+            assert law_error(fun, r) <= 3.0
 
     def test_cusp_only_coefficient_vanishes(self):
+        # three theta = 0 classes: N(r) = C = 3 past r = 1/2, exactly
         spec = rz.SurfaceSpec(cusps=(TwistSpec.trivial(3),))
-        table = rz.census(spec, 200.0, 8)
-        coeff, _ = rz.growth_fit(table)
-        assert coeff < 1e-3
-
-    def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
-            rz.growth_fit([(1.0, 2), (2.0, 8), (3.0, 18), (4.0, 32)])
-        with pytest.raises(InsufficientDataError):
-            rz.growth_fit([(1.0, 2), (1.5, 4), (2.0, 8), (2.5, 12), (3.0, 18)])
+        assert rz.counting_law(spec) == (0.0, 0.0, 3)
+        assert rz.census(spec, 200.0, 8) == [(25.0 * (i + 1), 3) for i in range(8)]
+        assert rz.counting_law(rz.SurfaceSpec()) == (0.0, 0.0, 0)
 
 
 class TestPoleWitness:
