@@ -209,12 +209,14 @@ def _cmd_kernel(args) -> int:
     methods = ("images", "fourier") if args.method == "both" else (args.method,)
     results = {m: mk.kernel(args.end, m, s, ell, t, [(c1, c2)])[0] for m in methods}
     if args.output == "csv":
-        rows = [
-            f"{method},{_fmt(cls.theta)},{cls.mult},{_fmt(v.real)},{_fmt(v.imag)}\n"
-            for method in sorted(results)
-            for cls, v in zip(t.angles, results[method])
-        ]
-        _emit(["method,theta,mult,re,im\n"] + rows, args.out)
+        lines = ["method,theta,mult,re,im"]
+        for method in sorted(results):
+            vals = results[method]
+            for cls, v in zip(t.angles, vals):
+                lines.append(
+                    f"{method},{_fmt(cls.theta)},{cls.mult},{_fmt(v.real)},{_fmt(v.imag)}"
+                )
+        _emit(["\n".join(lines) + "\n"], args.out)
     else:
         doc = {
             "end": args.end,
@@ -251,7 +253,9 @@ def _cmd_modes(args) -> int:
     else:
         mode = mk.cyl_mode if args.end == "cylinder" else mk.funnel_mode
         values = mode(s, args.kappa, np.array(rs), args.r2, ell).tolist()
-    _emit(["r,re,im\n"] + [f"{_fmt(r)},{_fmt(v.real)},{_fmt(v.imag)}\n" for r, v in zip(rs, values)], args.out)
+    lines = ["r,re,im"]
+    lines += [f"{_fmt(r)},{_fmt(v.real)},{_fmt(v.imag)}" for r, v in zip(rs, values)]
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 

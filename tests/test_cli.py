@@ -193,7 +193,7 @@ class TestCountCommand:
         assert rc == 0
         if output == "json":
             doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"{token} in JSON"))
-            assert doc["law"] == law and len(doc["table"]) == 8
+            assert doc["law"] == law and len(doc["table"]) == 8 and err == ""
             assert all(row["N"] == (0 if case == "no-resonance" else 2) for row in doc["table"])
         else:
             assert out.startswith("r,N\n") and len(out.splitlines()) == 9

@@ -19,8 +19,8 @@ mode overflowing at a finite |s| near the largest double, the S_xi tails at
 a subnormal angle); they must return the one code given with them, and the
 suite's `error::RuntimeWarning` filter fails them on any RuntimeWarning.
 Every row returns within a second, and its stderr is under 200 characters.
-Only a row that expects 2 may be refused by argparse (a retired flag), which
-exits 2 after its usage line.
+Rows named `retired-*` pass a retired flag: argparse must refuse them, with
+exit 2 after its usage line, and no other row may be refused by argparse.
 """
 
 import json
@@ -168,7 +168,7 @@ def _rows():
     subnormal = {"cusps": [{"twist": {"angles": [{"theta": 5e-324, "mult": 1}]}}]}
     for method, code in (("fourier", 3), ("images", 0), ("both", 3)):
         rows.append((f"warn-subnormal-angle-{method}", subnormal, _kernel("cusp", method=method), code))
-    rows.append(("count-retired-fit-min", _GOOD, ["count", "--r-max", "10", "--fit-min", "100"], 2))
+    rows.append(("retired-count-fit-min", _GOOD, ["count", "--r-max", "10", "--fit-min", "100"], 2))
     no_points = {"cusps": [{"twist": {"angles": [{"theta": 0.5, "mult": 1}]}}]}
     rows.append(("escape-count-without-resonances", no_points, ["count", "--r-max", "40"], 0))
     for end in ("cylinder", "funnel", "cusp"):
@@ -199,7 +199,7 @@ def test_exit_code(name, spec, argv, expect, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert len(err) < 200, err
     assert rc in (0, 2, 3) if expect is None else rc == expect, err
-    assert expect == 2 or not refused, err
+    assert refused == name.startswith("retired-"), err
     assert "Traceback" not in err
     if rc == 0 and "csv" not in argv:
         json.loads(out, parse_constant=_strict)
