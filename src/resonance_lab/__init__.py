@@ -4,7 +4,6 @@ lattices on hyperbolic model ends (cylinder, funnel, cusp)."""
 from .errors import (
     DiagonalError,
     DomainError,
-    InsufficientDataError,
     NonConvergenceError,
     NonUnitaryError,
     OverflowBudgetError,
@@ -56,7 +55,6 @@ __all__ = [
     "DiagonalError",
     "DomainError",
     "HPoint",
-    "InsufficientDataError",
     "NonConvergenceError",
     "NonUnitaryError",
     "OverflowBudgetError",

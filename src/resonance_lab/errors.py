@@ -41,9 +41,5 @@ class NonUnitaryError(ResonanceLabError):
     """A matrix expected to be unitary failed the tolerance check."""
 
 
-class InsufficientDataError(ResonanceLabError):
-    """Not enough samples for a fit."""
-
-
 class RadiusExceededError(NumericalError):
     """Counting radius exceeds the enumeration radius of a resonance set."""

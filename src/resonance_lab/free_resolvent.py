@@ -18,7 +18,6 @@ its one-element call.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 import numpy as np
@@ -59,7 +58,6 @@ def _log_gamma_half_ratio(s: complex) -> complex:
     return -0.5 * cmath.log(s) - acc * w
 
 
-@functools.lru_cache(maxsize=64)
 def _series_start(s: complex) -> tuple[complex, int]:
     """(log P, n0): g_s(x) = P u^s sum_{n >= n0} t_n, t_0 = 1, t_{n+1} = t_n (s+n)(n+1/2) z / ((c+n)(n+1)), z = u^2.
 

@@ -43,11 +43,10 @@ class CylCoord:
     """Geodesic coordinates (r, phi) on a cylinder end.
 
     phi is reduced to [0, 2pi) on construction; the winding number of the
-    raw angle is kept so that mode sums can apply the twist phase for
-    each full 2pi shift (the frequencies kappa are non-integer, so a
+    raw angle is kept so that every kernel route can apply the twist phase
+    for each full 2pi shift (the frequencies kappa are non-integer, so a
     2pi shift is not the identity on kernel values).  A winding is below
-    2^62 in size, so that the difference of two, to which the routes raise
-    the twist phases as numpy integers, fits a 64-bit integer.
+    2^62 in size.
     """
 
     r: float

@@ -1,8 +1,8 @@
 """Twisted resolvent kernels on the three model ends, by two representations.
 
-Each kernel is computed per eigenvalue class of the monodromy (the twist is
-diagonalized once and for all; kernels are diagonal in that basis, and each
-class takes its twist phase lambda^word), either as
+Each kernel is computed per eigenvalue class of the diagonalized monodromy
+at the angles in [0, 2pi); every route multiplies class j by the twist
+phase lambda_j^(w - w') of the windings (`_twisted`), either as
 
   * a truncated method-of-images sum of the free kernel with twist weights,
     valid in the convergence half-plane Re s > C + MARGIN, or
@@ -197,8 +197,8 @@ def _cyl_class_images(s: complex, ell: float, classes, points, near=None) -> np.
     ends on each side where the rest, which shrinks by at least
     |lam| e^{-Re s (ell - 2 log(1 + e^{-|x|}))} per image, is below
     e^-_WINDOW_CUT of the largest far image.  lam^k and sigma_k^-s share
-    one exponent, so that neither overflows alone.  No fundamental-domain
-    reduction is applied; valid for any half-plane points with z != z'.
+    one exponent, so that neither overflows alone.  Valid for any
+    half-plane points with z != z'.
     """
     s = complex(s)
     theta = np.array([cls.theta for cls in classes])
@@ -275,48 +275,59 @@ def cyl_class_images(s: complex, ell: float, classes, planes) -> np.ndarray:
     return _cyl_class_images(s, ell, classes, [(z.z, z2.z) for z, z2 in planes])
 
 
-def _reduced(z: complex, ell: float) -> tuple[complex, int]:
-    """z moved into the fundamental domain 1 <= |z| < e^ell, and the word of the move."""
-    m = math.floor(math.log(abs(z)) / ell)
-    return (z if m == 0 else math.exp(-m * ell) * z), m
-
-
-def _reduced_images(s: complex, ell: float, t: TwistSpec, points, near=None) -> np.ndarray:
-    """The twisted kernel at pairs of complex half-plane points, each moved into 1 <= |z| < e^ell.
-
-    lambda_j^(m - m') times the class sums of the moved points, m and m' the
-    words of the two moves.
-    """
-    s = complex(s)
+def _check_end(end: str, ell: float, t: TwistSpec, s: complex | None = None) -> None:
+    """DomainError unless ell is a positive finite length, a funnel's twist
+    is unitary and, for image sums at s, Re s clears their abscissa."""
     if not 0.0 < ell < math.inf:
         raise DomainError(f"cylinder length must be positive and finite, got {ell}")
+    if end == "funnel" and not t.is_unitary:
+        raise DomainError("funnel twists must be unitary")
     abscissa = t.log_norm() / ell
-    if s.real <= abscissa + MARGIN:
+    if s is not None and s.real <= abscissa + MARGIN:
         raise DomainError(
             f"Re s = {s.real} not above the convergence abscissa {abscissa} + margin {MARGIN}"
         )
-    moved = [(_reduced(z, ell), _reduced(z2, ell)) for z, z2 in points]
-    words = np.array([m - m2 for (_, m), (_, m2) in moved], dtype=int)
-    lam = np.array([cls.eigenvalue for cls in t.angles], dtype=complex)
-    return lam ** words[:, None] * _cyl_class_images(s, ell, t.angles, [(z, z2) for (z, _), (z2, _) in moved], near)
+
+
+def _twisted(t: TwistSpec, pairs, values: np.ndarray) -> np.ndarray:
+    """values[i, j] times lambda_j^(w - w'), w and w' the windings of pair i and j a class of t.
+
+    The phase is e^{2 pi i (w theta mod 1)} with w theta mod 1 exact in
+    integers (a double theta is a dyadic fraction), so every winding below
+    2^62 takes it to rounding; |lambda|^w joins in log scale.
+    """
+    words = np.array([c1.winding - c2.winding for c1, c2 in pairs], dtype=object)[:, None]
+    num, den = np.array([cls.theta.as_integer_ratio() for cls in t.angles], dtype=object).reshape(-1, 2).T
+    log_abs = np.array([cls.log_abs for cls in t.angles])
+    exponent = words.astype(float) * log_abs + 2j * math.pi * (words * num % den / den).astype(float)
+    return specfun.scaled_value(values, exponent, "twisted kernel")
+
+
+def _plane(r: float, phi: float, ell: float) -> complex:
+    """The half-plane point of (r, phi) at winding 0, in 1 <= |z| < e^ell."""
+    return cyl_to_plane(CylCoord(r, phi), ell).z
 
 
 def cyl_kernel_images(s: complex, ell: float, t: TwistSpec, pairs, z2: HPoint | None = None) -> np.ndarray:
     """Twisted cylinder resolvent kernel by the method of images, one row per pair (c1, c2).
 
-    Per class j of the twist; the points are reduced to the fundamental
-    domain with the twist factor applied for the reduction word.  The
-    near images of every pair go through one array g_s engine per block.
+    Per class j of the twist: the class sums at the winding-0 half-plane
+    points of c1 and c2 times the twist phase lambda_j^(w - w') of their
+    windings.  The near images of every pair go through one array g_s
+    engine per block.
 
     `cyl_kernel_images(s, ell, t, z, z2)`, with two half-plane points for
-    pairs and z2, is the kernel at that one pair (one row, as an array of
-    classes), whose near images go through the public `g_s` one at a time:
-    the benchmark's tracer test counts them there.
+    pairs and z2, is the class sums at that one pair (one row, as an array
+    of classes), whose near images go through the public `g_s` one at a
+    time: the benchmark's tracer test counts them there.
     """
+    _check_end("cylinder", ell, t, s)
     if z2 is not None:
         one = lambda s, x: np.array([g_s(s, v) for v in x.tolist()], dtype=complex)
-        return _reduced_images(s, ell, t, [(pairs.z, z2.z)], one)[0]
-    return _reduced_images(s, ell, t, [(cyl_to_plane(c1, ell).z, cyl_to_plane(c2, ell).z) for c1, c2 in pairs])
+        return _cyl_class_images(s, ell, t.angles, [(pairs.z, z2.z)], one)[0]
+    pairs = list(pairs)
+    planes = [(_plane(c1.r, c1.phi, ell), _plane(c2.r, c2.phi, ell)) for c1, c2 in pairs]
+    return _twisted(t, pairs, _cyl_class_images(s, ell, t.angles, planes))
 
 
 def _log_cosh(r):
@@ -453,8 +464,8 @@ def _check_mode_count(radii: np.ndarray, ell: float) -> None:
     """TruncationError for the first (r, r') whose cylinder or funnel sum needs more than _MAX_FOURIER_MODES.
 
     Modes fall like e^{-omega |kappa| |gd(r) - gd(r')|}, gd(r) = atan(sinh r):
-    the sum needs 1/1.4 to 1 times ln(1e16) / (omega |gd(r) - gd(r')|) modes,
-    and fails here where that estimate passes twice the cap.
+    the sum needs 1/1.6 to 1/0.97 times ln(1e16) / (omega |gd(r) - gd(r')|)
+    modes, and fails here where that estimate passes twice the cap.
     """
     gd = 2.0 * np.arctan(np.tanh(0.5 * radii))  # atan(sinh r), without overflow
     slow = TWO_PI / ell * np.abs(gd[:, 0] - gd[:, 1]) * (2 * _MAX_FOURIER_MODES) < math.log(1e16)
@@ -511,9 +522,7 @@ def _fourier_kernel(t: TwistSpec, pairs, profile, ell: float, first_block: int =
     if predict:
         _check_mode_count(radii, ell)
     sides = _mode_sum(terms, np.tile(np.abs(first).max(axis=1), 2), first_block)
-    words = np.array([[c1.winding - c2.winding] for c1, c2 in pairs])
-    lam = np.array([cls.eigenvalue for cls in t.angles])
-    return lam**words * ((first[:, first_block] + sides[:n] + sides[n:]).reshape(words.size, -1) / ell)
+    return _twisted(t, pairs, (first[:, first_block] + sides[:n] + sides[n:]).reshape(len(pairs), -1) / ell)
 
 
 def cyl_kernel_fourier(s: complex, ell: float, t: TwistSpec, pairs) -> np.ndarray:
@@ -523,6 +532,7 @@ def cyl_kernel_fourier(s: complex, ell: float, t: TwistSpec, pairs) -> np.ndarra
     with kappa = k + theta_j; 2pi windings of the angles enter through the
     twist phase lambda_j^(w - w').
     """
+    _check_end("cylinder", ell, t)
     return _fourier_kernel(t, list(pairs), lambda kap, r, r2: cyl_mode(s, kap, r, r2, ell), ell, predict=True)
 
 
@@ -576,25 +586,23 @@ def funnel_mode(s: complex, kappa, r, r2, ell: float):
 def funnel_kernel(s: complex, ell: float, t: TwistSpec, pairs) -> np.ndarray:
     """Funnel resolvent kernel by images, one row per pair (c1, c2): R_C(z, z') - R_C(z, reflected z').
 
-    The reflection r -> -r is z -> -conj(z) on the half-plane, with the
-    winding of z' kept; the windings enter through the reduction of
-    `cyl_kernel_images`.  The direct and the reflected sums of every pair
-    are the 2 len(pairs) rows of one image pass.
+    z' is reflected (r -> -r) at winding 0, and the difference takes the
+    twist phase of the windings.  The direct and the reflected sums of
+    every pair are the 2 len(pairs) rows of one image pass.
     """
     pairs = list(pairs)
     if any(c1.r < 0.0 or c2.r < 0.0 for c1, c2 in pairs):
         raise DomainError("funnel points need r >= 0")
-    if not 0.0 < ell < math.inf:
-        raise DomainError(f"cylinder length must be positive and finite, got {ell}")
-    z = [cyl_to_plane(c1, ell).z for c1, _ in pairs]
-    z2 = [cyl_to_plane(c2, ell).z for _, c2 in pairs]
-    reflected = [cyl_to_plane(CylCoord(-c2.r, c2.phi, c2.winding), ell).z for _, c2 in pairs]
-    rows = _reduced_images(s, ell, t, list(zip(z + z, z2 + reflected)))
-    return rows[: len(pairs)] - rows[len(pairs) :]
+    _check_end("funnel", ell, t, s)
+    direct = [(_plane(c1.r, c1.phi, ell), _plane(c2.r, c2.phi, ell)) for c1, c2 in pairs]
+    reflected = [(z, _plane(-c2.r, c2.phi, ell)) for (z, _), (_, c2) in zip(direct, pairs)]
+    rows = _cyl_class_images(s, ell, t.angles, direct + reflected)
+    return _twisted(t, pairs, rows[: len(pairs)] - rows[len(pairs) :])
 
 
 def funnel_kernel_fourier(s: complex, ell: float, t: TwistSpec, pairs) -> np.ndarray:
     """Funnel resolvent kernel via the mode functions (same 1/ell prefactor), one row per pair."""
+    _check_end("funnel", ell, t)
     return _fourier_kernel(t, list(pairs), lambda kap, r, r2: funnel_mode(s, kap, r, r2, ell), ell, predict=True)
 
 
@@ -719,10 +727,8 @@ def cusp_kernel_images(s: complex, ell, t: TwistSpec, pairs) -> np.ndarray:
     if not t.is_unitary:
         raise DomainError("cusp image sums require a unitary twist")
     pairs = list(pairs)
-    words = np.array([c1.winding - c2.winding for c1, c2 in pairs], dtype=int).reshape(-1, 1)
     planes = [(cusp_to_plane(c1), cusp_to_plane(c2)) for c1, c2 in pairs]
-    lam = np.array([cls.eigenvalue for cls in t.angles], dtype=complex)
-    return lam**words * cusp_class_images(s, [cls.theta for cls in t.angles], planes)
+    return _twisted(t, pairs, cusp_class_images(s, [cls.theta for cls in t.angles], planes))
 
 
 #: The route of each (end, method), looked up as a module global when called.

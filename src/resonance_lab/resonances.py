@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, RadiusExceededError
+from .errors import DomainError, RadiusExceededError
 from .twist import TwistSpec
 
 #: Collision tolerance for merging lattice points with irrational data.
@@ -522,7 +522,7 @@ def census(spec: SurfaceSpec, r_max: float, n_samples: int) -> list[tuple[float,
     census raises DomainError before it counts anything.
     """
     if n_samples < 1:
-        raise InsufficientDataError("census needs at least one sample radius")
+        raise DomainError("census needs at least one sample radius")
     _require_radius(r_max)
     classes = [(ell, cls, base, step) for ell, t, base, step in _lattice_ends(spec) for cls in t.angles]
     walk = 2 * _CENSUS_CALL_COST * max(len(classes), 1) * n_samples

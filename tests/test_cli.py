@@ -614,7 +614,6 @@ _EXIT_CODES = {
     errors.DiagonalError: 2,
     errors.DomainError: 2,
     errors.NonUnitaryError: 2,
-    errors.InsufficientDataError: 2,
     errors.NumericalError: 3,
     errors.PoleError: 3,
     errors.NonConvergenceError: 3,

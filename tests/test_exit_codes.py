@@ -157,6 +157,14 @@ def _rows():
     # windings just below 2^62 either way: their difference still fits 64 bits
     rows.append(("winding-difference-cusp-images", _GOOD,
                  _kernel("cusp", method="images", coords=("0.1", "2.89e19", "0.2", "-2.89e19")), 0))
+    # windings 1,114, -1,115 and about 2.2e18: the image routes take the twist phase as the Fourier routes do
+    for end in ("cylinder", "funnel"):
+        for phi in ("7000", "-7000", "1.4e19"):
+            for method in ("images", "both"):
+                rows.append((f"winding-{phi}-{end}-{method}", _GOOD, _kernel(end, method=method, coords=("0.2", phi, "0.9", "2")), 0))
+    # a non-unitary cylinder twist: |lambda|^w = e^(0.37 w) past a double
+    grows = {"cylinders": [{"ell": 1.0, "twist": {"angles": [{"theta": 0.25, "mult": 1, "log_abs": 0.37}]}}]}
+    rows.append(("winding-1.4e19-non-unitary-images", grows, _kernel("cylinder", method="images", coords=("0.2", "1.4e19", "0.9", "2")), 3))
     # near-diagonal Fourier sums: about 12,000 modes, more than the cap of 3,000
     rows += [
         ("slow-fourier-near-diagonal-cylinder", _GOOD, _kernel("cylinder", method="fourier", coords=("0.3", "1", "0.3005", "2")), 3),
@@ -168,6 +176,7 @@ def _rows():
     subnormal = {"cusps": [{"twist": {"angles": [{"theta": 5e-324, "mult": 1}]}}]}
     for method, code in (("fourier", 3), ("images", 0), ("both", 3)):
         rows.append((f"warn-subnormal-angle-{method}", subnormal, _kernel("cusp", method=method), code))
+    rows.append(("count-zero-samples", _GOOD, ["count", "--r-max", "10", "--samples", "0"], 2))
     rows.append(("retired-count-fit-min", _GOOD, ["count", "--r-max", "10", "--fit-min", "100"], 2))
     no_points = {"cusps": [{"twist": {"angles": [{"theta": 0.5, "mult": 1}]}}]}
     rows.append(("escape-count-without-resonances", no_points, ["count", "--r-max", "40"], 0))

@@ -118,7 +118,6 @@ class TestGsGrid:
             raise AssertionError("g_s called reg_hyp2f1_scaled")
 
         monkeypatch.setattr(sf, "reg_hyp2f1_scaled", unused)
-        fr._series_start.cache_clear()
         assert [fr.g_s(s, x) for s, x in points] == want
 
 

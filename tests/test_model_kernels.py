@@ -6,6 +6,7 @@ import time
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -70,9 +71,8 @@ class TestCylinderKernel:
         b = mk.cyl_class_images(2.5, ELL, TWIST.angles, [(w, z)])[0]
         assert np.max(np.abs(a - b)) < 1e-9
 
-    def test_fundamental_domain_reduction(self):
-        # public kernel is equivariant through the reduction word: three
-        # windings of phi move z to e^{3 ell} z
+    def test_winding_takes_twist_phase(self):
+        # three windings of phi move z to e^{3 ell} z: the kernel takes lambda^3
         c1, c2 = CylCoord(0.3, 1.4), CylCoord(-0.5, 4.1)
         base = mk.cyl_kernel_images(S_REF, ELL, TWIST, [(c1, c2)])[0]
         moved = mk.cyl_kernel_images(S_REF, ELL, TWIST, [(CylCoord(0.3, 1.4 + 3 * TWO_PI), c2)])[0]
@@ -150,6 +150,47 @@ class TestCylinderKernel:
         monkeypatch.setattr(mk, "SERIES_TOL", mk.SERIES_TOL / 100.0)
         ib = mk.cyl_kernel_images(S_REF, ELL, TWIST, [(c1, c2)])[0]
         assert np.all(np.abs(ia - ib) <= 1e-15 * np.abs(ib))
+
+
+class TestWindings:
+    """Windings enter every kernel route as the twist phase lambda^(w - w')."""
+
+    TWIST = TwistSpec.from_angles([(0.1, 1), (0.25, 1), (0.5, 2)])
+
+    @pytest.mark.parametrize("end,ell", [(end, ell) for end in ("cylinder", "funnel") for ell in (0.3, 1.0, TWO_PI)] + [("cusp", None)])
+    def test_large_windings(self, end, ell):
+        # e^(w ell) of these windings is far past a double; lambda^w is taken
+        # to 256 bits, where w theta mod 1 is exact
+        c2 = CylCoord(0.9, 2.0)
+        base = mk.kernel(end, "images", S_REF, ell, self.TWIST, [(CylCoord(0.2, 1.0), c2)])[0]
+        for w in (1114, -1115, 2**62 - 1, 3 - 2**61):
+            pair = [(CylCoord(0.2, 1.0, w), c2)]
+            ki, kf = (mk.kernel(end, method, S_REF, ell, self.TWIST, pair)[0] for method in ("images", "fourier"))
+            with mpmath.workprec(256):
+                lam = np.array([complex(mpmath.expjpi(2 * mpmath.mpf(cls.theta) * w)) for cls in self.TWIST.angles])
+            assert np.all(np.abs(ki - lam * base) <= 2e-15 * np.abs(base)), w
+            assert np.all(np.abs(ki - kf) <= 1e-12 * np.abs(ki)), w
+
+    @pytest.mark.parametrize("ell", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("route", ["cyl_kernel_images", "cyl_kernel_fourier", "funnel_kernel", "funnel_kernel_fourier"])
+    def test_end_check(self, route, ell):
+        # every route of the two ends refuses a bad length, and the funnel's a non-unitary twist
+        pair = [(CylCoord(0.2, 1.0), CylCoord(0.9, 2.0))]
+        with pytest.raises(DomainError, match="cylinder length"):
+            getattr(mk, route)(S_REF, ell, TWIST, pair)
+        if route.startswith("funnel"):
+            with pytest.raises(DomainError, match="unitary"):
+                getattr(mk, route)(S_REF, ELL, TwistSpec.from_angles([(0.25, 1), (0.5, 1)], moduli=[0.3, -0.2]), pair)
+
+    def test_non_unitary_overflow(self):
+        # a value |lambda|^w = e^(0.8 w) times the winding-0 one: past a double it raises, not inf
+        t = TwistSpec.from_angles([(0.25, 1)], moduli=[0.8])
+        c2 = CylCoord(0.9, 2.5)
+        base = mk.cyl_kernel_images(1.2, ELL, t, [(CylCoord(0.2, 1.0), c2)])[0]
+        far = mk.cyl_kernel_images(1.2, ELL, t, [(CylCoord(0.2, 1.0, 800), c2)])[0]
+        assert np.all(np.abs(far - cmath.exp(640.0) * base) <= 1e-12 * np.abs(far))
+        with pytest.raises(OverflowBudgetError, match="twisted kernel overflows"):
+            mk.cyl_kernel_images(1.2, ELL, t, [(CylCoord(0.2, 1.0, 900), c2)])
 
 
 class TestTruncation:

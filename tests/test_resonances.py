@@ -12,7 +12,6 @@ from resonance_lab import model_kernels as mk
 from resonance_lab import resonances as rz
 from resonance_lab.errors import (
     DomainError,
-    InsufficientDataError,
     RadiusExceededError,
 )
 from resonance_lab.twist import TwistSpec
@@ -363,7 +362,7 @@ class TestIntervalCensus:
 
     def test_errors(self):
         spec = rz.SurfaceSpec(cylinders=((TWO_PI, TRIVIAL),))
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DomainError, match="at least one sample"):
             rz.census(spec, 5.0, 0)
         with pytest.raises(DomainError):
             rz.census(spec, 0.0, 3)
