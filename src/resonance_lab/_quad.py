@@ -1,4 +1,4 @@
-"""Gauss-Legendre panels and the trapezoid rule, for integrands that take an array of nodes."""
+"""The trapezoid rule of every route, and Gauss-Legendre panels for test oracles and the benchmark's tracer."""
 
 from __future__ import annotations
 
@@ -67,31 +67,35 @@ def gauss_legendre_adaptive(
     return total
 
 
-def trapezoid(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, h: float, tol: float, shift=0.0) -> complex:
+def trapezoid(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, h: float, tol: float, shift=0.0):
     """Trapezoid rule over [a, b] for an f negligible at a and b, h (made to divide b - a) halved until settled.
 
     On an f analytic in a strip the rule converges geometrically in 1/h
-    (Trefethen & Weideman, SIAM Review 56, 2014).  f takes its nodes in
-    ascending order; each halving calls it once, on the new midpoints.  The
-    rule stops when two successive sums T differ by at most tol |T + shift|
-    plus the rounding floor eps h sum |f|.  Raises QuadratureError past
-    _MAX_NODES nodes, or where that floor exceeds _MAX_FLOOR |T + shift|:
+    (Trefethen & Weideman, SIAM Review 56, 2014), also from an end about
+    which f is even.  f takes its nodes in ascending order and returns its
+    values on the last axis, for one integral or a row each; each halving
+    calls it once, on the new midpoints.  A row keeps the first sum T that
+    differs from the last by at most tol |T + shift| plus the rounding floor
+    eps h sum |f|, so no row depends on another.  Raises QuadratureError
+    past _MAX_NODES nodes, or where that floor exceeds _MAX_FLOOR |T + shift|:
     f cancels too far for the sum to be trusted.
     """
     n = max(1, math.ceil((b - a) / h))
     h = (b - a) / n
     values = f(a + h * np.arange(n + 1))
-    values[[0, -1]] *= 0.5
-    total, mass = h * values.sum(), h * np.abs(values).sum()
-    while True:
+    values[..., [0, -1]] *= 0.5
+    total, mass = h * values.sum(axis=-1), h * np.abs(values).sum(axis=-1)
+    live = np.ones(total.shape, dtype=bool)
+    while live.any():
         if 2 * n + 1 > _MAX_NODES:
             raise QuadratureError(f"trapezoid rule not settled within {_MAX_NODES} nodes")
         mid = f(a + h * np.arange(0.5, n))
         h, n, last = 0.5 * h, 2 * n, total
-        total, mass = 0.5 * total + h * mid.sum(), 0.5 * mass + h * np.abs(mid).sum()
-        floor = np.finfo(float).eps * mass
-        if abs(total - last) <= tol * abs(total + shift) + floor:
-            break
-    if floor > _MAX_FLOOR * abs(total + shift):
-        raise QuadratureError(f"integrand cancels to {abs(total + shift) / mass:.1e} of its magnitude")
-    return complex(total)
+        total = np.where(live, 0.5 * total + h * mid.sum(axis=-1), total)
+        mass = np.where(live, 0.5 * mass + h * np.abs(mid).sum(axis=-1), mass)
+        settled = np.abs(total - last) <= tol * np.abs(total + shift) + np.finfo(float).eps * mass
+        live &= ~settled  # a NaN sum never settles
+    bad = np.finfo(float).eps * mass > _MAX_FLOOR * np.abs(total + shift)
+    for share in (np.abs(total + shift)[bad] / mass[bad])[:1].tolist():
+        raise QuadratureError(f"integrand cancels to {share:.1e} of its magnitude")
+    return complex(total) if total.ndim == 0 else total

@@ -402,9 +402,9 @@ def _scan(values: np.ndarray, count, prev, scale: np.ndarray, size):
     """The stopping rule over one block of terms per row, the first count of each row valid.
 
     prev is a row's last magnitude before it (NaN at its start), scale its
-    largest so far.  Returns whether the row stops, its partial sum, largest
-    and last magnitude up to the stop (or the block's end), and its next
-    block: twice size, cut short where the last ratio says so.
+    largest so far.  Returns whether the row stops, its partial sum and sum
+    of magnitudes, largest and last magnitude up to the stop (or the block's
+    end), and its next block: twice size, cut short where the last ratio says so.
     """
     mags = np.abs(values)
     before = np.empty_like(mags)
@@ -418,16 +418,17 @@ def _scan(values: np.ndarray, count, prev, scale: np.ndarray, size):
     hit = np.logical_or.reduce(stop, axis=1)
     last = np.where(hit, stop.argmax(axis=1), count - 1)
     rows = np.arange(values.shape[0])
-    part = np.where(np.arange(values.shape[1]) <= last[:, None], values, 0.0).sum(axis=1)  # pairwise
+    kept = np.arange(values.shape[1]) <= last[:, None]
+    part, mass = np.where(kept, values, 0.0).sum(axis=1), np.where(kept, mags, 0.0).sum(axis=1)  # pairwise
     scale, prev, rho = scales[rows, last], mags[rows, last], ratio[rows, last]
     if hit.all():
-        return hit, part, scale, prev, size
+        return hit, part, mass, scale, prev, size
     ahead = np.log(FOURIER_TAIL_TOL * scale * (1.0 - rho) / (10.0 * rho * prev)) / np.log(rho)
     cut = (rho > 0.0) & (rho < 0.995) & (ahead < 2 * size)
-    return hit, part, scale, prev, np.where(cut, np.maximum(1.0, np.ceil(ahead)), 2 * size).astype(int)
+    return hit, part, mass, scale, prev, np.where(cut, np.maximum(1.0, np.ceil(ahead)), 2 * size).astype(int)
 
 
-def _mode_sum(terms, scale: np.ndarray, first_block: int) -> np.ndarray:
+def _mode_sum(terms, scale: np.ndarray, first_block: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum terms(i, k) over k = 1, 2, ... for every row i at once, adaptively, from its largest magnitude scale.
 
     terms takes the indices i of some rows and a 2-d array of k >= 1, one
@@ -437,13 +438,13 @@ def _mode_sum(terms, scale: np.ndarray, first_block: int) -> np.ndarray:
     still creeps toward its asymptote when r and r' are close), is below
     FOURIER_TAIL_TOL of the largest term so far, or at the second of two
     consecutive zeros.  A row that passes _MAX_FOURIER_MODES raises
-    TruncationError.
+    TruncationError.  Returns each row's sum and its sum of magnitudes.
     """
-    out = np.empty(scale.size, dtype=complex)
+    out, norm = np.empty(scale.size, dtype=complex), np.empty(scale.size)
     # the open rows, compacted as they end: index, next k, block size, last
-    # magnitude, largest magnitude so far, and partial sum
+    # magnitude, largest magnitude so far, partial sum and its magnitudes
     ids, lo, size = np.arange(out.size), np.ones(out.size, dtype=int), np.full(out.size, first_block)
-    prev, acc = np.full(out.size, math.nan), np.zeros(out.size, dtype=complex)
+    prev, acc, mags = np.full(out.size, math.nan), np.zeros(out.size, dtype=complex), np.zeros(out.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         while ids.size:
             count = np.minimum(size, _MAX_FOURIER_MODES + 1 - lo)
@@ -451,13 +452,14 @@ def _mode_sum(terms, scale: np.ndarray, first_block: int) -> np.ndarray:
                 raise TruncationError(f"Fourier synthesis needs more than {_MAX_FOURIER_MODES} modes")
             # one row per side, padded with its last mode, which the scan leaves out
             k = np.minimum(np.add.outer(lo, np.arange(count.max())), (lo + count - 1)[:, None])
-            hit, part, scale, prev, size = _scan(terms(ids, k), count, prev, scale, size)
+            hit, part, mass, scale, prev, size = _scan(terms(ids, k), count, prev, scale, size)
             acc += part
+            mags += mass
             lo += count
             if hit.any():
-                out[ids[hit]] = acc[hit]
-                ids, lo, size, prev, scale, acc = (v[~hit] for v in (ids, lo, size, prev, scale, acc))
-    return out
+                out[ids[hit]], norm[ids[hit]] = acc[hit], mags[hit]
+                ids, lo, size, prev, scale, acc, mags = (v[~hit] for v in (ids, lo, size, prev, scale, acc, mags))
+    return out, norm
 
 
 def _check_mode_count(radii: np.ndarray, ell: float) -> None:
@@ -484,8 +486,12 @@ def _fourier_kernel(t: TwistSpec, pairs, profile, ell: float, first_block: int =
     later rounds read; the sides k > 0 and k < 0 of each sum are two rows of
     one `_mode_sum`, each from the largest magnitude of the sum's table.
     With predict, `_check_mode_count` follows the table, where a pair outside
-    a profile's domain fails first.  Returns a (len(pairs), classes) array.
+    a profile's domain fails first.  Returns a (len(pairs), classes) array;
+    raises TruncationError where the rounding of the modes, eps sum |modes|,
+    passes _MAX_FLOOR of a class value, as the trapezoid rule does.
     """
+    from ._quad import _MAX_FLOOR
+
     if not t.is_unitary:
         raise DomainError("Fourier synthesis requires a unitary twist")
     if any(c1.r == c2.r and c1.phi == c2.phi for c1, c2 in pairs):
@@ -521,8 +527,11 @@ def _fourier_kernel(t: TwistSpec, pairs, profile, ell: float, first_block: int =
     first = modes(np.arange(n), np.arange(-first_block, first_block + 1)[None, :].repeat(n, axis=0))
     if predict:
         _check_mode_count(radii, ell)
-    sides = _mode_sum(terms, np.tile(np.abs(first).max(axis=1), 2), first_block)
-    return _twisted(t, pairs, (first[:, first_block] + sides[:n] + sides[n:]).reshape(len(pairs), -1) / ell)
+    sides, mass = _mode_sum(terms, np.tile(np.abs(first).max(axis=1), 2), first_block)
+    value, mass = first[:, first_block] + sides[:n] + sides[n:], np.abs(first[:, first_block]) + mass[:n] + mass[n:]
+    for i in np.flatnonzero(np.finfo(float).eps * mass > _MAX_FLOOR * np.abs(value))[:1].tolist():
+        raise TruncationError(f"Fourier modes cancel to {abs(value[i]) / mass[i]:.1e} of their magnitude")
+    return _twisted(t, pairs, value.reshape(len(pairs), -1) / ell)
 
 
 def cyl_kernel_fourier(s: complex, ell: float, t: TwistSpec, pairs) -> np.ndarray:
@@ -869,6 +878,16 @@ def _sxi_tails(theta, p: np.ndarray, a, b, start, log_scale=0.0) -> np.ndarray:
     return out
 
 
+def _check_sxi(xi_angle: float, a: float, b: float) -> None:
+    """DomainError unless 0 <= xi_angle < 1, a is finite and b is positive and finite: both S_xi routes."""
+    if not (0.0 <= xi_angle < 1.0):
+        raise DomainError(f"xi_angle must lie in [0, 1), got {xi_angle}")
+    if not 0.0 < b < math.inf:
+        raise DomainError(f"b must be positive and finite, got {b}")
+    if not math.isfinite(a):
+        raise DomainError(f"a must be finite, got {a}")
+
+
 def s_xi_direct(xi_angle: float, s: complex, a: float, b: float) -> complex:
     """Twisted lattice sum sum_k xi^k (|k+a|^2 + b^2)^{-s}, xi = e^{2 pi i xi_angle}.
 
@@ -877,12 +896,7 @@ def s_xi_direct(xi_angle: float, s: complex, a: float, b: float) -> complex:
     requires Re s > 1/2 + MARGIN.
     """
     s = complex(s)
-    if not (0.0 <= xi_angle < 1.0):
-        raise DomainError(f"xi_angle must lie in [0, 1), got {xi_angle}")
-    if not b > 0.0:
-        raise DomainError(f"b must be positive, got {b}")
-    if not math.isfinite(a):
-        raise DomainError(f"a must be finite, got {a}")
+    _check_sxi(xi_angle, a, b)
     if s.real <= 0.5 + MARGIN:
         raise DomainError(f"direct sum needs Re s > {0.5 + MARGIN}, got {s.real}")
     m = math.floor(a)
@@ -914,10 +928,7 @@ def s_xi_continued(xi_angle: float, s: complex, a: float, b: float) -> complex:
     from ._quad import trapezoid
 
     s = complex(s)
-    if not (0.0 <= xi_angle < 1.0):
-        raise DomainError(f"xi_angle must lie in [0, 1), got {xi_angle}")
-    if not b > 0.0:
-        raise DomainError(f"b must be positive, got {b}")
+    _check_sxi(xi_angle, a, b)
     lam = xi_angle
     if lam == 0.0 and specfun._is_nonpositive_integer(s - 0.5) is not None:
         raise PoleError(f"S_1 has a pole at s = {s}")

@@ -33,6 +33,8 @@ class AngleClass:
             raise DomainError(f"theta must lie in [0, 1), got {self.theta}")
         if self.mult < 1:
             raise DomainError(f"multiplicity must be >= 1, got {self.mult}")
+        if not math.isfinite(self.log_abs):
+            raise DomainError(f"log_abs must be finite, got {self.log_abs}")
 
     @property
     def eigenvalue(self) -> complex:

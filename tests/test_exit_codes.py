@@ -18,6 +18,8 @@ printed RuntimeWarnings before their message (log_gamma and the cusp zero
 mode overflowing at a finite |s| near the largest double, the S_xi tails at
 a subnormal angle); they must return the one code given with them, and the
 suite's `error::RuntimeWarning` filter fails them on any RuntimeWarning.
+Rows named `cancel-*` exited 0 with `--method both` while one route's sum
+had cancelled below its rounding: they must exit 3.
 Every row returns within a second, and its stderr is under 200 characters.
 Rows named `retired-*` pass a retired flag: argparse must refuse them, with
 exit 2 after its usage line, and no other row may be refused by argparse.
@@ -68,10 +70,10 @@ def _rows():
     for name, value in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)):
         spec = {"cylinders": [{"ell": 1.0, "twist": {"angles": [{"theta": 0.25, "mult": 1, "log_abs": value}]}}]}
         rows += [
-            (f"log_abs-{name}-resonances", spec, _RESONANCES, None),
-            (f"log_abs-{name}-count", spec, _COUNT, None),
-            (f"log_abs-{name}-kernel-images", spec, _kernel("cylinder", method="images"), None),
-            (f"log_abs-{name}-kernel-fourier", spec, _kernel("cylinder", method="fourier"), None),
+            (f"log_abs-{name}-resonances", spec, _RESONANCES, 2),
+            (f"log_abs-{name}-count", spec, _COUNT, 2),
+            (f"log_abs-{name}-kernel-images", spec, _kernel("cylinder", method="images"), 2),
+            (f"log_abs-{name}-kernel-fourier", spec, _kernel("cylinder", method="fourier"), 2),
         ]
     empty = {
         "cylinders": [{"ell": 1.0, "twist": {"angles": []}}],
@@ -176,6 +178,14 @@ def _rows():
     subnormal = {"cusps": [{"twist": {"angles": [{"theta": 5e-324, "mult": 1}]}}]}
     for method, code in (("fourier", 3), ("images", 0), ("both", 3)):
         rows.append((f"warn-subnormal-angle-{method}", subnormal, _kernel("cusp", method=method), code))
+    # routes that cancel past the rounding floor: K_nu at large |Im s| in the
+    # cusp Fourier route, and the modes at large Re s on the 2 pi cylinder;
+    # each exited 0 with the two routes 3e-8 to 2e42 apart
+    diag_cusp = {"cusps": [{"twist": _DIAG}]}
+    for s in ("1.5-15i", "1.5-25i", "1+30i"):
+        rows.append((f"cancel-s-{s}-cusp-both", diag_cusp, _kernel("cusp", s), 3))
+    two_pi = {"cylinders": [{"ell": 2.0 * math.pi, "twist": _TRIVIAL}]}
+    rows.append(("cancel-s-200+1i-cylinder-both", two_pi, _kernel("cylinder", "200+1i"), 3))
     rows.append(("count-zero-samples", _GOOD, ["count", "--r-max", "10", "--samples", "0"], 2))
     rows.append(("retired-count-fit-min", _GOOD, ["count", "--r-max", "10", "--fit-min", "100"], 2))
     no_points = {"cusps": [{"twist": {"angles": [{"theta": 0.5, "mult": 1}]}}]}

@@ -236,6 +236,19 @@ class TestTruncation:
         ki, kf = (mk.kernel(route, m, S_REF, ELL, TWIST, [(CylCoord(0.3, 1.0), CylCoord(0.31, 2.0))]) for m in ("images", "fourier"))
         assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-8
 
+    @pytest.mark.parametrize("s", [40.0 + 1j, 80.0 + 1j, 200.0 + 1j])
+    def test_fourier_rounding_floor(self, s):
+        # on the 2 pi trivial cylinder the modes cancel at large Re s: the
+        # route answered 5e-4, 1e8 and 2e42 off the images here
+        pair = [(CylCoord(0.2, 1.0), CylCoord(0.9, 2.0))]
+        with pytest.raises(TruncationError, match="modes cancel"):
+            mk.cyl_kernel_fourier(s, TWO_PI, TwistSpec.trivial(), pair)
+
+    def test_fourier_rounding_floor_lets_digits_through(self):
+        pair, t = [(CylCoord(0.2, 1.0), CylCoord(0.9, 2.0))], TwistSpec.trivial()
+        ki, kf = (mk.kernel("cylinder", m, 20.0 + 1j, TWO_PI, t, pair) for m in ("images", "fourier"))
+        assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-8
+
     @pytest.mark.parametrize("end,method", [("disc", "images"), ("cusp", "both")])
     def test_kernel_without_route(self, end, method):
         with pytest.raises(DomainError, match="no kernel route"):
@@ -449,6 +462,19 @@ class TestCuspKernel:
             kf = mk.cusp_kernel(3.0 + 0.2j, None, TWIST, [(c1, c2)])[0]
             assert np.max(np.abs(ki - kf) / np.abs(ki)) < 1e-9
 
+    @pytest.mark.parametrize("s,bound", [(1.5 - 8j, 1e-12), (1.5 + 12j, 5e-10)])
+    def test_images_vs_fourier_at_large_imaginary_s(self, s, bound):
+        pair = [(CylCoord(0.2, 1.0), CylCoord(0.9, 2.0))]
+        ki, kf = (mk.kernel("cusp", m, s, None, TWIST, pair) for m in ("images", "fourier"))
+        assert np.max(np.abs(ki - kf) / np.abs(ki)) < bound
+
+    @pytest.mark.parametrize("s", [1.5 - 15j, 2.5 + 20j, 1.5 - 25j, 2.0 + 30j, 1.0 + 30j])
+    def test_fourier_fails_where_k_cancels(self, s):
+        # K_{s-1/2} by quadrature cancels by e^(-pi |Im s| / 2): the Fourier
+        # route was 3e-8 to 340 times off the images here
+        with pytest.raises(QuadratureError, match="cancels"):
+            mk.cusp_kernel(s, None, TWIST, [(CylCoord(0.2, 1.0), CylCoord(0.9, 2.0))])
+
     def test_zero_mode_factor_is_entire(self):
         # (2s-1) u_0(s; y, y') has vanishing d/d(s bar) on a grid near s = 1/2
         h = 1e-4
@@ -596,6 +622,26 @@ class TestSXi:
             warnings.simplefilter("error")
             with pytest.raises(OverflowBudgetError, match="smallest normal double"):
                 mk.s_xi_continued(xia, 1.5, 0.3, b)
+
+    @pytest.mark.parametrize("a,b,what", [
+        (math.nan, 1.0, "a must be finite"), (math.inf, 1.0, "a must be finite"), (-math.inf, 1.0, "a must be finite"),
+        (0.3, math.inf, "b must be positive and finite"), (0.3, math.nan, "b must be positive and finite"),
+        (0.3, 0.0, "b must be positive and finite"), (0.3, -1.0, "b must be positive and finite"),
+    ])
+    @pytest.mark.parametrize("route", [mk.s_xi_direct, mk.s_xi_continued])
+    def test_non_finite_or_non_positive_arguments(self, route, a, b, what):
+        # the continued sum raised ValueError at a = NaN and OverflowError at
+        # a = inf, and the direct one returned NaN at b = inf, the continued 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=what):
+                route(0.25, 2.0 + 0.3j, a, b)
+
+    @pytest.mark.parametrize("route", [mk.s_xi_direct, mk.s_xi_continued])
+    @pytest.mark.parametrize("xia", [-0.1, 1.0, math.nan])
+    def test_angle_outside_the_unit_interval(self, route, xia):
+        with pytest.raises(DomainError, match="xi_angle must lie in"):
+            route(xia, 2.0 + 0.3j, 0.3, 1.0)
 
     def test_nonunit_xi_is_pole_free(self):
         v = mk.s_xi_continued(0.25, 0.5, 0.2, 1.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from resonance_lab import specfun as sf
-from resonance_lab.errors import DomainError, OverflowBudgetError, PoleError
+from resonance_lab.errors import DomainError, OverflowBudgetError, PoleError, QuadratureError
 from resonance_lab.geometry import TWO_PI
 
 # Frozen oracle values (40-digit arbitrary-precision evaluation, offline).
@@ -544,6 +544,45 @@ class TestBessel:
                     assert g == 0.0, (rows.__name__, xj)
                 else:
                     assert abs(g - want) <= 1e-14 * abs(want), (rows.__name__, xj)
+
+    def test_k_against_mpmath_grid(self):
+        # a seeded grid over |Re nu|, |Im nu| <= 30 and log-uniform x in
+        # [1e-3, 600], with x = 2.5, 4 and 8 at |Im nu| = 25 and 30, where the
+        # Gauss-Legendre K was 0.73 off at (1 - 25i, 2.5): within 1e-12 for
+        # |Im nu| <= 5 and 1e-8 above, or a QuadratureError, which only the
+        # cancellation past |Im nu| = 10 may raise
+        import mpmath as mp
+
+        rng = np.random.default_rng(26)
+        cases = [(complex(*rng.uniform(-30.0, 30.0, 2)), float(math.exp(rng.uniform(math.log(1e-3), math.log(600.0)))))
+                 for _ in range(300)]
+        cases += [(complex(re, im), x) for im in (25, -25, 30, -30) for re in (0.5, 1.0, -3.5) for x in (2.5, 4.0, 8.0)]
+        raised = 0
+        with mp.workdps(30):
+            for nu, x in cases:
+                try:
+                    got = sf.bessel_k(nu, x)
+                except QuadratureError:
+                    assert abs(nu.imag) > 10.0, (nu, x)
+                    raised += 1
+                    continue
+                want = complex(mp.besselk(mp.mpc(nu.real, nu.imag), x))
+                bound = 1e-12 if abs(nu.imag) <= 5.0 else 1e-8
+                assert abs(got - want) <= bound * abs(want), (nu, x)
+        assert raised < len(cases) // 4
+
+    def test_k_against_panel_oracle(self):
+        # the trapezoid K against the Gauss-Legendre panels it replaced, up
+        # to |Im nu| = 10, past which the panels' own cancellation dominates
+        import bessel_reference as bref
+
+        rng = np.random.default_rng(27)
+        for _ in range(60):
+            nu = complex(rng.uniform(-30.0, 30.0), rng.uniform(-10.0, 10.0))
+            x = float(rng.uniform(2.01, 60.0))
+            want = bref.bessel_k_panels(nu, x)
+            bound = 1e-11 if abs(nu.imag) <= 5.0 else 1e-9
+            assert abs(sf.bessel_k(nu, x) - want) <= bound * abs(want), (nu, x)
 
     def test_rows_in_bounded_groups(self):
         # 2,000 rows of K by quadrature: every group of nodes, and every

@@ -71,6 +71,13 @@ class TestTwistSpec:
         with pytest.raises(DomainError):
             TwistSpec.from_angles([(1.0, 1)])
 
+    @pytest.mark.parametrize("log_abs", [math.nan, math.inf, -math.inf])
+    def test_non_finite_modulus_rejected(self, log_abs):
+        with pytest.raises(DomainError, match="log_abs must be finite"):
+            TwistSpec.from_angles([(0.25, 1)], moduli=[log_abs])
+        with pytest.raises(DomainError, match="log_abs must be finite"):
+            TwistSpec.from_json_dict({"angles": [{"theta": 0.25, "mult": 1, "log_abs": log_abs}]})
+
     def test_json_round_trip(self):
         t = TwistSpec.from_angles([(0.25, 1), (0.5, 3)])
         assert TwistSpec.from_json_dict(json.loads(json.dumps(t.to_json_dict()))) == t
